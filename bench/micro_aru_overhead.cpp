@@ -63,7 +63,7 @@ BENCHMARK(BM_PacingDecision);
 struct ChannelFixtureState {
   ManualClock clock;
   MemoryTracker tracker{1};
-  PayloadPool pool{PoolConfig{}, &tracker};
+  PayloadPool pool;
   stats::Recorder recorder;
   cluster::Topology topo = cluster::Topology::single_node();
   RunContext ctx;

@@ -21,7 +21,7 @@ namespace {
 struct Fixture {
   ManualClock clock;
   MemoryTracker tracker{1};
-  PayloadPool pool{PoolConfig{}, &tracker};
+  PayloadPool pool;
   stats::Recorder recorder;
   cluster::Topology topo = cluster::Topology::single_node();
   RunContext ctx;
@@ -233,9 +233,6 @@ void BM_ChannelPutGetPayload(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
-  const auto st = f.pool.stats();
-  state.counters["pool_hit_rate"] =
-      st.acquires > 0 ? static_cast<double>(st.hits) / static_cast<double>(st.acquires) : 0.0;
 }
 BENCHMARK(BM_ChannelPutGetPayload)
     ->Arg(static_cast<std::int64_t>(vision::kMaskBytes))

@@ -7,7 +7,9 @@
 /// Each benchmark stands up an in-process ChannelServer on an ephemeral
 /// loopback port and drives it through a RemoteChannel proxy, so the
 /// measured path is the full production stack: wire encode → TCP →
-/// server decode → channel op → ack encode → TCP → proxy decode.
+/// server decode → channel op → ack encode → TCP → proxy decode. The
+/// server does half of that work on its own thread, so every benchmark
+/// reports wall time (UseRealTime), not the client thread's CPU time.
 ///
 /// Run via bench/run_bench.sh to emit BENCH_net.json at the repo root.
 #include <benchmark/benchmark.h>
@@ -30,15 +32,10 @@ struct Loop {
   std::stop_source stop;
 
   /// `producers`/`consumers` are the remote slot counts; the proxy claims
-  /// slot 0 on each side that has one. `pooled = false` zeroes the pool's
-  /// retention cap so every payload acquire on the path (producer alloc,
-  /// server materialize, consumer materialize) falls through to the heap —
-  /// the pre-pool behaviour, measured for the pooled-vs-unpooled series.
-  /// `put_window = 0` pins the classic synchronous one-ack-per-put RPC
-  /// (the round-trip baselines); BM_NetPutPipelined opens the window.
-  Loop(int producers, int consumers, bool pooled = true, std::size_t put_window = 0)
-      : rt(RuntimeConfig{.pool = {.max_retained_bytes =
-                                      pooled ? PoolConfig{}.max_retained_bytes : 0}}) {
+  /// slot 0 on each side that has one. `put_window = 0` pins the classic
+  /// synchronous one-ack-per-put RPC (the round-trip baselines);
+  /// BM_NetPutPipelined opens the window.
+  Loop(int producers, int consumers, std::size_t put_window = 0) {
     channel = &rt.add_channel({.name = "bench"});
     server = std::make_unique<net::ChannelServer>(
         rt, std::vector<net::ServedChannel>{{.channel = channel,
@@ -78,7 +75,7 @@ void BM_NetPutRtt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_NetPutRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_NetPutRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20)->UseRealTime();
 
 /// Pipelined put throughput (wire v3): puts return once queued in the
 /// bounded in-flight window, envelopes batch into scatter/gather flushes,
@@ -87,7 +84,7 @@ BENCHMARK(BM_NetPutRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 /// one-ack-per-put RPC.
 void BM_NetPutPipelined(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
-  Loop loop(/*producers=*/1, /*consumers=*/0, /*pooled=*/true, /*put_window=*/64);
+  Loop loop(/*producers=*/1, /*consumers=*/0, /*put_window=*/64);
   Timestamp ts = 0;
   // Warm up: first put pays the connect + Hello handshake.
   (void)loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token());
@@ -101,7 +98,7 @@ void BM_NetPutPipelined(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_NetPutPipelined)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_NetPutPipelined)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20)->UseRealTime();
 
 /// Get round trip: a local put makes the channel ready, then the proxy
 /// pulls the item over the wire (server-side get + item payload + backward
@@ -121,7 +118,7 @@ void BM_NetGetRtt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_NetGetRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_NetGetRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20)->UseRealTime();
 
 /// Producer→consumer relay through the served channel: one proxy puts,
 /// another gets, so each iteration crosses the wire twice (the two-process
@@ -141,28 +138,7 @@ void BM_NetPutGetPipe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * 2 * static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_NetPutGetPipe)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
-/// The same two-hop relay with pooling disabled: every payload on the path
-/// is a fresh heap allocation, as before the pool existed. Diff against
-/// BM_NetPutGetPipe at the same size to read the pool's share of the net
-/// win separately from the scatter-gather framing.
-void BM_NetPutGetPipeUnpooled(benchmark::State& state) {
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  Loop loop(/*producers=*/1, /*consumers=*/1, /*pooled=*/false);
-  Timestamp ts = 0;
-  (void)loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token());
-  (void)loop.proxy->get_latest(aru::kUnknownStp, kNoTimestamp, loop.stop.get_token());
-
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token()));
-    benchmark::DoNotOptimize(
-        loop.proxy->get_latest(aru::kUnknownStp, kNoTimestamp, loop.stop.get_token()));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetBytesProcessed(state.iterations() * 2 * static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_NetPutGetPipeUnpooled)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_NetPutGetPipe)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20)->UseRealTime();
 
 }  // namespace
 }  // namespace stampede

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the hot-path micro-benchmarks and emits their JSON results at the
-# repo root (BENCH_channel.json / BENCH_pool.json / BENCH_kernels.json /
-# BENCH_net.json / BENCH_telemetry.json). Every PR that touches a hot path
-# re-runs this script and commits the refreshed JSON, so the perf
-# trajectory is tracked in-tree from PR 1 onward.
+# repo root (BENCH_channel.json / BENCH_kernels.json / BENCH_net.json /
+# BENCH_telemetry.json). A change that touches a hot path re-runs this
+# script and commits the refreshed JSON, so the perf trajectory is
+# tracked in-tree.
 #
 # The committed JSON is only ever produced from a Release build: the script
 # reads CMAKE_BUILD_TYPE out of the build directory's CMakeCache.txt and
@@ -35,7 +35,7 @@ for arg in "$@"; do
 done
 BUILD="${BUILD:-$ROOT/build}"
 
-BINARIES=(micro_channel micro_pool micro_kernels net_throughput micro_telemetry)
+BINARIES=(micro_channel micro_kernels net_throughput micro_telemetry)
 
 missing=0
 for bin in "${BINARIES[@]}"; do
@@ -76,7 +76,6 @@ run() {
 }
 
 run micro_channel BENCH_channel.json
-run micro_pool BENCH_pool.json
 run micro_kernels BENCH_kernels.json
 run net_throughput BENCH_net.json
 run micro_telemetry BENCH_telemetry.json
@@ -84,7 +83,6 @@ run micro_telemetry BENCH_telemetry.json
 if [[ "$SMOKE" -eq 1 ]]; then
   echo "bench smoke passed (no JSON written)" >&2
 else
-  echo "wrote $ROOT/BENCH_channel.json, $ROOT/BENCH_pool.json," \
-       "$ROOT/BENCH_kernels.json, $ROOT/BENCH_net.json and" \
-       "$ROOT/BENCH_telemetry.json" >&2
+  echo "wrote $ROOT/BENCH_channel.json, $ROOT/BENCH_kernels.json," \
+       "$ROOT/BENCH_net.json and $ROOT/BENCH_telemetry.json" >&2
 fi

@@ -58,10 +58,6 @@ int cmd_analyze(const Options& cli) {
               a.perf.latency_ms_std, a.perf.jitter_ms);
   std::printf("  footprint %.2f MB (std %.2f), IGC bound %.2f MB\n",
               a.res.footprint_mb_mean, a.res.footprint_mb_std, a.res.igc_mb_mean);
-  if (a.res.pool_cached_mb_peak > 0) {
-    std::printf("  pool cache %.2f MB mean, %.2f MB peak (parked for reuse)\n",
-                a.res.pool_cached_mb_mean, a.res.pool_cached_mb_peak);
-  }
   std::printf("  wasted: %.1f%% memory, %.1f%% computation (%lld of %lld items)\n",
               a.res.wasted_mem_pct, a.res.wasted_comp_pct,
               static_cast<long long>(a.res.items_wasted),

@@ -33,10 +33,8 @@ struct RunContext {
   telemetry::Registry* metrics = nullptr;
   /// Payload buffer pool items allocate from (runtime/pool.hpp). Must be
   /// set before any Item is constructed: there is deliberately no heap
-  /// fallback (a pool-less context would silently re-introduce a per-item
-  /// allocation on the hot path — aru-analyze's hot-path purity rule).
-  /// Fixtures that want heap behavior use a pool with
-  /// `max_retained_bytes = 0`, which recycles nothing.
+  /// fallback, so PayloadPool::acquire stays the one place that decides
+  /// which payloads are recycled.
   PayloadPool* pool = nullptr;
   const cluster::Topology* topology = nullptr;
   PressureModel pressure;

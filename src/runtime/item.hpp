@@ -2,20 +2,19 @@
 /// \brief Timestamped data item — the unit of communication, accounting
 ///        and garbage collection.
 ///
-/// An item owns its payload bytes — a pooled `PayloadBuffer` drawn from
-/// the run's `PayloadPool` (always: the silent plain-heap fallback for a
-/// pool-less context was a per-item allocation on the hot path, flagged
-/// by aru-analyze and removed — contexts must provide a pool).
-/// Channels and consumers share ownership via shared_ptr; the memory is
-/// accounted as *freed* when the last reference drops (exactly when the
-/// bytes become reclaimable), which the destructor reports to the
-/// MemoryTracker and the trace — and that same last-reference drop is
-/// what recycles the payload slab into the pool.
+/// An item owns its payload bytes — a `PayloadBuffer` drawn from the
+/// run's `PayloadPool` (always: contexts must provide a pool, which
+/// decides whether the payload is a recycled frame-scale slab or an
+/// exact-size heap buffer). Channels and consumers share ownership via
+/// shared_ptr; the memory is accounted as *freed* when the last reference
+/// drops (exactly when the bytes become reclaimable), which the destructor
+/// reports to the MemoryTracker and the trace — and that same
+/// last-reference drop is what recycles a frame-scale slab into the pool.
 ///
 /// Payloads are NOT zero-filled: every producer overwrites its payload
 /// before putting the item (vision's stride-grid discipline keeps readers
 /// on exactly the bytes writers touched). Debug builds poison fresh
-/// payloads with 0xA5 instead (see PoolConfig::poison).
+/// payloads with 0xA5 instead (see PayloadPool's constructor).
 #pragma once
 
 #include <cstddef>

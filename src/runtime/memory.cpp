@@ -4,8 +4,6 @@
 
 namespace stampede {
 
-const char* to_string_impl(int);  // (no-op guard against empty TU warnings)
-
 MemoryTracker::MemoryTracker(int cluster_nodes) : nodes_(cluster_nodes) {
   if (cluster_nodes <= 0) {
     throw std::invalid_argument("MemoryTracker: cluster node count must be positive");

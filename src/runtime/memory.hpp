@@ -43,18 +43,6 @@ class MemoryTracker {
   /// High-water mark of total_bytes().
   std::int64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
 
-  /// Payload-pool retention accounting: bytes parked in free lists, ready
-  /// for reuse but resident in no item. Deliberately NOT part of
-  /// total_bytes() — the pressure model and footprint metrics measure the
-  /// paper's live item footprint; retained slabs are an implementation
-  /// cache that diagnostics can read separately.
-  void on_pool_cached(std::int64_t delta) {
-    pool_cached_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t pool_cached_bytes() const {
-    return pool_cached_.load(std::memory_order_relaxed);
-  }
-
   int nodes() const { return nodes_; }
 
  private:
@@ -62,7 +50,6 @@ class MemoryTracker {
   std::unique_ptr<std::atomic<std::int64_t>[]> per_node_;
   std::atomic<std::int64_t> total_{0};
   std::atomic<std::int64_t> peak_{0};
-  std::atomic<std::int64_t> pool_cached_{0};
 };
 
 }  // namespace stampede

@@ -1,16 +1,12 @@
 #include "runtime/pool.hpp"
 
-#include <bit>
 #include <cstring>
-#include <memory>
-
-#include "runtime/memory.hpp"
 
 namespace stampede {
 namespace {
 
 /// Fresh slab, explicitly NOT value-initialized: make_unique would zero
-/// the pages, which is exactly the cost the pool exists to avoid.
+/// the pages, which producers overwrite anyway.
 ARU_ALLOCATES std::byte* raw_alloc(std::size_t bytes) { return new std::byte[bytes]; }
 
 }  // namespace
@@ -30,115 +26,54 @@ void PayloadBuffer::reset() {
 
 PayloadBuffer::~PayloadBuffer() { reset(); }
 
-PayloadPool::PayloadPool(PoolConfig config, MemoryTracker* tracker)
-    : config_(config), tracker_(tracker) {}
-
 PayloadPool::~PayloadPool() {
   const util::MutexLock lock(mu_);
   for (auto& list : free_) {
     for (std::byte* slab : list) delete[] slab;
-    list.clear();
   }
-  if (tracker_ != nullptr && retained_bytes_ > 0) {
-    tracker_->on_pool_cached(-static_cast<std::int64_t>(retained_bytes_));
-  }
-  retained_bytes_ = 0;
 }
 
 std::size_t PayloadPool::class_size(std::size_t bytes) {
-  if (bytes == 0) return 0;
-  if (bytes <= kSmallMax) {
-    const std::size_t rounded = std::bit_ceil(bytes);
-    return rounded < kSmallMin ? kSmallMin : rounded;
-  }
-  if (bytes <= kMaxPooledBytes) {
-    return ((bytes + kLargeStep - 1) / kLargeStep) * kLargeStep;
-  }
-  return bytes;  // bypass: no rounding, no recycling
-}
-
-std::size_t PayloadPool::class_index(std::size_t class_bytes) {
-  if (class_bytes <= kSmallMax) {
-    // 64 → 0, 128 → 1, ..., 4096 → 6.
-    return static_cast<std::size_t>(std::countr_zero(class_bytes)) - 6;
-  }
-  return kSmallClasses + class_bytes / kLargeStep - 1;
+  if (bytes < kMinPooledBytes || bytes > kMaxPooledBytes) return bytes;
+  return (bytes + kStep - 1) / kStep * kStep;
 }
 
 PayloadBuffer PayloadPool::acquire(std::size_t bytes) {
   if (bytes == 0) return {};
-  acquires_.fetch_add(1, std::memory_order_relaxed);
 
+  // This range test is the one place that decides which payloads recycle.
+  const bool recycle = bytes >= kMinPooledBytes && bytes <= kMaxPooledBytes;
   const std::size_t cap = class_size(bytes);
-  if (cap > kMaxPooledBytes) {
-    // Oversized: plain heap slab, freed (not recycled) on destruction.
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    PayloadBuffer buf(raw_alloc(cap), bytes, cap, nullptr);
-    if (config_.poison) std::memset(buf.span().data(), std::to_integer<int>(kPoolPoisonByte), bytes);
-    return buf;
-  }
-
   std::byte* slab = nullptr;
-  {
+  if (recycle) {
     const util::MutexLock lock(mu_);
-    auto& list = free_[class_index(cap)];
+    auto& list = free_[cap / kStep - 1];
     if (!list.empty()) {
       slab = list.back();
       list.pop_back();
-      retained_bytes_ -= cap;
+      parked_bytes_ -= cap;
     }
   }
-  if (slab != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (tracker_ != nullptr) tracker_->on_pool_cached(-static_cast<std::int64_t>(cap));
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    slab = raw_alloc(cap);
-  }
-  in_use_bytes_.fetch_add(static_cast<std::int64_t>(cap), std::memory_order_relaxed);
-
-  PayloadBuffer buf(slab, bytes, cap, this);
-  if (config_.poison) std::memset(buf.span().data(), std::to_integer<int>(kPoolPoisonByte), bytes);
-  return buf;
+  if (slab == nullptr) slab = raw_alloc(cap);
+  if (poison_) std::memset(slab, std::to_integer<int>(kPoolPoisonByte), bytes);
+  return {slab, bytes, cap, recycle ? this : nullptr};
 }
 
-PayloadBuffer PayloadPool::unpooled(std::size_t bytes) {
-  if (bytes == 0) return {};
-  return PayloadBuffer(raw_alloc(bytes), bytes, bytes, nullptr);
+std::size_t PayloadPool::parked_bytes() const {
+  const util::MutexLock lock(mu_);
+  return parked_bytes_;
 }
 
 void PayloadPool::release(std::byte* data, std::size_t capacity) {
-  releases_.fetch_add(1, std::memory_order_relaxed);
-  in_use_bytes_.fetch_sub(static_cast<std::int64_t>(capacity), std::memory_order_relaxed);
-
-  bool cached = false;
   {
     const util::MutexLock lock(mu_);
-    if (retained_bytes_ + capacity <= config_.max_retained_bytes) {
-      free_[class_index(capacity)].push_back(data);
-      retained_bytes_ += capacity;
-      cached = true;
+    if (parked_bytes_ + capacity <= kMaxParkedBytes) {
+      free_[capacity / kStep - 1].push_back(data);
+      parked_bytes_ += capacity;
+      return;
     }
   }
-  if (cached) {
-    if (tracker_ != nullptr) tracker_->on_pool_cached(static_cast<std::int64_t>(capacity));
-  } else {
-    delete[] data;
-  }
-}
-
-PayloadPool::Stats PayloadPool::stats() const {
-  Stats s;
-  s.acquires = acquires_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.releases = releases_.load(std::memory_order_relaxed);
-  s.in_use_bytes = in_use_bytes_.load(std::memory_order_relaxed);
-  {
-    const util::MutexLock lock(mu_);
-    s.retained_bytes = static_cast<std::int64_t>(retained_bytes_);
-  }
-  return s;
+  delete[] data;
 }
 
 }  // namespace stampede

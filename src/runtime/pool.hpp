@@ -1,22 +1,24 @@
 /// \file pool.hpp
-/// \brief Size-class payload buffer pool — the zero-copy item fast path.
+/// \brief Frame-slab recycling for item payloads.
 ///
-/// Every `Item` payload at digitizer rate used to be a fresh zero-filled
-/// `std::vector`: at the paper's 738 kB frame size each allocation crosses
-/// glibc's mmap threshold, so the steady state paid an mmap + kernel zero
-/// pages + page faults on fill + munmap *per item*. The pool replaces that
-/// with recycled slabs: a released payload parks on a free list keyed by
-/// its size class and the next acquire of that class reuses the same hot,
-/// already-faulted pages. Nothing is zero-filled — producers overwrite the
-/// payload before publishing (the stride-grid discipline in vision/ keeps
-/// readers on exactly the bytes writers touched); debug builds poison
-/// acquired buffers instead so a read-before-write shows up as 0xA5 noise
-/// rather than flaky zeros.
+/// The paper's tracker allocates a 738 kB frame, a 246 kB mask and a ~1 MB
+/// histogram at digitizer rate, and frees each one on whichever thread
+/// drops its last reference. Those sizes sit above glibc's mmap threshold,
+/// so plain heap payloads hand the freed pages back to the kernel and the
+/// next write faults them in again (on the loopback tracker the e2e
+/// benchmark measured ~5× the minor faults and a slower histogram stage;
+/// see docs/ARCHITECTURE.md). The pool keeps those pages: a released
+/// slab of at least kMinPooledBytes parks on a free list keyed by its
+/// 64 KiB-rounded size, and the next acquire of that size reuses the same
+/// hot, already-faulted memory.
 ///
-/// Size classes: requests ≤ 4 KiB round up to the next power of two (min
-/// 64 B); larger requests round up to a 64 KiB multiple (the 738 kB frame
-/// lands in the 768 KiB class, ~4% slack); requests over 8 MiB bypass the
-/// pool entirely. `PayloadBuffer` remembers the *requested* size, so
+/// Requests under kMinPooledBytes get an exact-size heap buffer that is
+/// freed, not recycled; requests over kMaxPooledBytes likewise. Nothing is
+/// zero-filled — producers overwrite the payload before publishing (the
+/// stride-grid discipline in vision/ keeps readers on exactly the bytes
+/// writers touched); a poisoning pool fills acquired bytes with 0xA5
+/// instead, so a read-before-write shows up as noise rather than flaky
+/// zeros. `PayloadBuffer` remembers the *requested* size, so
 /// `Item::bytes()` and all accounting stay exact.
 ///
 /// Ownership: `acquire` hands out a move-only `PayloadBuffer` whose
@@ -26,18 +28,10 @@
 /// the channel lock). The free lists therefore sit at rank `kPool`, above
 /// `kBuffer` in the lock hierarchy. The pool must outlive every buffer it
 /// issued; the Runtime owns it ahead of all channels/queues/tasks.
-///
-/// Accounting: live payload bytes are the Item's business (MemoryTracker
-/// on_alloc/on_free, unchanged). The pool reports only the bytes *parked*
-/// in free lists via `MemoryTracker::on_pool_cached`, so diagnostics can
-/// distinguish resident-in-items from retained-for-reuse. Stats counters
-/// are relaxed atomics — monotonic tallies, same contract as the tracker.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,15 +41,14 @@
 
 namespace stampede {
 
-class MemoryTracker;
 class PayloadPool;
 
-/// Byte poisoned over acquired payloads when PoolConfig::poison is set.
+/// Byte poisoned over acquired payloads by a poisoning pool.
 inline constexpr std::byte kPoolPoisonByte{0xA5};
 
 /// Poison default: on when assertions are on. The release/RelWithDebInfo
 /// presets define NDEBUG, so the hot path never pays the fill there;
-/// tests that want poisoning deterministically set PoolConfig::poison.
+/// tests that want poisoning deterministically construct a poisoning pool.
 #ifdef NDEBUG
 inline constexpr bool kPoolPoisonDefault = false;
 #else
@@ -63,9 +56,9 @@ inline constexpr bool kPoolPoisonDefault = true;
 #endif
 
 /// Move-only owning handle to one payload slab. Destruction recycles the
-/// slab into the pool that issued it (or frees it, for bypass/unpooled
-/// buffers). `size()` is the requested payload size; `capacity()` the
-/// size-class slab size actually backing it.
+/// slab into the pool that issued it, or frees it for an unrecycled
+/// buffer. `size()` is the requested payload size; `capacity()` the slab
+/// size actually backing it.
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;
@@ -116,35 +109,23 @@ class PayloadBuffer {
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
-  PayloadPool* pool_ = nullptr;  ///< null: plain heap slab, destructor frees
-};
-
-struct PoolConfig {
-  /// Ceiling on bytes parked across all free lists; a release that would
-  /// exceed it frees the slab instead of caching it. Bounds the memory a
-  /// burst retains forever (steady-state working sets are far smaller).
-  std::size_t max_retained_bytes = std::size_t{128} << 20;  // 128 MiB
-  /// Fill acquired payloads with kPoolPoisonByte so read-before-write bugs
-  /// surface deterministically instead of reading recycled data.
-  bool poison = kPoolPoisonDefault;
+  PayloadPool* pool_ = nullptr;  ///< null: plain heap buffer, destructor frees
 };
 
 /// Thread-safe free-listed slab pool. See file comment for the design.
 class PayloadPool {
  public:
-  /// Monotonic counters (relaxed reads; mutually stale by a few ops).
-  struct Stats {
-    std::int64_t acquires = 0;  ///< total acquire() calls (incl. bypass)
-    std::int64_t hits = 0;      ///< acquires served from a free list
-    std::int64_t misses = 0;    ///< acquires that allocated fresh
-    std::int64_t releases = 0;  ///< pooled buffers returned
-    std::int64_t retained_bytes = 0;  ///< bytes parked in free lists now
-    std::int64_t in_use_bytes = 0;    ///< pooled slab bytes out with buffers
-  };
+  /// Smallest request the pool recycles; smaller payloads are exact-size.
+  static constexpr std::size_t kMinPooledBytes = std::size_t{64} << 10;  // 64 KiB
+  /// Largest request the pool recycles; bigger payloads are exact-size.
+  static constexpr std::size_t kMaxPooledBytes = std::size_t{8} << 20;  // 8 MiB
+  /// Ceiling on bytes parked across all free lists; a release that would
+  /// exceed it frees the slab instead. Bounds what a burst retains forever
+  /// (the tracker's steady-state working set is far smaller).
+  static constexpr std::size_t kMaxParkedBytes = std::size_t{128} << 20;  // 128 MiB
 
-  /// \param tracker when non-null, parked free-list bytes are reported via
-  ///        on_pool_cached so diagnostics see retained-for-reuse memory.
-  explicit PayloadPool(PoolConfig config = {}, MemoryTracker* tracker = nullptr);
+  /// \param poison fill every acquired payload with kPoolPoisonByte.
+  explicit PayloadPool(bool poison = kPoolPoisonDefault) : poison_(poison) {}
 
   /// Frees every parked slab. All issued buffers must already be gone.
   ~PayloadPool();
@@ -152,59 +133,35 @@ class PayloadPool {
   PayloadPool(const PayloadPool&) = delete;
   PayloadPool& operator=(const PayloadPool&) = delete;
 
-  /// Returns a buffer of exactly `bytes` logical size backed by a
-  /// `class_size(bytes)` slab — recycled when one is parked, freshly
-  /// allocated (not zero-filled) otherwise. Requests over kMaxPooledBytes
-  /// get a plain heap slab that is freed, not recycled, on destruction.
+  /// Returns a buffer of exactly `bytes` logical size, not zero-filled.
+  /// Requests in [kMinPooledBytes, kMaxPooledBytes] are backed by a
+  /// `class_size(bytes)` slab, recycled when one is parked; all others get
+  /// an exact-size heap buffer that is freed on destruction.
   ARU_HOT_PATH PayloadBuffer acquire(std::size_t bytes);
 
-  /// Plain heap slab, same no-zero-fill contract, freed (not recycled) on
-  /// destruction. For standalone tooling and benchmarks only: runtime
-  /// items always allocate from their RunContext's pool.
-  ARU_ALLOCATES static PayloadBuffer unpooled(std::size_t bytes);
-
-  /// The slab size backing a request: next power of two (min 64 B) up to
-  /// 4 KiB, then 64 KiB multiples up to kMaxPooledBytes; identity above.
+  /// The slab size backing a request: the next 64 KiB multiple inside the
+  /// recycled range, the request itself outside it.
   static std::size_t class_size(std::size_t bytes);
 
-  Stats stats() const;
-  const PoolConfig& config() const { return config_; }
-
-  /// Largest request the pool recycles; bigger payloads bypass.
-  static constexpr std::size_t kMaxPooledBytes = std::size_t{8} << 20;  // 8 MiB
+  /// Bytes parked in the free lists now (takes the pool lock).
+  std::size_t parked_bytes() const;
 
  private:
   friend class PayloadBuffer;
 
-  // Small classes: 64, 128, ..., 4096 (powers of two).
-  static constexpr std::size_t kSmallMin = 64;
-  static constexpr std::size_t kSmallMax = 4096;
-  static constexpr std::size_t kSmallClasses = 7;
-  // Large classes: 64 KiB multiples up to kMaxPooledBytes.
-  static constexpr std::size_t kLargeStep = std::size_t{64} << 10;
-  static constexpr std::size_t kLargeClasses = kMaxPooledBytes / kLargeStep;
-  static constexpr std::size_t kNumClasses = kSmallClasses + kLargeClasses;
-
-  /// Free-list index for a *class* size (must be a valid class size).
-  static std::size_t class_index(std::size_t class_bytes);
+  static constexpr std::size_t kStep = kMinPooledBytes;
+  static constexpr std::size_t kClasses = kMaxPooledBytes / kStep;
 
   /// Recycles a slab from a destructing PayloadBuffer. Runs on whatever
   /// thread drops the last item reference — including under a channel
   /// lock, which rank kPool > kBuffer permits.
   ARU_HOT_PATH void release(std::byte* data, std::size_t capacity);
 
-  const PoolConfig config_;
-  MemoryTracker* const tracker_;
+  const bool poison_;
 
   mutable util::Mutex mu_{util::LockRank::kPool, "runtime.pool"};
-  std::array<std::vector<std::byte*>, kNumClasses> free_ GUARDED_BY(mu_);
-  std::size_t retained_bytes_ GUARDED_BY(mu_) = 0;
-
-  std::atomic<std::int64_t> acquires_{0};
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
-  std::atomic<std::int64_t> releases_{0};
-  std::atomic<std::int64_t> in_use_bytes_{0};
+  std::array<std::vector<std::byte*>, kClasses> free_ GUARDED_BY(mu_);
+  std::size_t parked_bytes_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace stampede

@@ -8,8 +8,7 @@ namespace stampede {
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(std::move(config)),
-      tracker_(config_.topology.nodes()),
-      pool_(config_.pool, &tracker_) {
+      tracker_(config_.topology.nodes()) {
   if (config_.clock == nullptr) config_.clock = &RealClock::instance();
   run_.clock = config_.clock;
   run_.tracker = &tracker_;
@@ -29,40 +28,8 @@ Runtime::Runtime(RuntimeConfig config)
 
 void Runtime::register_builtin_metrics() {
   // Polled series: evaluated at scrape time under the registry mutex
-  // (rank kTelemetry, below the pool's kPool and the channels' kBuffer),
-  // reading counters the pool/tracker already maintain — zero hot-path
-  // cost and no double bookkeeping.
-  metrics_.polled_counter("aru_pool_acquires_total", "Payload pool acquire() calls",
-                          {}, [this] {
-                            return static_cast<double>(pool_.stats().acquires);
-                          });
-  metrics_.polled_counter("aru_pool_hits_total",
-                          "Pool acquires served from a free list", {}, [this] {
-                            return static_cast<double>(pool_.stats().hits);
-                          });
-  metrics_.polled_counter("aru_pool_misses_total",
-                          "Pool acquires that allocated a fresh slab", {}, [this] {
-                            return static_cast<double>(pool_.stats().misses);
-                          });
-  metrics_.polled_counter("aru_pool_releases_total",
-                          "Pooled buffers returned to a free list", {}, [this] {
-                            return static_cast<double>(pool_.stats().releases);
-                          });
-  metrics_.polled_gauge("aru_pool_hit_ratio",
-                        "Fraction of acquires served from a free list", {}, [this] {
-                          const PayloadPool::Stats s = pool_.stats();
-                          return s.acquires > 0 ? static_cast<double>(s.hits) /
-                                                      static_cast<double>(s.acquires)
-                                                : 0.0;
-                        });
-  metrics_.polled_gauge("aru_pool_parked_bytes",
-                        "Bytes parked in the pool's free lists", {}, [this] {
-                          return static_cast<double>(pool_.stats().retained_bytes);
-                        });
-  metrics_.polled_gauge("aru_pool_in_use_bytes",
-                        "Pooled slab bytes currently out with buffers", {}, [this] {
-                          return static_cast<double>(pool_.stats().in_use_bytes);
-                        });
+  // (rank kTelemetry), reading counters the tracker already maintains —
+  // zero hot-path cost and no double bookkeeping.
   metrics_.polled_gauge("aru_memory_total_bytes", "Live item bytes (MemoryTracker)",
                         {}, [this] {
                           return static_cast<double>(tracker_.total_bytes());
@@ -70,10 +37,6 @@ void Runtime::register_builtin_metrics() {
   metrics_.polled_gauge("aru_memory_peak_bytes", "High-water mark of total bytes",
                         {}, [this] {
                           return static_cast<double>(tracker_.peak_bytes());
-                        });
-  metrics_.polled_gauge("aru_memory_pool_cached_bytes",
-                        "Parked pool memory outside total_bytes", {}, [this] {
-                          return static_cast<double>(tracker_.pool_cached_bytes());
                         });
 
   // /status sections. The channels section reads live channel state
@@ -100,23 +63,10 @@ void Runtime::register_builtin_metrics() {
     out += "]";
     return out;
   });
-  metrics_.add_status("pool", [this] {
-    const PayloadPool::Stats s = pool_.stats();
-    std::string out = "{";
-    out += "\"acquires\":" + std::to_string(s.acquires);
-    out += ",\"hits\":" + std::to_string(s.hits);
-    out += ",\"misses\":" + std::to_string(s.misses);
-    out += ",\"releases\":" + std::to_string(s.releases);
-    out += ",\"parked_bytes\":" + std::to_string(s.retained_bytes);
-    out += ",\"in_use_bytes\":" + std::to_string(s.in_use_bytes);
-    out += "}";
-    return out;
-  });
   metrics_.add_status("memory", [this] {
     std::string out = "{";
     out += "\"total_bytes\":" + std::to_string(tracker_.total_bytes());
     out += ",\"peak_bytes\":" + std::to_string(tracker_.peak_bytes());
-    out += ",\"pool_cached_bytes\":" + std::to_string(tracker_.pool_cached_bytes());
     out += "}";
     return out;
   });
@@ -299,11 +249,6 @@ void Runtime::start() {
                                    .t = now,
                                    .a = tracker_.total_bytes(),
                                    .b = tracker_.peak_bytes()});
-        shard->record(stats::Event{.type = stats::EventType::kGauge,
-                                   .node = stats::kPoolGaugeNode,
-                                   .t = now,
-                                   .a = tracker_.pool_cached_bytes(),
-                                   .b = pool_.stats().in_use_bytes});
         run_.clock->sleep_for(config_.monitor_period);
       }
     });

@@ -45,8 +45,6 @@ struct RuntimeConfig {
   PressureModel pressure;
   /// Preemption-burst injection (heavy-tailed STP noise, paper §3.3.2).
   SchedulerNoise sched_noise;
-  /// Payload buffer pool tuning (retention cap, debug poison).
-  PoolConfig pool;
   /// Master seed; each task derives its own deterministic stream.
   std::uint64_t seed = 1;
   /// When positive, a monitor thread samples every channel's occupancy and
@@ -139,7 +137,6 @@ class Runtime {
 
   const Graph& graph() const { return graph_; }
   MemoryTracker& memory() { return tracker_; }
-  PayloadPool& payload_pool() { return pool_; }
   /// Live metrics registry (always collecting; served when metrics_port
   /// is enabled). Register run-specific series before start().
   telemetry::Registry& metrics() { return metrics_; }
@@ -164,8 +161,8 @@ class Runtime {
   std::unique_ptr<Filter> filter_for(const std::string& override_spec) const;
   void check_mutable(const char* op) const;
   void stop_locked() REQUIRES(lifecycle_mu_);
-  /// Registers the runtime-owned polled series (pool, memory) and the
-  /// /status sections (channels, pool, memory). Called once from the
+  /// Registers the runtime-owned polled series (memory) and the
+  /// /status sections (channels, memory). Called once from the
   /// constructor.
   void register_builtin_metrics();
 

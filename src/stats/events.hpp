@@ -22,10 +22,6 @@ using ItemId = std::uint64_t;
 /// Graph node identity (matches runtime::NodeId; -1 = none).
 using NodeRef = std::int32_t;
 
-/// Pseudo-node for payload-pool kGauge samples (a = pool cached bytes,
-/// b = pool in-use bytes). Distinct from -1, the global-memory gauge.
-inline constexpr NodeRef kPoolGaugeNode = -2;
-
 /// Virtual-time index (matches runtime::Timestamp; -1 = none).
 using Ts = std::int64_t;
 
@@ -47,10 +43,9 @@ enum class EventType : std::uint8_t {
   kBlocked,   ///< time spent blocked on an empty buffer: a = duration ns
   kTransfer,  ///< simulated inter-node transfer: a = duration ns, b = bytes
   kOverhead,  ///< buffer-management / memory-pressure overhead: a = ns
-  kGauge,     ///< periodic monitor sample: node = buffer (or -1 = global,
-              ///< or kPoolGaugeNode = payload pool), a = items stored (or
-              ///< total bytes, or pool cached bytes), b = cluster-node
-              ///< bytes (or peak bytes, or pool in-use bytes)
+  kGauge,     ///< periodic monitor sample: node = buffer (or -1 = global),
+              ///< a = items stored (or total bytes), b = cluster-node
+              ///< bytes (or peak bytes)
   kReplicate,   ///< remote copy materialized on a consumer's node:
                 ///< a = bytes, b = consumer cluster node
   kReplicaFree, ///< remote copy released: a = bytes, b = cluster node

@@ -201,26 +201,6 @@ Analysis Analyzer::run() const {
     a.res.footprint_mb_peak = w.peak() / kMb;
   }
 
-  // ---- payload-pool cache ----------------------------------------------------
-  // Sample-and-hold step series from the monitor's pool gauge samples,
-  // reusing the footprint time-weighting (zero before the first sample).
-  {
-    FootprintSeries pool;
-    pool.t_begin = t0;
-    pool.t_end = t1;
-    for (const Event& e : trace_.events) {
-      if (e.type == EventType::kGauge && e.node == kPoolGaugeNode) {
-        pool.t.push_back(std::clamp(e.t, t0, t1));
-        pool.bytes.push_back(static_cast<double>(e.a));
-      }
-    }
-    if (!pool.t.empty()) {
-      const TimeWeightedStats w = pool.weighted();
-      a.res.pool_cached_mb_mean = w.mean() / kMb;
-      a.res.pool_cached_mb_peak = w.peak() / kMb;
-    }
-  }
-
   // ---- waste accounting ------------------------------------------------------
   double mem_seconds_total = 0.0;
   double mem_seconds_wasted = 0.0;

@@ -65,12 +65,6 @@ struct ResourceMetrics {
   std::int64_t items_total = 0;
   std::int64_t items_wasted = 0;
   std::int64_t drops = 0;  ///< items reclaimed without any consumption
-  /// Payload-pool cache residency (MemoryTracker::pool_cached_bytes,
-  /// sampled by the monitor thread as kGauge events at kPoolGaugeNode):
-  /// slabs parked for reuse, which sit alongside the live footprint above
-  /// but are invisible to it. Zero when monitor_period was off.
-  double pool_cached_mb_mean = 0.0;
-  double pool_cached_mb_peak = 0.0;
 };
 
 struct Analysis {

@@ -6,7 +6,7 @@
 /// scraper cannot hang the exporter thread):
 ///
 ///   GET /metrics  -> Prometheus text exposition format 0.0.4
-///   GET /status   -> JSON introspection snapshot (channels, pool, links)
+///   GET /status   -> JSON introspection snapshot (channels, memory, links)
 ///   GET /healthz  -> 200 "ok"
 ///
 /// One `std::jthread` accepts and serves connections sequentially — a

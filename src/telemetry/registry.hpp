@@ -178,7 +178,7 @@ class Registry {
 
   /// Polled series: `fn` is evaluated at render time under the registry
   /// mutex (so it must not acquire any rank <= kTelemetry). For values
-  /// another subsystem already maintains (pool stats, MemoryTracker) —
+  /// another subsystem already maintains (e.g. MemoryTracker) —
   /// zero hot-path cost, no double bookkeeping.
   ARU_ALLOCATES void polled_counter(std::string_view name, std::string_view help,
                                     Labels labels, std::function<double()> fn);

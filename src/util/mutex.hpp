@@ -61,10 +61,11 @@ enum class LockRank : int {
                       ///< registry lock. Probe I/O and fork/exec happen
                       ///< outside it.
   kBuffer = 30,       ///< Channel/Queue data plane. Never nested.
-  kPool = 35,         ///< PayloadPool free lists. Above kBuffer: an Item's
-                      ///< destructor (which recycles its payload) may run
-                      ///< under a channel lock on the same-timestamp
-                      ///< overwrite path, exactly like kRecorder.
+  kPool = 35,         ///< PayloadPool frame-slab free lists. Above
+                      ///< kBuffer: an Item's destructor (which recycles a
+                      ///< frame-scale payload) may run under a channel lock
+                      ///< on the same-timestamp overwrite path, exactly
+                      ///< like kRecorder.
   kRecorder = 40,     ///< Recorder registry (item frees land here).
   kLeaf = 100,        ///< Leaves: log sink, test-only locks.
 };

@@ -70,19 +70,6 @@ TEST(MemoryTracker, PeakCasSurvivesContention) {
   EXPECT_LE(m.peak_bytes(), kThreads * kBytes);      // never above the sum
 }
 
-TEST(MemoryTracker, PoolCachedGaugeIsSeparate) {
-  MemoryTracker m(1);
-  m.on_alloc(0, 100);
-  m.on_pool_cached(768 << 10);
-  EXPECT_EQ(m.pool_cached_bytes(), 768 << 10);
-  // Parked pool slabs are reuse inventory, not pressure: totals and peak
-  // ignore them.
-  EXPECT_EQ(m.total_bytes(), 100);
-  EXPECT_EQ(m.peak_bytes(), 100);
-  m.on_pool_cached(-(768 << 10));
-  EXPECT_EQ(m.pool_cached_bytes(), 0);
-}
-
 TEST(MemoryTracker, ConcurrentAccountingIsExact) {
   MemoryTracker m(2);
   std::vector<std::thread> threads;

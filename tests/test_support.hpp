@@ -23,7 +23,7 @@ struct Env {
       : tracker(cluster_nodes),
         // Poison unconditionally (not just in !NDEBUG builds): a test that
         // reads payload bytes it never wrote should fail in every preset.
-        pool(PoolConfig{.poison = true}, &tracker),
+        pool(/*poison=*/true),
         topology(cluster_nodes == 1
                      ? cluster::Topology::single_node()
                      : cluster::Topology::uniform(cluster_nodes,

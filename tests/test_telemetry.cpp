@@ -305,7 +305,7 @@ TEST(RuntimeTelemetry, LivePipelineExposesBuiltinSeries) {
   ASSERT_TRUE(body.has_value());
   for (const char* series :
        {"aru_channel_puts_total", "aru_channel_occupancy", "aru_channel_summary_stp_ns",
-        "aru_task_summary_stp_ns", "aru_pool_hit_ratio", "aru_memory_total_bytes"}) {
+        "aru_task_summary_stp_ns", "aru_memory_total_bytes"}) {
     EXPECT_NE(body->find(series), std::string::npos) << "missing series: " << series;
   }
   // The pipeline has flowed, so the channel counted puts.
