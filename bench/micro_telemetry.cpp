@@ -66,7 +66,12 @@ void BM_CounterAddStriped(benchmark::State& state) {
   for (auto _ : state) c.add();
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CounterAddStriped)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
+BENCHMARK(BM_CounterAddStriped)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Threads(8)
+    ->UseRealTime();
 
 /// The naive alternative the stripes replace: all threads fetch_add one
 /// shared atomic, bouncing its cache line on every increment. The gap vs
@@ -77,7 +82,12 @@ void BM_CounterAddSharedAtomic(benchmark::State& state) {
   benchmark::DoNotOptimize(shared.load(std::memory_order_relaxed));
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CounterAddSharedAtomic)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
+BENCHMARK(BM_CounterAddSharedAtomic)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Threads(8)
+    ->UseRealTime();
 
 /// Render cost for a realistically sized registry (what a scrape pays,
 /// off the hot path, under the kTelemetry mutex): 64 counters + 16

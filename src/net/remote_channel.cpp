@@ -13,8 +13,9 @@
 namespace stampede::net {
 namespace {
 
-/// Slice for the server's "anything to read?" poll; short enough that
-/// stop requests and heartbeat deadlines are honored promptly.
+/// Slice for the server's waits — "anything to read?", a parked get, a
+/// backpressured put; short enough that stop requests, peer hangups and
+/// heartbeat deadlines are honored promptly between slices.
 constexpr Nanos kServeSlice = millis(20);
 /// Accept-loop poll slice.
 constexpr Nanos kAcceptSlice = millis(50);
@@ -282,6 +283,8 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
   // allocation-free apart from the materialized item itself.
   static thread_local GetReplyMsg reply;
   for (;;) {
+    const Nanos attempt_start = ctx_.clock->now();
+    Nanos link_wait{0};
     std::shared_ptr<Item> item;
     bool decoded = false;
     // Payload-bearing replies decode inside the sink so the wire bytes
@@ -296,7 +299,7 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
       return item->mutable_data();
     };
     const auto status = get_link_->rpc(frame, {}, MsgType::kGetReply, body, sink,
-                                       /*wait_for_link=*/true, st);
+                                       /*wait_for_link=*/true, st, &link_wait);
     if (status == Transport::RpcStatus::kStopped) break;
     if (status == Transport::RpcStatus::kDisconnected) continue;  // re-issue
 
@@ -318,8 +321,16 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
       if (reply.closed) break;  // remote channel closed and drained
       continue;
     }
+    // Blocked = earlier attempts + waiting for the link + the server's
+    // reported park; the rest of this attempt is the transfer, which
+    // counts in the consumer's current-STP. `waited` is clamped to the
+    // attempt's own span, so a hostile or buggy peer can neither invert
+    // nor inflate the STP.
+    const Nanos sent = attempt_start + link_wait;
+    const Nanos end = ctx_.clock->now();
+    const Nanos waited = std::clamp(reply.waited, Nanos{0}, end - sent);
     return GetResult{.item = std::move(item),
-                     .blocked = ctx_.clock->now() - t0,
+                     .blocked = sent - t0 + waited,
                      .skipped = reply.skipped};
   }
   return GetResult{.item = nullptr, .blocked = ctx_.clock->now() - t0};
@@ -732,11 +743,11 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
           // heartbeats must keep flowing while backpressure holds the ack,
           // and everything already settled is acked *before* blocking so
           // the producer's window can keep advancing.
-          std::optional<Channel::PutResult> res;
-          while (!(res = channel.try_put(item))) {
+          std::optional<Channel::PutResult> res = channel.try_put(item);
+          while (!res) {
             if (!emit_put_ack()) return;
             if (st.stop_requested() || stream.peer_hup() || !heartbeat_if_due()) return;
-            ctx_.clock->sleep_for(config_.poll_interval);
+            res = channel.try_put(item, kServeSlice);
           }
           last_stored = res->stored;
           last_summary = res->channel_summary;
@@ -762,13 +773,17 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         // the reply (reads-own-writes across one link).
         if (!emit_put_ack()) return;
         const int idx = served.consumer_idx[static_cast<std::size_t>(hello.consumer_key)];
-        // Block here (not in the channel) so heartbeats keep flowing and a
-        // vanished peer is noticed while we wait for data.
-        while (!channel.ready(idx)) {
+        // Park in slices (not in the channel's blocking get) so heartbeats
+        // keep flowing and a vanished peer is noticed while we wait; a put
+        // wakes the wait at once. The time parked goes back in the reply:
+        // it is the consumer's blocked time, the rest of its RPC is the
+        // transfer.
+        const Nanos wait_start = ctx_.clock->now();
+        while (!channel.wait_ready(idx, kServeSlice)) {
           if (st.stop_requested() || stream.peer_hup() || !heartbeat_if_due()) return;
-          ctx_.clock->sleep_for(config_.poll_interval);
         }
         auto res = channel.get_latest(idx, get_msg.consumer_summary, get_msg.guarantee, st);
+        get_reply.waited = ctx_.clock->now() - wait_start;
         get_reply.has_item = res.item != nullptr;
         get_reply.closed = channel.closed();
         get_reply.skipped = res.skipped;

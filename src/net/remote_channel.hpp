@@ -148,8 +148,6 @@ struct ServerConfig {
   /// heartbeat goes out at least this often so clients can tell a slow
   /// channel from a dead server.
   Nanos heartbeat_interval = millis(100);
-  /// Poll period while a get waits for the channel to become ready.
-  Nanos poll_interval = millis(1);
   /// Per-frame send/receive budget (mirror of TransportConfig::io_timeout).
   Nanos io_timeout = seconds(1);
 };

@@ -436,7 +436,8 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
 Transport::RpcStatus Transport::rpc(const FrameBuf& frame,
                                     std::span<const std::byte> payload, MsgType expect,
                                     EnvelopeBody& reply_body, const PayloadSink& sink,
-                                    bool wait_for_link, std::stop_token st) {
+                                    bool wait_for_link, std::stop_token st,
+                                    Nanos* link_wait) {
   EventBatch& events = tl_rpc_events();
   const std::int64_t t0 = ctx_.now_ns();
   for (;;) {
@@ -447,6 +448,7 @@ Transport::RpcStatus Transport::rpc(const FrameBuf& frame,
     {
       const util::MutexLock lock(mu_);
       if (ensure_connected_locked(events)) {
+        if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
         status = exchange_locked(frame, payload, expect, reply_body, sink, events, st);
       } else if (wait_for_link) {
         sent_or_failfast = false;  // not connected yet — keep waiting

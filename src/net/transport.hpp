@@ -151,10 +151,14 @@ class Transport {
   ///        Either way, once the request is sent the outcome is final:
   ///        a link death mid-RPC returns kDisconnected and the caller
   ///        decides whether to re-issue the (lost) request.
+  /// \param link_wait  when non-null and the request went out, set to the
+  ///        time spent before sending it: waiting for, or re-establishing,
+  ///        the link. A get books it as blocked time.
   ARU_HOT_PATH RpcStatus rpc(const FrameBuf& frame, std::span<const std::byte> payload,
                              MsgType expect, EnvelopeBody& reply_body,
                              const PayloadSink& sink, bool wait_for_link,
-                             std::stop_token st) EXCLUDES(mu_, stats_mu_);
+                             std::stop_token st, Nanos* link_wait = nullptr)
+      EXCLUDES(mu_, stats_mu_);
 
   /// Outcome of a pipelined (windowed) put.
   struct PutOutcome {

@@ -310,6 +310,7 @@ FrameBuf encode(const GetReplyMsg& m) {
     w.item(m.item);
     w.u32(static_cast<std::uint32_t>(m.skipped));
     w.i64(m.summary.count());
+    w.i64(m.waited.count());
     w.stp_vector(m.stp);
   });
 }
@@ -405,10 +406,12 @@ bool decode(std::span<const std::byte> body, GetReplyMsg& out, std::string* err)
   Reader r(body);
   std::uint32_t skipped = 0;
   std::int64_t summary_ns = 0;
+  std::int64_t waited_ns = 0;
   if (r.boolean(out.has_item) && r.boolean(out.closed) && r.item(out.item) &&
-      r.u32(skipped) && r.i64(summary_ns)) {
+      r.u32(skipped) && r.i64(summary_ns) && r.i64(waited_ns)) {
     out.skipped = static_cast<std::int32_t>(skipped);
     out.summary = Nanos{summary_ns};
+    out.waited = Nanos{waited_ns};
     r.stp_vector(out.stp);
   }
   return finish(r, err);

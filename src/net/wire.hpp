@@ -52,6 +52,11 @@
 /// simply keeps one put in flight and reads one ack per put; the frame
 /// layouts are shared.
 ///
+/// Version 4 adds `waited` to `kGetReply`: how long the server parked the
+/// get waiting for the channel to become ready. The consumer books only
+/// that as blocked time; the rest of the RPC — the transfer — counts in
+/// its current-STP (paper §3.3.1), as the simulated link model charges it.
+///
 /// Decoding is defensive: every length is bounds-checked against both the
 /// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
 /// kMaxNameBytes, kMaxEnvelopeBytes), and a truncated or corrupt buffer
@@ -74,7 +79,7 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
@@ -175,6 +180,10 @@ struct GetReplyMsg {
   WireItem item;        ///< valid only when has_item
   std::int32_t skipped = 0;
   Nanos summary{0};          ///< channel summary-STP
+  /// Time the server parked this get waiting for the channel to become
+  /// ready (wire v4). The consumer books this — not the whole RPC — as
+  /// blocked, so the transfer counts in its current-STP.
+  Nanos waited{0};
   std::vector<Nanos> stp;    ///< channel's full backwardSTP vector
 
   bool operator==(const GetReplyMsg&) const = default;

@@ -185,16 +185,17 @@ std::size_t Channel::collect_locked(std::int64_t now, EventBatch& events,
 
 Channel::PutResult Channel::put(std::shared_ptr<Item> item, std::stop_token st) {
   if (!item) throw std::invalid_argument("Channel::put: null item");
-  return *put_impl(std::move(item), std::move(st), /*blocking=*/true);
+  return *put_impl(std::move(item), std::move(st), std::nullopt);
 }
 
-std::optional<Channel::PutResult> Channel::try_put(std::shared_ptr<Item> item) {
+std::optional<Channel::PutResult> Channel::try_put(std::shared_ptr<Item> item, Nanos wait) {
   if (!item) throw std::invalid_argument("Channel::try_put: null item");
-  return put_impl(std::move(item), std::stop_token{}, /*blocking=*/false);
+  return put_impl(std::move(item), std::stop_token{}, wait);
 }
 
 std::optional<Channel::PutResult> Channel::put_impl(std::shared_ptr<Item> item,
-                                                    std::stop_token st, bool blocking) {
+                                                    std::stop_token st,
+                                                    std::optional<Nanos> wait) {
   EventBatch& events = tl_event_batch();
   events.clear();
   auto& reclaimed = tl_reclaimed();
@@ -202,21 +203,26 @@ std::optional<Channel::PutResult> Channel::put_impl(std::shared_ptr<Item> item,
   {
     util::UniqueLock lock(mu_);
 
-    // Bounded channel: classic backpressure — block until space frees up
-    // (or report "would block" to a non-blocking caller).
+    // Bounded channel: classic backpressure — wait until space frees up,
+    // for at most `wait` when one is given, and report "would block" if
+    // the channel is still full after it.
     if (config_.capacity > 0) {
-      if (blocking) {
+      auto has_room = [&] {
+        mu_.assert_held();  // the wait re-acquires mu_ before evaluating
+        return closed_ || entries_.size() < config_.capacity;
+      };
+      if (!has_room() && (!wait || wait->count() > 0)) {
         const Nanos wait_start = ctx_.clock->now();
         ++waiters_;
-        cv_.wait(lock, st, [&] {
-          mu_.assert_held();  // the wait re-acquires mu_ before evaluating
-          return closed_ || entries_.size() < config_.capacity;
-        });
+        if (wait) {
+          cv_.wait_for(lock, st, *wait, has_room);
+        } else {
+          cv_.wait(lock, st, has_room);
+        }
         --waiters_;
         result.blocked = ctx_.clock->now() - wait_start;
-      } else if (!closed_ && entries_.size() >= config_.capacity) {
-        return std::nullopt;
       }
+      if (wait && !has_room()) return std::nullopt;
     }
     if (closed_ || st.stop_requested()) {
       result.channel_summary = feedback_.summary();
@@ -620,13 +626,19 @@ Timestamp Channel::latest_ts() const {
   return entries_.empty() ? kNoTimestamp : entries_.back().ts;
 }
 
-bool Channel::ready(int consumer_idx) const {
-  const util::MutexLock lock(mu_);
-  check_consumer_locked(consumer_idx, "ready");
-  if (closed_) return true;
-  if (entries_.empty()) return false;
-  return entries_.back().ts >
-         consumer_states_[static_cast<std::size_t>(consumer_idx)].cursor;
+bool Channel::wait_ready(int consumer_idx, Nanos timeout) {
+  util::UniqueLock lock(mu_);
+  check_consumer_locked(consumer_idx, "wait_ready");
+  const ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
+  auto ready = [&] {
+    mu_.assert_held();  // the wait re-acquires mu_ before evaluating
+    return closed_ || (!entries_.empty() && entries_.back().ts > me.cursor);
+  };
+  if (ready()) return true;
+  ++waiters_;
+  const bool ok = cv_.wait_for(lock, timeout, ready);
+  --waiters_;
+  return ok;
 }
 
 bool Channel::closed() const {

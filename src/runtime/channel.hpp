@@ -112,12 +112,14 @@ class Channel {
   /// not double-count it.
   ARU_HOT_PATH PutResult put(std::shared_ptr<Item> item, std::stop_token st);
 
-  /// Non-blocking put: identical to put() except that a full bounded
-  /// channel yields nullopt immediately instead of blocking (the item is
-  /// untouched; callers holding their own reference may simply retry).
-  /// Lets the net server skeleton keep emitting heartbeats while the
-  /// channel exerts backpressure instead of going silent mid-RPC.
-  ARU_HOT_PATH std::optional<PutResult> try_put(std::shared_ptr<Item> item);
+  /// Bounded-wait put: identical to put() except that a bounded channel
+  /// still full after waiting up to `wait` (default: not at all) yields
+  /// nullopt instead of blocking further (the item is untouched; callers
+  /// holding their own reference may simply retry). Lets the net server
+  /// skeleton park on backpressure in slices and keep emitting heartbeats
+  /// between them instead of going silent mid-RPC.
+  ARU_HOT_PATH std::optional<PutResult> try_put(std::shared_ptr<Item> item,
+                                                Nanos wait = Nanos{0});
 
   struct GetResult {
     /// The fetched item; nullptr when the channel closed with nothing left
@@ -194,11 +196,13 @@ class Channel {
   /// (kNoTimestamp when empty).
   Timestamp latest_ts() const;
 
-  /// Non-blocking probe: would get_latest for this consumer return without
-  /// blocking? True when an unseen item is stored or the channel is closed
-  /// (a blocking get would return the drained remainder or null). Lets the
-  /// net server skeleton poll instead of parking a thread per consumer.
-  bool ready(int consumer_idx) const;
+  /// Waits up to `timeout` until get_latest for this consumer would return
+  /// without blocking: an unseen item is stored or the channel is closed
+  /// (a blocking get would return the drained remainder or null). True
+  /// when that holds, false on timeout. Parks on the channel's condition
+  /// variable, so a put wakes it at once; the net server skeleton waits in
+  /// slices of this to keep heartbeating while a remote get is parked.
+  bool wait_ready(int consumer_idx, Nanos timeout);
 
   /// True once close() was called.
   bool closed() const;
@@ -251,10 +255,11 @@ class Channel {
   /// Events composed under mu_ and appended to the shard after release.
   using EventBatch = std::vector<stats::Event>;
 
-  /// Shared body of put()/try_put(). `blocking` selects between waiting
-  /// out a full bounded channel on cv_ and returning nullopt.
+  /// Shared body of put()/try_put(). A full bounded channel is waited out
+  /// on cv_: without limit when `wait` is nullopt (put), else for at most
+  /// `*wait` before returning nullopt (try_put).
   std::optional<PutResult> put_impl(std::shared_ptr<Item> item, std::stop_token st,
-                                    bool blocking);
+                                    std::optional<Nanos> wait);
 
   /// Reclaims dead entries below the frontier; returns how many were
   /// erased. Incremental: when the frontier has not moved since the last

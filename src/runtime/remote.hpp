@@ -44,7 +44,12 @@ class RemoteEndpoint {
     /// The fetched item (materialized locally); nullptr when the remote
     /// channel closed with nothing left or the stop token fired.
     std::shared_ptr<const Item> item;
-    /// Wall time this get spent waiting (RPC + server-side blocking).
+    /// Time this get spent waiting: for the link (outage, reconnect) plus
+    /// the server-reported park until the remote channel had an item.
+    /// The rest of the call's wall time is the transfer, which is service
+    /// time — it counts in the consumer's current-STP, as the simulated
+    /// link model charges it. A get that returns no item books its whole
+    /// wall time here.
     Nanos blocked{0};
     /// Stale items the remote channel skipped over for this consumer.
     int skipped = 0;

@@ -145,6 +145,7 @@ std::shared_ptr<const Item> TaskContext::get(std::size_t idx) {
   Nanos blocked{0};
   Nanos transfer{0};
   Nanos overhead{0};
+  Nanos wire{0};  // real transfer time, already spent inside the remote get
   if (port.channel != nullptr) {
     auto res = port.channel->get_latest(port.consumer_idx, my_summary, extra, stop_token_);
     item = std::move(res.item);
@@ -152,11 +153,15 @@ std::shared_ptr<const Item> TaskContext::get(std::size_t idx) {
     transfer = res.transfer;
     overhead = res.overhead;
   } else if (port.remote != nullptr) {
-    // Real network transfer: the RPC's wall time already contains the
-    // transfer, so only blocked time is accounted (no simulated cost).
+    // Real network transfer: the endpoint books only link and server-side
+    // waits as blocked, so the rest of the call — the wire copy — stays in
+    // this iteration's current-STP, just as a realized simulated transfer
+    // does. It is traced but not realized again.
+    const Nanos t0 = run_.clock->now();
     auto res = port.remote->get_latest(my_summary, extra, stop_token_);
     item = std::move(res.item);
     blocked = res.blocked;
+    wire = run_.clock->now() - t0 - blocked;
   } else {
     auto res = port.queue->get(port.consumer_idx, my_summary, stop_token_);
     item = std::move(res.item);
@@ -174,6 +179,10 @@ std::shared_ptr<const Item> TaskContext::get(std::size_t idx) {
     record(stats::EventType::kTransfer, transfer.count(),
            static_cast<std::int64_t>(item->bytes()), item->id(), item->ts());
     hold_replica(port, item);
+  }
+  if (item && wire.count() > 0) {
+    record(stats::EventType::kTransfer, wire.count(),
+           static_cast<std::int64_t>(item->bytes()), item->id(), item->ts());
   }
   apply_overhead(overhead);
   return item;

@@ -41,7 +41,8 @@ enum class EventType : std::uint8_t {
   kStp,       ///< STP sample: a = current-STP ns, b = summary-STP ns
   kSleep,     ///< ARU pacing sleep: a = duration ns
   kBlocked,   ///< time spent blocked on an empty buffer: a = duration ns
-  kTransfer,  ///< simulated inter-node transfer: a = duration ns, b = bytes
+  kTransfer,  ///< inter-node transfer, simulated or a real remote get:
+              ///< a = duration ns, b = bytes
   kOverhead,  ///< buffer-management / memory-pressure overhead: a = ns
   kGauge,     ///< periodic monitor sample: node = buffer (or -1 = global),
               ///< a = items stored (or total bytes), b = cluster-node

@@ -5,12 +5,16 @@
 /// The waiter-count optimization must never change observable behavior:
 /// a put wakes blocked getters, a get that reclaims space on a bounded
 /// channel wakes blocked putters (all of them when several are parked),
-/// and close() releases everyone. These tests use the real clock (cv
-/// waits need real time) but assert only semantics, never timing.
+/// and close() releases everyone. The bounded waits the net server parks
+/// in (wait_ready, try_put with a wait) wake on the same notifications.
+/// These tests use the real clock (cv waits need real time) but assert
+/// only semantics, never timing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "runtime/channel.hpp"
@@ -154,6 +158,80 @@ TEST(ChannelWakeup, CloseWakesBlockedPutter) {
   producer.join();
   EXPECT_FALSE(blocked.stored) << "a put released by close() must not store";
   EXPECT_EQ(1u, ch->size()) << "the pre-close item stays for draining";
+}
+
+// -- bounded waits: the net server parks in slices of these ------------------
+
+TEST(ChannelWakeup, WaitReadyReturnsTrueOnPut) {
+  Env env;
+  env.ctx.clock = &RealClock::instance();
+  auto ch = env.make_channel();
+  ch->register_producer(100);
+  const int c = ch->register_consumer(200, 0);
+
+  std::atomic<bool> ready{false};
+  std::thread waiter([&] { ready = ch->wait_ready(c, seconds(30)); });
+  let_peer_block();
+  ASSERT_TRUE(ch->put(env.make_item(3), never_stop()).stored);
+  waiter.join();  // a put must wake it long before the 30 s timeout
+  EXPECT_TRUE(ready.load());
+  // Ready means a get would not block: the item is still there to fetch.
+  const auto got = ch->get_latest(c, aru::kUnknownStp, kNoTimestamp, never_stop());
+  ASSERT_TRUE(got.item);
+  EXPECT_EQ(3, got.item->ts());
+}
+
+TEST(ChannelWakeup, WaitReadyReturnsTrueOnClose) {
+  Env env;
+  env.ctx.clock = &RealClock::instance();
+  auto ch = env.make_channel();
+  const int c = ch->register_consumer(200, 0);
+
+  std::atomic<bool> ready{false};
+  std::thread waiter([&] { ready = ch->wait_ready(c, seconds(30)); });
+  let_peer_block();
+  ch->close();
+  waiter.join();
+  EXPECT_TRUE(ready.load());
+}
+
+TEST(ChannelWakeup, WaitReadyTimesOutWithoutAnUnseenItem) {
+  Env env;
+  env.ctx.clock = &RealClock::instance();
+  auto ch = env.make_channel();
+  ch->register_producer(100);
+  const int c = ch->register_consumer(200, 0);
+  EXPECT_FALSE(ch->wait_ready(c, millis(20)));
+
+  // An item this consumer already fetched does not make it ready again.
+  ASSERT_TRUE(ch->put(env.make_item(0), never_stop()).stored);
+  EXPECT_TRUE(ch->wait_ready(c, Nanos{0}));
+  ASSERT_TRUE(ch->get_latest(c, aru::kUnknownStp, kNoTimestamp, never_stop()).item);
+  EXPECT_FALSE(ch->wait_ready(c, millis(20)));
+  EXPECT_THROW(ch->wait_ready(7, Nanos{0}), std::out_of_range);
+}
+
+TEST(ChannelWakeup, BoundedTryPutWakesWhenAGetFreesASlot) {
+  Env env;
+  env.ctx.clock = &RealClock::instance();
+  auto ch = env.make_channel({.name = "b4", .capacity = 1});
+  ch->register_producer(100);
+  const int c = ch->register_consumer(200, 0);
+  ASSERT_TRUE(ch->put(env.make_item(0), never_stop()).stored);
+
+  // Still full after the wait: "would block", item untouched.
+  auto item = env.make_item(1);
+  EXPECT_FALSE(ch->try_put(item, millis(20)).has_value());
+  EXPECT_EQ(1u, ch->size());
+
+  std::optional<Channel::PutResult> res;
+  std::thread producer([&] { res = ch->try_put(item, seconds(30)); });
+  let_peer_block();
+  ASSERT_TRUE(ch->get_latest(c, aru::kUnknownStp, kNoTimestamp, never_stop()).item);
+  producer.join();  // the reclaim must wake it long before the 30 s bound
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->stored);
+  EXPECT_EQ(1, ch->latest_ts());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 ///        single stage under test).
 #include "vision/stages.hpp"
 
+#include <atomic>
+
 #include "runtime/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -79,17 +81,19 @@ TEST(HistogramStage, PayloadIsNormalizedHistogram) {
   auto gen = std::make_shared<SceneGenerator>(3);
   Channel& frames = rt.add_channel({.name = "frames"});
   Channel& hists = rt.add_channel({.name = "hists"});
-  auto checked = std::make_shared<std::atomic<int>>(0);
-  TaskContext& dig = rt.add_task({.name = "dig", .body = make_digitizer(gen, tiny(), 6)});
+  constexpr Timestamp kLastFrame = 5;
+  auto last_checked = std::make_shared<std::atomic<Timestamp>>(kNoTimestamp);
+  TaskContext& dig =
+      rt.add_task({.name = "dig", .body = make_digitizer(gen, tiny(), kLastFrame + 1)});
   TaskContext& hist = rt.add_task({.name = "hist", .body = make_histogram(tiny())});
-  TaskContext& snk = rt.add_task({.name = "snk", .body = [checked](TaskContext& ctx) {
+  TaskContext& snk = rt.add_task({.name = "snk", .body = [last_checked](TaskContext& ctx) {
                                     auto in = ctx.get(0);
                                     if (!in) return TaskStatus::kDone;
                                     const ConstHistogramView view(in->data());
                                     float sum = 0;
                                     for (const float b : view.bins()) sum += b;
                                     EXPECT_NEAR(sum, 1.0f, 1e-3f);
-                                    checked->fetch_add(1);
+                                    last_checked->store(in->ts());
                                     return TaskStatus::kContinue;
                                   }});
   rt.connect(dig, frames);
@@ -97,9 +101,15 @@ TEST(HistogramStage, PayloadIsNormalizedHistogram) {
   rt.connect(hist, hists);
   rt.connect(hists, snk);
   rt.start();
-  rt.clock().sleep_for(millis(500));
+  // Latest-get guarantees the final frame's histogram reaches the sink, so
+  // wait for that (generous deadline for loaded hosts) rather than count
+  // how many histograms a fixed window happened to deliver.
+  const Nanos deadline = rt.clock().now() + seconds(30);
+  while (last_checked->load() != kLastFrame && rt.clock().now() < deadline) {
+    rt.clock().sleep_for(millis(5));
+  }
   rt.stop();
-  EXPECT_GT(checked->load(), 2);
+  EXPECT_EQ(last_checked->load(), kLastFrame);
 }
 
 TEST(GuiStage, EmitsBothModelsAndOneDisplayPerRefresh) {

@@ -177,6 +177,9 @@ TEST(Wire, GetReplyRoundTripRandomized) {
                   .closed = rng.below(2) == 1,
                   .skipped = static_cast<std::int32_t>(rng.next() >> 40),
                   .summary = Nanos{static_cast<std::int64_t>(rng.next() >> 8)},
+                  // Any i64, negative garbage included: the codec carries
+                  // it verbatim and the consumer clamps it.
+                  .waited = Nanos{static_cast<std::int64_t>(rng.next())},
                   .stp = random_stp(rng, rng.below(kMaxStpSlots + 1))};
     if (m.has_item) m.item = random_item(rng);
     expect_roundtrip(m, MsgType::kGetReply);
@@ -210,7 +213,11 @@ TEST(Wire, EnvelopesNeverExceedTheStackBufferCap) {
   const FrameBuf put = encode(PutMsg{.item = item, .stp = stp});
   EXPECT_LE(put.len - kHeaderBytes, kMaxEnvelopeBytes);
 
-  GetReplyMsg reply{.has_item = true, .skipped = -1, .summary = Nanos{-1}, .stp = stp};
+  GetReplyMsg reply{.has_item = true,
+                    .skipped = -1,
+                    .summary = Nanos{-1},
+                    .waited = Nanos{-1},
+                    .stp = stp};
   reply.item = item;
   const FrameBuf get_reply = encode(reply);
   EXPECT_LE(get_reply.len - kHeaderBytes, kMaxEnvelopeBytes);
@@ -252,7 +259,7 @@ TEST(Wire, OversizedStpVectorIsRejected) {
   // must reject it before trusting the length.
   PutAckMsg m{.stored = true, .stp = std::vector<Nanos>(kMaxStpSlots, millis(1))};
   FrameBuf frame = encode(m);
-  // Body layout (v3): stored u8, closed u8, summary i64, cum_seq u64,
+  // Body layout (v3, unchanged in v4): stored u8, closed u8, summary i64, cum_seq u64,
   // credits u32, count u16, slots...
   const std::size_t count_off = kHeaderBytes + 1 + 1 + 8 + 8 + 4;
   const auto bumped = static_cast<std::uint16_t>(kMaxStpSlots + 1);
@@ -315,9 +322,12 @@ TEST(Wire, TruncatedBodiesNeverCrash) {
   GetReplyMsg reply{.has_item = true,
                     .skipped = 2,
                     .summary = millis(9),
+                    .waited = millis(3),
                     .stp = random_stp(rng, 4)};
   reply.item = random_item(rng, 64);
   expect_truncation_safe<GetReplyMsg>(encode(reply));
+  // The no-item reply (zeroed item envelope) is length-checked the same way.
+  expect_truncation_safe<GetReplyMsg>(encode(GetReplyMsg{.waited = millis(5)}));
   expect_truncation_safe<HeartbeatMsg>(encode(HeartbeatMsg{.t_ns = 42}));
 }
 
@@ -371,9 +381,11 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_FALSE(e.empty());
   };
+  static_assert(kWireVersion == 4, "v4: GetReply carries the server-side wait");
   corrupt(0, 0xFF);                                      // magic
   corrupt(8, kWireVersion + 1);                          // version
-  corrupt(8, kWireVersion - 1);                          // v1 peers are rejected too
+  corrupt(8, kWireVersion - 1);                          // v3 peers (no GetReply waited)
+  corrupt(8, 1);                                         // v1 peers are rejected too
   corrupt(9, 0);                                         // type below range
   corrupt(9, static_cast<std::uint8_t>(MsgType::kClose) + 1);  // type above range
 
