@@ -32,10 +32,8 @@ struct Loop {
   std::stop_source stop;
 
   /// `producers`/`consumers` are the remote slot counts; the proxy claims
-  /// slot 0 on each side that has one. `put_window = 0` pins the classic
-  /// synchronous one-ack-per-put RPC (the round-trip baselines);
-  /// BM_NetPutPipelined opens the window.
-  Loop(int producers, int consumers, std::size_t put_window = 0) {
+  /// slot 0 on each side that has one.
+  Loop(int producers, int consumers) {
     channel = &rt.add_channel({.name = "bench"});
     server = std::make_unique<net::ChannelServer>(
         rt, std::vector<net::ServedChannel>{{.channel = channel,
@@ -45,7 +43,7 @@ struct Loop {
     proxy = std::make_unique<net::RemoteChannel>(
         rt, net::RemoteChannelConfig{
                 .name = "bench",
-                .transport = {.port = server->port(), .put_window = put_window},
+                .transport = {.port = server->port()},
                 .producer_key = producers > 0 ? 0 : -1,
                 .consumer_key = consumers > 0 ? 0 : -1,
             });
@@ -59,18 +57,22 @@ struct Loop {
   }
 };
 
-/// Put round trip: encode + send + server-side materialize + channel put +
-/// PutAck with the folded summary-STP. The channel has no consumers, so
-/// stored items die on arrival and occupancy stays flat.
+/// Put round trip: one put, then drain_puts until its ack is back —
+/// encode + send + server-side materialize + channel put + the coalesced
+/// PutAck with the folded summary-STP. The wall latency of one
+/// acknowledged put on the windowed path. The channel has no consumers,
+/// so stored items die on arrival and occupancy stays flat.
 void BM_NetPutRtt(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   Loop loop(/*producers=*/1, /*consumers=*/0);
   Timestamp ts = 0;
   // Warm up: first put pays the connect + Hello handshake.
   (void)loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token());
+  loop.proxy->drain_puts(loop.stop.get_token());
 
   for (auto _ : state) {
     benchmark::DoNotOptimize(loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token()));
+    loop.proxy->drain_puts(loop.stop.get_token());
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
@@ -80,11 +82,11 @@ BENCHMARK(BM_NetPutRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20)->UseRealTime()
 /// Pipelined put throughput (wire v3): puts return once queued in the
 /// bounded in-flight window, envelopes batch into scatter/gather flushes,
 /// and the server settles bursts with coalesced cumulative acks. Compare
-/// items/s against BM_NetPutRtt at the same size to read the win over the
-/// one-ack-per-put RPC.
+/// items/s against BM_NetPutRtt at the same size to read the win over
+/// waiting for each put's ack.
 void BM_NetPutPipelined(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
-  Loop loop(/*producers=*/1, /*consumers=*/0, /*put_window=*/64);
+  Loop loop(/*producers=*/1, /*consumers=*/0);
   Timestamp ts = 0;
   // Warm up: first put pays the connect + Hello handshake.
   (void)loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token());
@@ -122,16 +124,21 @@ BENCHMARK(BM_NetGetRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20)->UseRealTime()
 
 /// Producer→consumer relay through the served channel: one proxy puts,
 /// another gets, so each iteration crosses the wire twice (the two-process
-/// pipeline hop distributed_tracker runs at full scale).
+/// pipeline hop distributed_tracker runs at full scale). The put is
+/// drained before the get: puts and gets ride separate links, and a
+/// staged small put leaves only on the next put or a drain, so a get
+/// issued right behind it would park forever.
 void BM_NetPutGetPipe(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   Loop loop(/*producers=*/1, /*consumers=*/1);
   Timestamp ts = 0;
   (void)loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token());
+  loop.proxy->drain_puts(loop.stop.get_token());
   (void)loop.proxy->get_latest(aru::kUnknownStp, kNoTimestamp, loop.stop.get_token());
 
   for (auto _ : state) {
     benchmark::DoNotOptimize(loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token()));
+    loop.proxy->drain_puts(loop.stop.get_token());
     benchmark::DoNotOptimize(
         loop.proxy->get_latest(aru::kUnknownStp, kNoTimestamp, loop.stop.get_token()));
   }

@@ -189,62 +189,29 @@ RemoteEndpoint::PutResult RemoteChannel::put(std::shared_ptr<Item> item,
   }
   if (!item) throw std::invalid_argument("RemoteChannel::put: null item");
 
-  // Reused per-thread message scratch: encode() consumes it synchronously,
-  // so it is free again before the next put on this thread. Keeps the
-  // steady-state put path allocation-free (aru-analyze hot rule).
+  // Reused per-thread message scratch: put_pipelined encodes it into a
+  // window slot synchronously, so it is free again before the next put on
+  // this thread. Keeps the steady-state put path allocation-free
+  // (aru-analyze hot rule).
   static thread_local PutMsg msg;
-  msg.seq = 0;  // the transport assigns it on the pipelined path
   msg.stp.clear();
   to_wire(*item, msg.item);
   const Nanos held = summary();
   if (aru::known(held)) append_nanos(msg.stp, held);
 
-  if (config_.transport.put_window > 0) {
-    // Pipelined path: queue into the transport's in-flight window and
-    // return. "Stored" means queued — the window resends across
-    // reconnects and the server dup-filters, so a queued item reaches the
-    // channel at most once. Pacing feedback comes from the latest
-    // coalesced ack instead of a per-item round trip.
-    const auto out = put_link_->put_pipelined(msg, item->data(), item, st);
-    if (out.status == Transport::RpcStatus::kOk) {
-      if (aru::known(out.summary)) hold_summary(out.summary);
-      return PutResult{.summary = aru::known(out.summary) ? out.summary : held,
-                       .stored = true,
-                       .closed = out.closed};
-    }
-    if (out.status == Transport::RpcStatus::kStopped) {
-      return PutResult{.summary = held};
-    }
-    drops_.fetch_add(1, std::memory_order_relaxed);
-    put_shard_->record(stats::Event{.type = stats::EventType::kDrop,
-                                    .node = node_,
-                                    .ts = item->ts(),
-                                    .item = item->id(),
-                                    .t = ctx_.now_ns(),
-                                    .a = 1});
-    return PutResult{.summary = held, .dropped = true, .closed = out.closed};
+  // Queue into the transport's in-flight window and return. "Stored"
+  // means queued — the window resends across reconnects and the server
+  // dup-filters, so a queued item reaches the channel at most once.
+  // Pacing feedback comes from the latest coalesced ack instead of a
+  // per-item round trip.
+  const auto out = put_link_->put_pipelined(msg, item->data(), item, st);
+  if (aru::known(out.summary)) hold_summary(out.summary);
+  const Nanos fed_back = aru::known(out.summary) ? out.summary : held;
+  if (out.closed) return PutResult{.summary = fed_back, .closed = true};
+  if (out.status == Transport::RpcStatus::kOk) {
+    return PutResult{.summary = fed_back, .stored = true};
   }
-
-  // Synchronous path (put_window == 0): one RPC per put. The payload goes
-  // out scatter-gather with the envelope, straight from the item's pooled
-  // slab (the shared_ptr keeps it alive for the send). A PutAck never
-  // carries payload, so no sink.
-  const FrameBuf frame = encode(msg);
-  EnvelopeBody body;
-  const auto status = put_link_->rpc(frame, item->data(), MsgType::kPutAck, body,
-                                     /*sink=*/nullptr, /*wait_for_link=*/false, st);
-
-  if (status == Transport::RpcStatus::kOk) {
-    static thread_local PutAckMsg ack;  // decode() overwrites every field
-    if (decode(body.span(), ack, nullptr)) {
-      if (aru::known(ack.summary)) hold_summary(ack.summary);
-      return PutResult{.summary = aru::known(ack.summary) ? ack.summary : held,
-                       .stored = ack.stored,
-                       .closed = ack.closed};
-    }
-    put_link_->disconnect();  // garbled ack: treat the link as dead
-  }
-  if (status == Transport::RpcStatus::kStopped) {
+  if (out.status == Transport::RpcStatus::kStopped) {
     return PutResult{.summary = held};
   }
 
@@ -263,7 +230,7 @@ RemoteEndpoint::PutResult RemoteChannel::put(std::shared_ptr<Item> item,
 }
 
 bool RemoteChannel::drain_puts(std::stop_token st) {
-  if (!put_link_ || config_.transport.put_window == 0) return true;
+  if (!put_link_) return true;
   return put_link_->flush_puts(std::move(st));
 }
 
@@ -298,8 +265,8 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
       item = materialize(ctx_, reply.item, node_, config_.cluster_node, get_shard_);
       return item->mutable_data();
     };
-    const auto status = get_link_->rpc(frame, {}, MsgType::kGetReply, body, sink,
-                                       /*wait_for_link=*/true, st, &link_wait);
+    const auto status =
+        get_link_->rpc(frame, MsgType::kGetReply, body, sink, st, &link_wait);
     if (status == Transport::RpcStatus::kStopped) break;
     if (status == Transport::RpcStatus::kDisconnected) continue;  // re-issue
 
@@ -402,7 +369,7 @@ ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
                                                                     16, 32, 64};
     met_ack_coalesced_ = &ctx_.metrics->histogram(
         "aru_net_ack_coalesced_puts",
-        "Puts settled by one coalesced put ack (1 = per-put acking).",
+        "Puts settled by one coalesced put ack.",
         kCoalesceBounds, labels);
     // Per-remote-producer summary-STP: the same series task threads
     // publish locally, labelled with the producer pseudo-node's name, so
@@ -716,10 +683,13 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
 
     switch (header.type) {
       case MsgType::kPut: {
-        if (hello.producer_key < 0) return;  // protocol violation
-        if (!decode(body, put_msg, nullptr)) return;
+        // Protocol violations: a put on a consumer-only link, a garbled
+        // envelope, an unsequenced put (sequences start at 1), or an
+        // envelope whose payload length disagrees with the frame's.
+        if (hello.producer_key < 0) return;
+        if (!decode(body, put_msg, nullptr) || put_msg.seq == 0) return;
         in.consume(frame_bytes);  // payload tail is next in the buffer
-        if (put_msg.item.payload_bytes != header.payload_len) return;  // lengths disagree
+        if (put_msg.item.payload_bytes != header.payload_len) return;
         // Materialize first, then receive the payload tail directly into
         // the pooled slab — the frame-sized staging vector is gone.
         auto item = materialize(
@@ -728,7 +698,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
             channel.cluster_node(), shard);
         if (header.payload_len > 0 && !read_payload(item->mutable_data())) return;
         const bool duplicate =
-            put_msg.seq != 0 && pseq != nullptr &&
             put_msg.seq <= pseq->last_seq.load(std::memory_order_relaxed);
         if (duplicate) {
           // Reconnect replay of a put this channel already stored: the
@@ -751,9 +720,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
           }
           last_stored = res->stored;
           last_summary = res->channel_summary;
-          if (put_msg.seq != 0 && pseq != nullptr) {
-            pseq->last_seq.store(put_msg.seq, std::memory_order_relaxed);
-          }
+          pseq->last_seq.store(put_msg.seq, std::memory_order_relaxed);
           ack_pending = true;
           ++puts_since_ack;
         }

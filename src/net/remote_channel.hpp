@@ -82,9 +82,9 @@ class RemoteChannel final : public RemoteEndpoint {
   const std::string& name() const override { return config_.name; }
 
   /// Flushes staged pipelined puts and blocks until every in-flight put
-  /// is acked (no-op on sync links). True when fully drained. Call before
-  /// asserting on remote channel contents in tests, or at orderly
-  /// producer teardown.
+  /// is acked (no-op without a producer slot). True when fully drained.
+  /// Call before asserting on remote channel contents in tests, before a
+  /// get that must see the put, or at orderly producer teardown.
   bool drain_puts(std::stop_token st = {});
 
   // -- introspection (tests / diagnostics) ------------------------------------
@@ -277,7 +277,7 @@ class ChannelServer {
   /// attach path only.
   telemetry::Counter* met_connections_ = nullptr;
   telemetry::Counter* met_reconnects_ = nullptr;
-  /// Puts settled per coalesced ack (1 = sync client / idle link).
+  /// Puts settled per coalesced ack (1 = idle link or slow producer).
   telemetry::Histogram* met_ack_coalesced_ = nullptr;
 };
 

@@ -30,6 +30,26 @@ std::vector<stats::Event>& tl_rpc_events() {
   return batch;
 }
 
+/// Pipelined put window: the maximum number of unacknowledged puts in
+/// flight on a producer link (further bounded by the credits the server
+/// advertises on coalesced acks).
+constexpr std::size_t kPutWindow = 64;
+
+/// Companion byte bound on the same window: unacknowledged payload bytes
+/// in flight. Small items fill all kPutWindow slots; at frame-scale
+/// payloads this caps the working set of retained pooled slabs (sender,
+/// socket buffers, receiver materialize) to something cache-sized — an
+/// uncapped 64-slot window of 1 MiB frames holds 64 MiB of cold slabs. A
+/// single put larger than the cap still goes out alone (the bound never
+/// starves the window below one in-flight put).
+constexpr std::size_t kPutWindowBytes = std::size_t{4} << 20;
+
+/// How long a staged (encoded but unflushed) put frame may age in the
+/// send buffer before the next put forces a flush. Small enough that a
+/// steadily producing source never delays feedback noticeably; a tight
+/// producer loop amortizes many frames into one sendmsg within it.
+constexpr Nanos kFlushInterval = micros(200);
+
 /// Flush the staged batch once it holds this many bytes: large enough to
 /// amortize the sendmsg, small enough to stay well under the send buffer
 /// and keep the server's burst decoder busy rather than bursty.
@@ -45,9 +65,11 @@ constexpr std::array<std::int64_t, 8> kBatchBounds = {1, 2, 4, 8, 16, 32, 64, 12
 
 /// Opportunistic ack-drain cadence for a window under no pressure: a
 /// pipelined put polls the socket for arrived acks at most this many puts
-/// apart (more often once the window is half committed), bounding both
-/// summary-STP feedback staleness and the unread heartbeat backlog of a
-/// slow producer without paying a poll() syscall on every put.
+/// or kFlushInterval apart, whichever comes first, bounding both
+/// summary-STP feedback staleness and the unread heartbeat backlog
+/// without paying a poll() syscall on every put of a tight loop. The time
+/// bound makes a slow producer poll on every put, so it sees a close flag
+/// or a hung-up peer before queuing anything more into the link.
 constexpr std::size_t kDrainEvery = 16;
 
 std::uint64_t random_session_id() {
@@ -67,8 +89,8 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
       hello_(std::move(hello)),
       session_(random_session_id()),
       shard_(shard) {
-  const bool windowed = config_.put_window > 0 && hello_.producer_key >= 0;
-  if (windowed) window_.resize(config_.put_window);
+  const bool producer = hello_.producer_key >= 0;
+  if (producer) window_.resize(kPutWindow);
 
   if (ctx_.metrics != nullptr) {
     // One link per transport; puts and gets of the same channel are
@@ -84,12 +106,13 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
     met_reconnects_ = &reg.counter(
         "aru_net_reconnects_total",
         "Successful handshakes after the first (link recoveries).", labels);
-    met_rpc_ = &reg.histogram(
-        "aru_net_rpc_latency_ns",
-        "End-to-end rpc() latency (connect wait + exchange), nanoseconds.",
-        kRpcLatencyBounds, labels);
-    if (windowed) {
-      met_window_ = &reg.gauge("aru_net_put_window",
+    if (!producer) {
+      met_rpc_ = &reg.histogram(
+          "aru_net_rpc_latency_ns",
+          "End-to-end rpc() latency (connect wait + exchange), nanoseconds.",
+          kRpcLatencyBounds, labels);
+    } else {
+      met_window_ = &reg.gauge("aru_net_puts_in_flight",
                                "Unacknowledged pipelined puts in flight.", labels);
       const auto reason_counter = [&](const char* reason) {
         telemetry::Registry::Labels rl = labels;
@@ -214,7 +237,7 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
   // Pipelined links replay their unacked tail before anything new goes
   // out, so a reconnect preserves send order (the server's dup filter
   // makes the replay at-most-once on the channel).
-  if (!window_.empty() && in_flight_locked() > 0 && !resend_window_locked(events)) {
+  if (in_flight_locked() > 0 && !resend_window_locked(events)) {
     return fail();
   }
   connected_.store(true, std::memory_order_relaxed);
@@ -224,7 +247,7 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
 std::size_t Transport::effective_window_locked() const {
   const std::size_t by_credit =
       credits_ == 0 ? std::size_t{1} : static_cast<std::size_t>(credits_);
-  return std::max<std::size_t>(1, std::min(window_.size(), by_credit));
+  return std::max<std::size_t>(1, std::min(kPutWindow, by_credit));
 }
 
 void Transport::apply_put_ack_locked(const PutAckMsg& ack) {
@@ -245,6 +268,7 @@ void Transport::apply_put_ack_locked(const PutAckMsg& ack) {
 
 bool Transport::drain_acks_locked(EventBatch& events) {
   puts_since_drain_ = 0;
+  last_drain_ns_ = ctx_.now_ns();
   while (stream_.valid() && stream_.readable(Nanos{0})) {
     FrameHeader header{};
     EnvelopeBody body;
@@ -352,34 +376,18 @@ bool Transport::read_frame_locked(FrameHeader& header, EnvelopeBody& body) {
   return true;
 }
 
-Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
-                                                std::span<const std::byte> payload,
-                                                MsgType expect, EnvelopeBody& reply_body,
+Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, MsgType expect,
+                                                EnvelopeBody& reply_body,
                                                 const PayloadSink& sink,
                                                 EventBatch& events,
                                                 const std::stop_token& st) {
-  // Any staged pipelined puts ride the same sendmsg as this request (the
-  // "explicit" flush trigger — a get must observe every put queued before
-  // it). The staged bytes are part of this link's in-order stream, so a
-  // failure is a single link death either way.
-  const std::size_t staged = sendbuf_.size();
-  const std::size_t staged_count = staged_frames_;
-  staged_frames_ = 0;
-  if (sendbuf_.flush_with(stream_, frame.span(), payload, config_.io_timeout) !=
-      IoStatus::kOk) {
+  if (stream_.send_all(frame.span(), config_.io_timeout) != IoStatus::kOk) {
     disconnect_locked();
     return RpcStatus::kDisconnected;
   }
-  if (staged > 0) {
-    if (met_flush_explicit_ != nullptr) met_flush_explicit_->add();
-    if (met_batch_ != nullptr && staged_count > 0) {
-      met_batch_->observe(static_cast<std::int64_t>(staged_count));
-    }
-  }
   FrameHeader req_header{};
   decode_header(frame.span(), req_header, nullptr);
-  add_event(events, stats::EventType::kNetTx,
-            static_cast<std::int64_t>(staged + frame.len + payload.size()),
+  add_event(events, stats::EventType::kNetTx, static_cast<std::int64_t>(frame.len),
             static_cast<std::int64_t>(req_header.type));
 
   // Heartbeats count as liveness (they reset the per-frame io_timeout) but
@@ -433,36 +441,33 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
   }
 }
 
-Transport::RpcStatus Transport::rpc(const FrameBuf& frame,
-                                    std::span<const std::byte> payload, MsgType expect,
+Transport::RpcStatus Transport::rpc(const FrameBuf& frame, MsgType expect,
                                     EnvelopeBody& reply_body, const PayloadSink& sink,
-                                    bool wait_for_link, std::stop_token st,
-                                    Nanos* link_wait) {
+                                    std::stop_token st, Nanos* link_wait) {
   EventBatch& events = tl_rpc_events();
   const std::int64_t t0 = ctx_.now_ns();
   for (;;) {
     if (stop_requested(st)) return RpcStatus::kStopped;
 
-    bool sent_or_failfast = true;
+    bool sent = false;
     RpcStatus status = RpcStatus::kDisconnected;
     {
       const util::MutexLock lock(mu_);
       if (ensure_connected_locked(events)) {
         if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
-        status = exchange_locked(frame, payload, expect, reply_body, sink, events, st);
-      } else if (wait_for_link) {
-        sent_or_failfast = false;  // not connected yet — keep waiting
+        status = exchange_locked(frame, expect, reply_body, sink, events, st);
+        sent = true;
       }
     }
     flush(events);
-    if (sent_or_failfast) {
+    if (sent) {
       if (status == RpcStatus::kOk && met_rpc_ != nullptr) {
         met_rpc_->observe(ctx_.now_ns() - t0);
       }
       return status;
     }
 
-    ctx_.clock->sleep_for(kRetrySlice);
+    ctx_.clock->sleep_for(kRetrySlice);  // not connected yet — keep waiting
   }
 }
 
@@ -478,31 +483,34 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
   }
   {
     const util::MutexLock lock(mu_);
-    out.summary = last_ack_summary_;
-    out.closed = remote_closed_;
-    if (window_.empty() || !ensure_connected_locked(events)) {
-      // No window configured (sync link) or no link: fail fast, the
-      // caller drops the item and keeps pacing on the held summary.
+    if (remote_closed_) {
+      // An earlier ack reported the channel closed: queue nothing more,
+      // the caller stops producing.
+    } else if (!ensure_connected_locked(events)) {
+      // No link: fail fast, the caller drops the item and keeps pacing on
+      // the held summary.
       out.status = RpcStatus::kDisconnected;
     } else if ((in_flight_locked() + 1 >= effective_window_locked() ||
-                ++puts_since_drain_ >= kDrainEvery) &&
+                ++puts_since_drain_ >= kDrainEvery ||
+                Nanos{ctx_.now_ns() - last_drain_ns_} >= kFlushInterval) &&
                !drain_acks_locked(events)) {
       // Collect already-arrived acks when the window is about to block —
       // polling the socket on every put costs a syscall the steady state
       // doesn't need (coalesced acks arrive in clumps anyway). The
       // kDrainEvery cadence bounds summary-STP feedback staleness and
       // keeps a slow producer's receive buffer drained of heartbeats even
-      // though its window never fills. False = link died; the item was
-      // never queued.
+      // though its window never fills. False = link died (a hung-up peer
+      // reads as end of stream); the item was never queued.
       out.status = RpcStatus::kDisconnected;
     } else {
       // Make room: window-full means we owe the server a flush (it cannot
       // ack frames still sitting in our staging buffer) and then a
       // blocking read until a coalesced ack frees a slot.
       bool ok = true;
-      while (ok && (in_flight_locked() >= effective_window_locked() ||
-                    (in_flight_locked() > 0 &&
-                     in_flight_bytes_ + payload.size() > config_.put_window_bytes))) {
+      while (ok && !remote_closed_ &&
+             (in_flight_locked() >= effective_window_locked() ||
+              (in_flight_locked() > 0 &&
+               in_flight_bytes_ + payload.size() > kPutWindowBytes))) {
         bool stopped = false;
         if (!flush_staged_locked(FlushReason::kWindow, events) ||
             !read_ack_blocking_locked(st, events, &stopped)) {
@@ -510,7 +518,7 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
           ok = false;
         }
       }
-      if (ok) {
+      if (ok && !remote_closed_) {  // an ack read above may have closed it
         msg.seq = next_seq_++;
         WindowSlot& slot =
             window_[static_cast<std::size_t>((msg.seq - 1) % window_.size())];
@@ -561,12 +569,11 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         // amortize its syscall, or the oldest staged frame aged out.
         if (!flushed_inline && stream_.valid() && !sendbuf_.empty()) {
           if (in_flight_locked() >= effective_window_locked() ||
-              in_flight_bytes_ >= config_.put_window_bytes) {
+              in_flight_bytes_ >= kPutWindowBytes) {
             flush_staged_locked(FlushReason::kWindow, events);
           } else if (sendbuf_.size() >= kFlushBytes) {
             flush_staged_locked(FlushReason::kBytes, events);
-          } else if (Nanos{ctx_.now_ns() - first_staged_ns_} >=
-                     config_.flush_interval) {
+          } else if (Nanos{ctx_.now_ns() - first_staged_ns_} >= kFlushInterval) {
             flush_staged_locked(FlushReason::kAge, events);
           }
         }
@@ -589,7 +596,7 @@ bool Transport::flush_puts(std::stop_token st) {
     bool stopped = false;
     {
       const util::MutexLock lock(mu_);
-      if (window_.empty() || in_flight_locked() == 0) {
+      if (in_flight_locked() == 0) {
         drained = true;
       } else if (!ensure_connected_locked(events)) {
         wait_for_link = true;  // backoff gate; sleep below and retry
@@ -606,7 +613,7 @@ bool Transport::flush_puts(std::stop_token st) {
 
 std::size_t Transport::puts_in_flight() const {
   const util::MutexLock lock(mu_);
-  return window_.empty() ? 0 : in_flight_locked();
+  return in_flight_locked();
 }
 
 }  // namespace stampede::net

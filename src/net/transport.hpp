@@ -11,28 +11,27 @@
 /// the lock-order validator and the -Wthread-safety analysis, and means a
 /// stopped runtime has no orphan I/O threads to chase.
 ///
-/// The RPC surface is zero-copy on both directions. A request is a stack
-/// FrameBuf (header + envelope) plus an optional payload span sent
-/// straight from the item's pooled slab via scatter-gather `send_vec` —
-/// no staging vector. A reply's envelope lands in a stack EnvelopeBody;
-/// when the reply carries a payload tail, the caller's PayloadSink is
-/// handed the decoded-envelope bytes and must return the destination
-/// span (typically a freshly acquired pooled buffer's mutable_data()),
-/// into which the payload is received directly.
+/// Gets go through `rpc`: the request is a stack FrameBuf (header +
+/// envelope, no payload). A reply's envelope lands in a stack
+/// EnvelopeBody; when the reply carries a payload tail, the caller's
+/// PayloadSink is handed the decoded-envelope bytes and must return the
+/// destination span (typically a freshly acquired pooled buffer's
+/// mutable_data()), into which the payload is received directly.
 ///
 /// Reconnect policy: after a failed connect attempt the next attempt is
 /// gated by an exponential backoff doubling from `backoff_initial` to at
-/// most `backoff_max`. `wait_for_link` RPCs (gets) sleep through the gate
-/// and retry; fail-fast RPCs (puts) return kDisconnected immediately so
-/// the producer can drop the item and keep pacing. A successful handshake
-/// after a previous session records a `kReconnect` trace event carrying
-/// the failed-attempt count and the final backoff.
+/// most `backoff_max`. A get sleeps through the gate and retries; a put
+/// returns kDisconnected immediately so the producer can drop the item
+/// and keep pacing. A successful handshake after a previous session
+/// records a `kReconnect` trace event carrying the failed-attempt count
+/// and the final backoff.
 ///
-/// Pipelined puts (put_window > 0): `put_pipelined` assigns the put a
-/// sequence number, parks the encoded frame + payload in a bounded
-/// in-flight window, stages it in a SendBuffer (flushed on window-full,
+/// Puts go through `put_pipelined`, which assigns the put a sequence
+/// number, parks the encoded frame + payload in a bounded in-flight
+/// window, stages it in a SendBuffer (flushed on window-full,
 /// buffer-full, or a small age bound — many envelopes and small payload
-/// tails per sendmsg), and returns once queued. Coalesced `PutAckMsg`
+/// tails per sendmsg; payloads sent straight from the item's pooled slab
+/// via scatter-gather), and returns once queued. Coalesced `PutAckMsg`
 /// frames (cumulative seq + credits + summary-STP) release window slots
 /// and refresh the pacing feedback; the producer still paces against
 /// summary-STP, it just learns it from the latest coalesced ack instead
@@ -86,26 +85,6 @@ struct TransportConfig {
   /// Reconnect backoff bounds (attempt n waits min(initial·2ⁿ⁻¹, max)).
   Nanos backoff_initial = millis(10);
   Nanos backoff_max = millis(500);
-  /// Pipelined put window: the maximum number of unacknowledged puts in
-  /// flight on this link (further bounded by the credits the server
-  /// advertises on coalesced acks). 0 selects the legacy synchronous
-  /// one-RPC-per-put path. Only meaningful on producer links.
-  std::size_t put_window = 64;
-  /// Companion byte bound on the same window: unacknowledged payload
-  /// bytes in flight. Small items fill all `put_window` slots; at
-  /// frame-scale payloads this caps the working set of retained pooled
-  /// slabs (sender, socket buffers, receiver materialize) to something
-  /// cache-sized — an uncapped 64-slot window of 1 MiB frames holds
-  /// 64 MiB of cold slabs and measures *slower* than the synchronous
-  /// ping-pong that reuses one hot slab. A single put larger than the
-  /// cap still goes out alone (the bound never starves the window below
-  /// one in-flight put).
-  std::size_t put_window_bytes = 4u << 20;
-  /// How long a staged (encoded but unflushed) put frame may age in the
-  /// send buffer before the next put forces a flush. Small enough that a
-  /// steadily producing source never delays feedback noticeably; a tight
-  /// producer loop amortizes many frames into one sendmsg within it.
-  Nanos flush_interval = micros(200);
 };
 
 /// Supplies the destination buffer for an expected reply's payload tail.
@@ -121,7 +100,7 @@ class Transport {
  public:
   enum class RpcStatus : std::uint8_t {
     kOk,            ///< reply of the expected type received
-    kDisconnected,  ///< no link (fail-fast mode) or link died mid-RPC
+    kDisconnected,  ///< no link (puts fail fast) or link died mid-RPC
     kStopped,       ///< stop token fired / runtime stopping
   };
 
@@ -135,42 +114,39 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Executes one request/reply exchange. `frame` is the encoded header +
-  /// envelope; `payload` (possibly empty) is the request's payload tail,
-  /// sent scatter-gather with the frame in one syscall — its length must
-  /// equal the payload_len encoded in `frame`'s header. On kOk,
-  /// `reply_body` holds the envelope of the first non-heartbeat reply
-  /// frame, whose type matched `expect`; if that reply announced a
-  /// payload tail, it has been received into the span `sink` returned
-  /// (`sink` may be null for replies that never carry payload — a
-  /// payload-bearing reply then drops the link).
+  /// Executes one get request/reply exchange (consumer links only).
+  /// `frame` is the encoded header + envelope (no payload tail). Blocks
+  /// (through backoff/reconnect cycles) until a link exists before
+  /// sending. Once the request is sent the outcome is final: a link death
+  /// mid-RPC returns kDisconnected and the caller decides whether to
+  /// re-issue the (lost) request. On kOk, `reply_body` holds the envelope
+  /// of the first non-heartbeat reply frame, whose type matched `expect`;
+  /// if that reply announced a payload tail, it has been received into
+  /// the span `sink` returned (`sink` may be null for replies that never
+  /// carry payload — a payload-bearing reply then drops the link).
   ///
-  /// \param wait_for_link  true: block (through backoff/reconnect cycles)
-  ///        until a link exists before sending — used by gets. false:
-  ///        return kDisconnected at the first hurdle — used by puts.
-  ///        Either way, once the request is sent the outcome is final:
-  ///        a link death mid-RPC returns kDisconnected and the caller
-  ///        decides whether to re-issue the (lost) request.
   /// \param link_wait  when non-null and the request went out, set to the
   ///        time spent before sending it: waiting for, or re-establishing,
   ///        the link. A get books it as blocked time.
-  ARU_HOT_PATH RpcStatus rpc(const FrameBuf& frame, std::span<const std::byte> payload,
-                             MsgType expect, EnvelopeBody& reply_body,
-                             const PayloadSink& sink, bool wait_for_link,
+  ARU_HOT_PATH RpcStatus rpc(const FrameBuf& frame, MsgType expect,
+                             EnvelopeBody& reply_body, const PayloadSink& sink,
                              std::stop_token st, Nanos* link_wait = nullptr)
       EXCLUDES(mu_, stats_mu_);
 
   /// Outcome of a pipelined (windowed) put.
   struct PutOutcome {
     RpcStatus status = RpcStatus::kDisconnected;
-    bool closed = false;       ///< remote channel reported closed on an ack
+    /// The remote channel reported closed on an ack: the put was not
+    /// queued (whatever `status` says), and no later put on this link
+    /// will be.
+    bool closed = false;
     Nanos summary{0};          ///< latest coalesced-ack summary-STP (kUnknownStp before any)
   };
 
   /// Queues one put into the in-flight window and returns without waiting
-  /// for its ack (config().put_window must be > 0). Assigns `msg.seq`,
-  /// encodes the frame into a window slot, and stages it for a batched
-  /// scatter/gather flush; `payload` must stay valid until acked, which
+  /// for its ack (producer links only). Assigns `msg.seq`, encodes the
+  /// frame into a window slot, and stages it for a batched scatter/gather
+  /// flush; `payload` must stay valid until acked, which
   /// `keepalive` guarantees (the item's shared_ptr). Blocks only when the
   /// window (or the server's advertised credits) is exhausted — then it
   /// flushes and reads coalesced acks until a slot frees, consuming
@@ -218,16 +194,16 @@ class Transport {
   /// Establishes the link if absent and due. Returns true when connected.
   bool ensure_connected_locked(EventBatch& events) REQUIRES(mu_);
 
-  /// Sends frame+payload, then reads frames (skipping heartbeats) until
-  /// one of type `expect` arrives; its payload tail (if any) is received
-  /// via `sink`. Disconnects on any failure. The stop token is re-checked
-  /// after every consumed heartbeat so a reply wait against a
+  /// Sends the request frame, then reads frames (skipping heartbeats)
+  /// until one of type `expect` arrives; its payload tail (if any) is
+  /// received via `sink`. Disconnects on any failure. The stop token is
+  /// re-checked after every consumed heartbeat so a reply wait against a
   /// live-but-idle server (which heartbeats indefinitely) still honors
   /// shutdown; stop mid-RPC drops the link and returns kStopped.
-  RpcStatus exchange_locked(const FrameBuf& frame, std::span<const std::byte> payload,
-                            MsgType expect, EnvelopeBody& reply_body,
-                            const PayloadSink& sink, EventBatch& events,
-                            const std::stop_token& st) REQUIRES(mu_);
+  RpcStatus exchange_locked(const FrameBuf& frame, MsgType expect,
+                            EnvelopeBody& reply_body, const PayloadSink& sink,
+                            EventBatch& events, const std::stop_token& st)
+      REQUIRES(mu_);
 
   /// Reads one frame's header + envelope (NOT its payload tail — that is
   /// the caller's job, via the header's payload_len). False (and
@@ -242,7 +218,7 @@ class Transport {
     return static_cast<std::size_t>(next_seq_ - 1 - cum_acked_);
   }
 
-  /// Window bound for this instant: the configured window further limited
+  /// Window bound for this instant: the fixed window further limited
   /// by the server's advertised credits, but never below 1 — the server's
   /// backpressure wait (heartbeat-pumped try_put poll) guarantees progress
   /// for a single in-flight put even against a full bounded channel.
@@ -302,20 +278,21 @@ class Transport {
   std::int64_t next_attempt_ns_ GUARDED_BY(mu_) = 0;
   bool had_session_ GUARDED_BY(mu_) = false;
 
-  /// Pipelined-put window ring (empty when put_window == 0 or this is a
-  /// consumer link). Slot for seq s lives at (s-1) % size; sequence
-  /// numbers start at 1 (0 marks an unsequenced legacy/sync put on the
-  /// wire). All preallocated in the constructor — the enqueue path only
-  /// copies into slots.
+  /// Pipelined-put window ring (empty on a consumer link). Slot for seq s
+  /// lives at (s-1) % size; sequence numbers start at 1 (the server
+  /// rejects seq 0). All preallocated in the constructor — the enqueue
+  /// path only copies into slots.
   std::vector<WindowSlot> window_ GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   std::uint64_t cum_acked_ GUARDED_BY(mu_) = 0;
-  /// Sum of payload bytes across unacked window slots (put_window_bytes
+  /// Sum of payload bytes across unacked window slots (kPutWindowBytes
   /// enforcement): grows on enqueue, shrinks as coalesced acks release
   /// slots.
   std::size_t in_flight_bytes_ GUARDED_BY(mu_) = 0;
-  /// Puts since the last opportunistic ack drain (kDrainEvery cadence).
+  /// Puts since, and clock time of, the last opportunistic ack drain
+  /// (kDrainEvery / kFlushInterval cadence).
   std::size_t puts_since_drain_ GUARDED_BY(mu_) = 0;
+  std::int64_t last_drain_ns_ GUARDED_BY(mu_) = 0;
   std::uint32_t credits_ GUARDED_BY(mu_) = 0;
   bool remote_closed_ GUARDED_BY(mu_) = false;
   Nanos last_ack_summary_ GUARDED_BY(mu_) = aru::kUnknownStp;
@@ -340,10 +317,10 @@ class Transport {
   telemetry::Counter* met_tx_ = nullptr;          ///< aru_net_tx_bytes_total
   telemetry::Counter* met_rx_ = nullptr;          ///< aru_net_rx_bytes_total
   telemetry::Counter* met_reconnects_ = nullptr;  ///< aru_net_reconnects_total
-  telemetry::Histogram* met_rpc_ = nullptr;       ///< aru_net_rpc_latency_ns
-  /// Pipelined-put series (registered only when the window is enabled):
-  /// window occupancy, one flush counter per reason, and frames-per-flush.
-  telemetry::Gauge* met_window_ = nullptr;          ///< aru_net_put_window
+  telemetry::Histogram* met_rpc_ = nullptr;       ///< aru_net_rpc_latency_ns (get links)
+  /// Pipelined-put series (registered on producer links only): window
+  /// occupancy, one flush counter per reason, and frames-per-flush.
+  telemetry::Gauge* met_window_ = nullptr;          ///< aru_net_puts_in_flight
   telemetry::Counter* met_flush_window_ = nullptr;  ///< aru_net_put_flush_total{reason=window}
   telemetry::Counter* met_flush_bytes_ = nullptr;   ///< …{reason=bytes}
   telemetry::Counter* met_flush_age_ = nullptr;     ///< …{reason=age}

@@ -48,9 +48,9 @@
 /// up to that many puts in flight without waiting. `kHello` carries a
 /// random per-transport `session` id plus the `start_seq` the sender will
 /// resume from, letting the server suppress duplicates after a reconnect
-/// replay (at-most-once channel semantics survive resends). A sync peer
-/// simply keeps one put in flight and reads one ack per put; the frame
-/// layouts are shared.
+/// replay (at-most-once channel semantics survive resends). Sequences
+/// start at 1; a `kPut` with seq 0 is a protocol violation that drops the
+/// connection.
 ///
 /// Version 4 adds `waited` to `kGetReply`: how long the server parked the
 /// get waiting for the channel to become ready. The consumer books only
@@ -149,7 +149,7 @@ struct HelloAckMsg {
 };
 
 struct PutMsg {
-  std::uint64_t seq = 0;  ///< per-link sequence number (monotonic from start_seq)
+  std::uint64_t seq = 0;  ///< per-link sequence number (monotonic from start_seq, ≥ 1)
   WireItem item;
   std::vector<Nanos> stp;  ///< producer's backwardSTP vector (diagnostic)
 
@@ -157,6 +157,8 @@ struct PutMsg {
 };
 
 struct PutAckMsg {
+  /// Store verdict of the last put this ack settles. Clients ignore it
+  /// (a window put reports "queued"); kept on the wire until v5.
   bool stored = false;
   bool closed = false;        ///< channel is closed; producers should stop
   Nanos summary{0};           ///< channel summary-STP (paper §3.3.2 put return)

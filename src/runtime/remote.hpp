@@ -35,9 +35,12 @@ class RemoteEndpoint {
     /// the last value received before the link died (kUnknownStp if none
     /// ever arrived).
     Nanos summary{aru::kUnknownStp};
-    bool stored = false;   ///< remote channel accepted and stored the item
+    /// Queued for at-most-once delivery: the item is in the link's
+    /// in-flight window, which resends it across reconnects until the
+    /// remote channel acks it. Not a per-item store verdict.
+    bool stored = false;
     bool dropped = false;  ///< link down: item dropped locally, keep producing
-    bool closed = false;   ///< remote channel closed: producer should stop
+    bool closed = false;   ///< remote channel closed: not queued, producer should stop
   };
 
   struct GetResult {

@@ -40,25 +40,16 @@ namespace {
 constexpr Nanos kBackoffInitial = millis(5);
 constexpr Nanos kBackoffMax = millis(50);
 
-/// Sync (window-off) transport: these suites pin the classic one-ack-per-put
-/// semantics — put() returns the stored/closed verdict of *this* item, and a
-/// drop is visible on the very call that hit the outage. The pipelined
-/// window gets its own suites below (PipelinedReconnect).
+/// Fast failure tuning so outages stay quick to detect. Every put rides
+/// the pipelined window: put() returns once the item is queued, and a
+/// per-put verdict (stored, closed, the summary-STP on the ack) is read
+/// after drain_puts() has collected the acks.
 TransportConfig fast_transport(std::uint16_t port) {
   return {.port = port,
           .connect_timeout = millis(200),
           .io_timeout = millis(500),
           .backoff_initial = kBackoffInitial,
-          .backoff_max = kBackoffMax,
-          .put_window = 0};
-}
-
-/// Pipelined transport: bounded async window + coalesced acks. Same fast
-/// failure tuning as fast_transport so outages stay quick to detect.
-TransportConfig pipelined_transport(std::uint16_t port, std::size_t window = 8) {
-  TransportConfig cfg = fast_transport(port);
-  cfg.put_window = window;
-  return cfg;
+          .backoff_max = kBackoffMax};
 }
 
 std::shared_ptr<Item> make_item(Runtime& rt, Timestamp ts, std::size_t bytes = 128) {
@@ -96,11 +87,13 @@ TEST(NetReconnect, OutageDropsLocallyThenResumes) {
                            .consumer_key = 0});
   std::stop_source stop;
 
-  // Healthy link: a put stores, and once a consumer's summary-STP has been
-  // folded into the channel, the PutAck carries it back as a known summary.
+  // Healthy link: a put is queued and acked, and once a consumer's
+  // summary-STP has been folded into the channel, the coalesced ack carries
+  // it back as a known summary.
   auto res = proxy.put(make_item(rt, 0), stop.get_token());
   EXPECT_TRUE(res.stored);
   EXPECT_FALSE(res.dropped);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
 
   auto got = proxy.get_latest(/*consumer_summary=*/millis(7), kNoTimestamp,
                               stop.get_token());
@@ -109,25 +102,29 @@ TEST(NetReconnect, OutageDropsLocallyThenResumes) {
 
   res = proxy.put(make_item(rt, 1), stop.get_token());
   EXPECT_TRUE(res.stored);
-  ASSERT_TRUE(aru::known(res.summary));
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   const Nanos held = proxy.summary();
-  EXPECT_TRUE(aru::known(held));
+  ASSERT_TRUE(aru::known(held));
 
   // Outage: the server dies. Puts must fail fast as local drops — never
   // block — and keep returning the held summary-STP so the source's pacing
-  // holds its period instead of free-running.
+  // holds its period instead of free-running. The first put may still be
+  // queued for replay before the dead link is noticed; every later one is
+  // a drop.
   server->stop();
   server.reset();
 
   const std::int64_t drops_before = proxy.drops();
   for (Timestamp ts = 2; ts < 8; ++ts) {
     res = proxy.put(make_item(rt, ts), stop.get_token());
-    EXPECT_FALSE(res.stored);
-    EXPECT_TRUE(res.dropped);
     EXPECT_EQ(res.summary, held) << "held summary-STP must survive the outage";
+    if (ts > 2) {
+      EXPECT_FALSE(res.stored) << "put " << ts;
+      EXPECT_TRUE(res.dropped) << "put " << ts;
+    }
     rt.clock().sleep_for(millis(5));
   }
-  EXPECT_GE(proxy.drops() - drops_before, 6);
+  EXPECT_GE(proxy.drops() - drops_before, 5);
   // Note: connected() may still report true here — the idle get link only
   // observes the outage at its next RPC (the transport is caller-driven,
   // with no background liveness thread). The put link's state is what the
@@ -161,7 +158,7 @@ TEST(NetReconnect, OutageDropsLocallyThenResumes) {
   // The trace must tell the whole story.
   const stats::Trace trace = rt.take_trace();
   const auto drops = events_of(trace, stats::EventType::kDrop, proxy.id());
-  ASSERT_GE(drops.size(), 6u);
+  ASSERT_GE(drops.size(), 5u);
   for (const auto& e : drops) EXPECT_EQ(e.a, 1) << "link-down drops are tagged a=1";
 
   const auto reconnects = events_of(trace, stats::EventType::kReconnect);
@@ -212,6 +209,8 @@ TEST(NetReconnect, ServerSideTelemetryCountsReattachAndTracksSummaryStp) {
                              .producer_key = 0,
                              .consumer_key = 0});
     EXPECT_TRUE(proxy.put(make_item(rt, 0), stop.get_token()).stored);
+    // The server sets the gauge as it sends the ack, so drain first.
+    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
     // No consumer summary folded yet: the per-producer gauge holds the
     // 0 = unknown sentinel.
     EXPECT_EQ(producer_stp.value(), 0);
@@ -221,6 +220,7 @@ TEST(NetReconnect, ServerSideTelemetryCountsReattachAndTracksSummaryStp) {
                                 stop.get_token());
     ASSERT_NE(got.item, nullptr);
     EXPECT_TRUE(proxy.put(make_item(rt, 1), stop.get_token()).stored);
+    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
     EXPECT_GT(producer_stp.value(), 0);
     // First bind of each slot (one put link, one get link): connections,
     // not recoveries.
@@ -235,6 +235,7 @@ TEST(NetReconnect, ServerSideTelemetryCountsReattachAndTracksSummaryStp) {
                               .transport = fast_transport(server.port()),
                               .producer_key = 0});
     EXPECT_TRUE(proxy2.put(make_item(rt, 2), stop.get_token()).stored);
+    EXPECT_TRUE(proxy2.drain_puts(stop.get_token()));
     EXPECT_TRUE(reaches(connections, 3));
     EXPECT_TRUE(reaches(reconnects, 1));
   }
@@ -279,12 +280,19 @@ TEST(NetReconnect, ClosedChannelPropagatesToRemoteProducerAndConsumer) {
   std::stop_source stop;
 
   ASSERT_TRUE(proxy.put(make_item(rt, 0), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   ch.close();
 
-  const auto res = proxy.put(make_item(rt, 1), stop.get_token());
+  // The producer learns of the close from the next ack: the put that
+  // elicits it is queued (and refused by the server), every put after it
+  // reports the close without queuing.
+  EXPECT_TRUE(proxy.put(make_item(rt, 1), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  const auto res = proxy.put(make_item(rt, 2), stop.get_token());
   EXPECT_FALSE(res.stored);
   EXPECT_FALSE(res.dropped) << "a closed channel is not a link failure";
   EXPECT_TRUE(res.closed);
+  EXPECT_EQ(proxy.drops(), 0);
 
   // The consumer drains what is buffered, then sees the close.
   auto got = proxy.get_latest(aru::kUnknownStp, kNoTimestamp, stop.get_token());
@@ -293,6 +301,58 @@ TEST(NetReconnect, ClosedChannelPropagatesToRemoteProducerAndConsumer) {
   EXPECT_EQ(got.item, nullptr);
 
   server.stop();
+}
+
+TEST(NetReconnect, ClosedRemoteChannelStopsWriterTask) {
+  // A task writing to a RemoteChannel must learn of a server-side close()
+  // and finish: its put returns unstored and undropped, so TaskContext::put
+  // reports false and the body returns kDone. On the window path the
+  // close arrives on a coalesced ack, and every later put must report it
+  // instead of queuing.
+  Runtime back;
+  Channel& ch = back.add_channel({.name = "frames"});
+  ChannelServer server(back, {{.channel = &ch, .remote_producers = 1,
+                               .remote_consumers = 1}});
+  server.start();
+
+  // Declared before the runtime so they outlive its task threads.
+  std::atomic<int> puts{0};
+  std::atomic<bool> done{false};
+  Runtime front;
+  RemoteChannel proxy(front, {.name = "frames",
+                              .transport = fast_transport(server.port()),
+                              .producer_key = 0});
+  TaskContext& writer = front.add_task({.name = "writer", .body = [&](TaskContext& t) {
+                                          const Timestamp ts = puts.fetch_add(1);
+                                          if (!t.put(0, t.make_item(ts, 128, {}))) {
+                                            done.store(true);
+                                            return TaskStatus::kDone;
+                                          }
+                                          t.clock().sleep_for(millis(2));
+                                          return TaskStatus::kContinue;
+                                        }});
+  front.connect(writer, proxy);
+  front.start();
+
+  const Nanos up_deadline = back.clock().now() + seconds(5);
+  while ((ch.size() < 3 || !proxy.connected()) && back.clock().now() < up_deadline) {
+    back.clock().sleep_for(millis(2));
+  }
+  ASSERT_GE(ch.size(), 3u) << "the writer never reached the served channel";
+
+  ch.close();
+  const int puts_at_close = puts.load();
+  const Nanos deadline = back.clock().now() + seconds(2);
+  while (!done.load() && back.clock().now() < deadline) {
+    back.clock().sleep_for(millis(2));
+  }
+  const int puts_after_close = puts.load() - puts_at_close;
+  front.stop();
+  server.stop();
+
+  EXPECT_TRUE(done.load()) << "the writer kept producing into a closed remote channel ("
+                           << puts_after_close << " puts after close)";
+  EXPECT_EQ(proxy.drops(), 0) << "a closed channel is not a link failure";
 }
 
 TEST(NetReconnect, HelloRejectsUnknownChannelAndBadSlots) {
@@ -365,11 +425,17 @@ TEST(NetReconnect, BackpressuredPutHeartbeatsThroughTheWait) {
 
   ASSERT_TRUE(proxy.put(make_item(rt, 0), stop.get_token()).stored);
   ASSERT_TRUE(proxy.put(make_item(rt, 1), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
 
   RemoteEndpoint::PutResult res;
-  std::thread producer([&] { res = proxy.put(make_item(rt, 2), stop.get_token()); });
+  bool drained = false;
+  std::thread producer([&] {
+    res = proxy.put(make_item(rt, 2), stop.get_token());
+    drained = proxy.drain_puts(stop.get_token());
+  });
   // Hold the channel full for well over io_timeout (500ms) before freeing
-  // a slot: only server heartbeats can keep the put RPC alive that long.
+  // a slot: only server heartbeats can keep the drain's ack wait alive
+  // that long.
   rt.clock().sleep_for(millis(1200));
   auto got = proxy.get_latest(aru::kUnknownStp, kNoTimestamp, stop.get_token());
   ASSERT_NE(got.item, nullptr);  // consumes ts=1; collecting ts=0 frees a slot
@@ -377,6 +443,7 @@ TEST(NetReconnect, BackpressuredPutHeartbeatsThroughTheWait) {
 
   EXPECT_TRUE(res.stored);
   EXPECT_FALSE(res.dropped);
+  EXPECT_TRUE(drained) << "the held put must be stored and acked, not timed out";
   EXPECT_EQ(proxy.drops(), 0);
   EXPECT_EQ(proxy.reconnects(), 0);
   server.stop();
@@ -407,15 +474,16 @@ TEST(PipelinedReconnect, WindowedPutsDeliverEverythingOnDrain) {
   server.start();
 
   RemoteChannel proxy(rt, {.name = "frames",
-                           .transport = pipelined_transport(server.port()),
+                           .transport = fast_transport(server.port()),
                            .producer_key = 0,
                            .consumer_key = 0});
   std::stop_source stop;
 
-  // A burst far larger than the window: puts return as soon as they are
-  // queued, acks settle them in coalesced batches, and drain_puts blocks
-  // until the whole tail is acked. Nothing may be lost on a healthy link.
-  constexpr Timestamp kCount = 50;
+  // A burst far larger than the 64-put window: puts return as soon as they
+  // are queued, acks settle them in coalesced batches, and drain_puts
+  // blocks until the whole tail is acked. Nothing may be lost on a healthy
+  // link.
+  constexpr Timestamp kCount = 200;
   for (Timestamp ts = 0; ts < kCount; ++ts) {
     const auto res = proxy.put(make_item(rt, ts), stop.get_token());
     EXPECT_TRUE(res.stored);
@@ -444,8 +512,7 @@ TEST(PipelinedReconnect, WindowedPutsDeliverEverythingOnDrain) {
 
   // Batching and coalescing must be visible in the trace: the client
   // records one kNetTx per *flush* (not per put) and one kNetRx per
-  // coalesced ack — both must come in well under one-per-put (the sync
-  // protocol does exactly kCount of each).
+  // coalesced ack — both must come in well under one-per-put.
   const stats::Trace trace = rt.take_trace();
   std::size_t put_flush_tx = 0;
   std::size_t ack_rx = 0;
@@ -475,7 +542,7 @@ TEST(PipelinedReconnect, BackpressureThrottlesTheWindowWithoutLoss) {
   server.start();
 
   RemoteChannel proxy(rt, {.name = "frames",
-                           .transport = pipelined_transport(server.port()),
+                           .transport = fast_transport(server.port()),
                            .producer_key = 0,
                            .consumer_key = 0});
   std::stop_source stop;
@@ -624,6 +691,36 @@ TEST(PipelinedReconnect, ReplayedWindowTailIsNotDuplicated) {
   server.stop();
 }
 
+TEST(PipelinedReconnect, UnsequencedPutDropsTheConnection) {
+  // Sequences start at 1; seq 0 has no sender, so a put carrying it is a
+  // protocol violation: the server hangs up without storing or acking it.
+  Runtime rt;
+  Channel& ch = rt.add_channel({.name = "frames"});
+  ChannelServer server(rt, {{.channel = &ch, .remote_producers = 1,
+                             .remote_consumers = 1}});
+  server.start();
+
+  auto s = raw_attach(server.port(), 0xC0FFEE, 1);
+  ASSERT_TRUE(s.has_value());
+  ASSERT_EQ(s->send_all(raw_put_frame(0, 1).span(), seconds(2)), IoStatus::kOk);
+
+  // Heartbeats may precede the hang-up; a PutAck never may.
+  FrameHeader h;
+  std::vector<std::byte> body;
+  bool hung_up = false;
+  for (int i = 0; i < 64; ++i) {
+    if (!raw_read_frame(*s, h, body)) {
+      hung_up = true;
+      break;
+    }
+    ASSERT_EQ(h.type, MsgType::kHeartbeat) << "an unsequenced put must not be acked";
+  }
+  EXPECT_TRUE(hung_up) << "the server must drop the connection";
+  EXPECT_EQ(ch.size(), 0u) << "an unsequenced put must not be stored";
+
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Two-process tier: SIGKILL a real spd_node child mid-stream
 // ---------------------------------------------------------------------------
@@ -691,6 +788,11 @@ struct SpdNodeProc {
 };
 
 TEST(NetReconnect, SurvivesServerProcessKillAndRestart) {
+  // SIGKILL a real spd_node child between bursts, with every put already
+  // acked: the put link is idle and only learns of the kill when the next
+  // put hits the dead socket. Outage puts must drop locally with the held
+  // summary-STP, and after a restart on the same port the proxy reattaches
+  // within the bounded backoff and stores again.
   auto node = SpdNodeProc::spawn({"port=0"});
   ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
   ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
@@ -705,24 +807,25 @@ TEST(NetReconnect, SurvivesServerProcessKillAndRestart) {
   // Stream a few items into the remote process; fetch one back so the
   // remote channel folds our consumer summary-STP and the acks carry it.
   ASSERT_TRUE(proxy.put(make_item(rt, 0), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   auto got = proxy.get_latest(millis(9), kNoTimestamp, stop.get_token());
   ASSERT_NE(got.item, nullptr);
-  auto res = proxy.put(make_item(rt, 1), stop.get_token());
-  ASSERT_TRUE(res.stored);
-  ASSERT_TRUE(aru::known(res.summary));
+  ASSERT_TRUE(proxy.put(make_item(rt, 1), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   const Nanos held = proxy.summary();
+  ASSERT_TRUE(aru::known(held));
 
-  // SIGKILL the server process mid-stream: no goodbye, no FIN from the
-  // application — the raw TCP teardown is all the client sees.
+  // SIGKILL the server process with nothing in flight: no goodbye, no FIN
+  // from the application — the raw TCP teardown is all the client sees.
   const std::uint16_t port = node.port;
   node.kill_hard();
 
   std::int64_t outage_drops = 0;
   for (Timestamp ts = 2; ts < 10; ++ts) {
-    res = proxy.put(make_item(rt, ts), stop.get_token());
+    const auto res = proxy.put(make_item(rt, ts), stop.get_token());
     if (res.dropped) {
       ++outage_drops;
-      EXPECT_EQ(res.summary, held);
+      EXPECT_EQ(res.summary, held) << "held summary-STP must survive the outage";
     }
     rt.clock().sleep_for(millis(5));
   }
@@ -737,8 +840,8 @@ TEST(NetReconnect, SurvivesServerProcessKillAndRestart) {
   const Nanos deadline = rt.clock().now() + seconds(10);
   Timestamp ts = 100;
   while (rt.clock().now() < deadline) {
-    res = proxy.put(make_item(rt, ts++), stop.get_token());
-    if (res.stored) {
+    const auto res = proxy.put(make_item(rt, ts++), stop.get_token());
+    if (res.stored && proxy.drain_puts(stop.get_token())) {
       resumed = true;
       break;
     }
@@ -758,18 +861,21 @@ TEST(NetReconnect, SurvivesServerProcessKillAndRestart) {
 }
 
 TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
-  // SIGKILL the server with a window of puts in flight: no goodbye, the
-  // unacked tail is mid-air. After respawn the proxy must reattach, replay
-  // the tail into the fresh process, and resume — with the sink seeing
-  // strictly increasing timestamps (no duplicates, no reordering) and the
-  // summary-STP feedback reconverging over the coalesced acks.
+  // SIGKILL a real spd_node child with a window of puts in flight: no
+  // goodbye, no FIN from the application, the unacked tail is mid-air. The
+  // outage must degrade to drops that keep the held summary-STP. After
+  // respawn on the same port the proxy must reattach within the bounded
+  // backoff, replay the tail into the fresh process, and resume — with the
+  // sink seeing strictly increasing timestamps (no duplicates, no
+  // reordering) and the summary-STP feedback reconverging over the
+  // coalesced acks.
   auto node = SpdNodeProc::spawn({"port=0"});
   ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
   ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
 
   Runtime rt;
   RemoteChannel proxy(rt, {.name = "frames",
-                           .transport = pipelined_transport(node.port),
+                           .transport = fast_transport(node.port),
                            .producer_key = 0,
                            .consumer_key = 0});
   std::stop_source stop;
@@ -781,18 +887,28 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   auto got = proxy.get_latest(millis(9), kNoTimestamp, stop.get_token());
   ASSERT_NE(got.item, nullptr);
+  // The get folded our consumer summary-STP; the next ack carries it back.
+  proxy.put(make_item(rt, 10), stop.get_token());
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  const Nanos held = proxy.summary();
+  ASSERT_EQ(held, millis(9));
 
   // Kill mid-window: queue fresh puts and SIGKILL before draining them.
   const std::uint16_t port = node.port;
-  for (Timestamp ts = 10; ts < 15; ++ts) {
+  for (Timestamp ts = 11; ts < 15; ++ts) {
     proxy.put(make_item(rt, ts), stop.get_token());
   }
   node.kill_hard();
 
-  // The outage must degrade to fail-fast local drops once detected.
+  // The outage must degrade to fail-fast local drops once detected, each
+  // returning the held summary-STP.
   std::int64_t outage_drops = 0;
   for (Timestamp ts = 15; ts < 30; ++ts) {
-    if (proxy.put(make_item(rt, ts), stop.get_token()).dropped) ++outage_drops;
+    const auto res = proxy.put(make_item(rt, ts), stop.get_token());
+    if (res.dropped) {
+      ++outage_drops;
+      EXPECT_EQ(res.summary, held) << "held summary-STP must survive the outage";
+    }
     rt.clock().sleep_for(millis(5));
   }
   EXPECT_GE(outage_drops, 5) << "pipelined puts must degrade to drops after SIGKILL";
@@ -819,11 +935,14 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
 
   // No duplicate or reordered timestamps at the sink: drain whatever the
   // fresh server holds (replayed tail + post-respawn puts) and require the
-  // fetched series to be strictly increasing.
+  // fetched series to be strictly increasing. The gets fold a consumer
+  // summary-STP different from the pre-kill one, so the fresh process's
+  // feedback is told apart from the held value below.
+  constexpr Nanos kRespawnSummary = millis(11);
   Timestamp last_ts = -1;
   int fetched = 0;
   for (int i = 0; i < 50; ++i) {
-    got = proxy.get_latest(millis(9), kNoTimestamp, stop.get_token());
+    got = proxy.get_latest(kRespawnSummary, kNoTimestamp, stop.get_token());
     if (got.item == nullptr) break;
     EXPECT_GT(got.item->ts(), last_ts) << "duplicate or reordered timestamp after respawn";
     last_ts = got.item->ts();
@@ -835,15 +954,26 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   EXPECT_GE(fetched, 1);
 
   // Pacing reconverges: the consumer summary folded by the gets above must
-  // come back over a coalesced ack as a known summary-STP.
+  // come back over a coalesced ack, replacing the held pre-kill value.
   const Nanos conv_deadline = rt.clock().now() + seconds(5);
-  while (!aru::known(proxy.summary()) && rt.clock().now() < conv_deadline) {
+  while (proxy.summary() != kRespawnSummary && rt.clock().now() < conv_deadline) {
     proxy.put(make_item(rt, ts++), stop.get_token());
     proxy.drain_puts(stop.get_token());
     rt.clock().sleep_for(millis(5));
   }
-  EXPECT_TRUE(aru::known(proxy.summary()))
+  EXPECT_EQ(proxy.summary(), kRespawnSummary)
       << "summary-STP pacing must reconverge after the respawn";
+
+  // The trace tells the story: one kDrop per outage drop, and a bounded
+  // backoff on the first recovery.
+  rt.stop();
+  const stats::Trace trace = rt.take_trace();
+  const auto reconnects = events_of(trace, stats::EventType::kReconnect);
+  ASSERT_GE(reconnects.size(), 1u);
+  EXPECT_GE(reconnects.front().a, 1) << "reconnect must report >=1 failed attempt";
+  EXPECT_LE(reconnects.front().b, kBackoffMax.count()) << "backoff must stay bounded";
+  EXPECT_GE(events_of(trace, stats::EventType::kDrop, proxy.id()).size(),
+            static_cast<std::size_t>(outage_drops));
 }
 
 }  // namespace
