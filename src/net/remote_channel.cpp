@@ -128,11 +128,10 @@ RemoteChannel::RemoteChannel(Runtime& rt, RemoteChannelConfig config)
   }
   node_ = rt.add_remote_node(config_.name, NodeKind::kChannel);
   if (config_.producer_key >= 0) {
-    put_shard_ = rt.recorder().new_shard();
     put_link_ = std::make_unique<Transport>(
         ctx_, node_, config_.transport,
         HelloMsg{.channel = config_.name, .producer_key = config_.producer_key},
-        put_shard_);
+        rt.recorder().new_shard());
   }
   if (config_.consumer_key >= 0) {
     get_shard_ = rt.recorder().new_shard();
@@ -220,12 +219,12 @@ RemoteEndpoint::PutResult RemoteChannel::put(std::shared_ptr<Item> item,
   // keeps pacing at the last known downstream rate instead of either
   // stalling or free-running.
   drops_.fetch_add(1, std::memory_order_relaxed);
-  put_shard_->record(stats::Event{.type = stats::EventType::kDrop,
-                                  .node = node_,
-                                  .ts = item->ts(),
-                                  .item = item->id(),
-                                  .t = ctx_.now_ns(),
-                                  .a = 1});
+  put_link_->record(stats::Event{.type = stats::EventType::kDrop,
+                                 .node = node_,
+                                 .ts = item->ts(),
+                                 .item = item->id(),
+                                 .t = ctx_.now_ns(),
+                                 .a = 1});
   return PutResult{.summary = held, .dropped = true};
 }
 
@@ -240,6 +239,9 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
   if (!get_link_) {
     throw std::logic_error("RemoteChannel::get_latest: no consumer_key configured");
   }
+  // A proxy that also puts sends what this thread has staged first: a get
+  // must not park on the server behind the caller's own unsent puts.
+  if (put_link_) put_link_->send_staged();
   const Nanos t0 = ctx_.clock->now();
   const FrameBuf frame =
       encode(GetMsg{.consumer_summary = consumer_summary, .guarantee = guarantee});

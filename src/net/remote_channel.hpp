@@ -110,11 +110,11 @@ class RemoteChannel final : public RemoteEndpoint {
 
   /// Separate links (and trace shards) for the two directions, so a
   /// blocking get parked on the server never head-of-line-blocks puts.
-  /// Each transport is driven by exactly one task thread (its shard's
-  /// single writer): the producer owns put_link_, the consumer get_link_.
+  /// The producer drives put_link_ and the consumer get_link_; the one
+  /// cross-link call, a get sending the put link's staged frames, goes
+  /// through the put link's locks.
   std::unique_ptr<Transport> put_link_;
   std::unique_ptr<Transport> get_link_;
-  stats::Shard* put_shard_ = nullptr;  ///< written only by the putting thread
   stats::Shard* get_shard_ = nullptr;  ///< written only by the getting thread
 
   std::atomic<std::int64_t> summary_ns_{aru::kUnknownStp.count()};

@@ -122,6 +122,7 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
       };
       met_flush_window_ = reason_counter("window");
       met_flush_bytes_ = reason_counter("bytes");
+      met_flush_idle_ = reason_counter("idle");
       met_flush_age_ = reason_counter("age");
       met_flush_explicit_ = reason_counter("explicit");
       met_batch_ = &reg.histogram("aru_net_put_batch_frames",
@@ -330,6 +331,7 @@ bool Transport::flush_staged_locked(FlushReason reason, EventBatch& events) {
   switch (reason) {
     case FlushReason::kWindow: reason_counter = met_flush_window_; break;
     case FlushReason::kBytes: reason_counter = met_flush_bytes_; break;
+    case FlushReason::kIdle: reason_counter = met_flush_idle_; break;
     case FlushReason::kAge: reason_counter = met_flush_age_; break;
     case FlushReason::kExplicit: reason_counter = met_flush_explicit_; break;
   }
@@ -492,15 +494,19 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
       out.status = RpcStatus::kDisconnected;
     } else if ((in_flight_locked() + 1 >= effective_window_locked() ||
                 ++puts_since_drain_ >= kDrainEvery ||
-                Nanos{ctx_.now_ns() - last_drain_ns_} >= kFlushInterval) &&
+                Nanos{ctx_.now_ns() - last_drain_ns_} >= kFlushInterval ||
+                (sendbuf_.empty() && in_flight_locked() > 0 &&
+                 payload.size() <= kInlinePayloadMax)) &&
                !drain_acks_locked(events)) {
       // Collect already-arrived acks when the window is about to block —
       // polling the socket on every put costs a syscall the steady state
       // doesn't need (coalesced acks arrive in clumps anyway). The
       // kDrainEvery cadence bounds summary-STP feedback staleness and
       // keeps a slow producer's receive buffer drained of heartbeats even
-      // though its window never fills. False = link died (a hung-up peer
-      // reads as end of stream); the item was never queued.
+      // though its window never fills. A small put that would open a new
+      // batch behind unacked puts also drains, so the idle test below
+      // sees every ack that has arrived. False = link died (a hung-up
+      // peer reads as end of stream); the item was never queued.
       out.status = RpcStatus::kDisconnected;
     } else {
       // Make room: window-full means we owe the server a flush (it cannot
@@ -519,6 +525,9 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         }
       }
       if (ok && !remote_closed_) {  // an ack read above may have closed it
+        // Nagle: a put onto an idle link leaves at once; only puts behind
+        // unacked ones are staged to batch with what follows.
+        const bool idle = in_flight_locked() == 0;
         msg.seq = next_seq_++;
         WindowSlot& slot =
             window_[static_cast<std::size_t>((msg.seq - 1) % window_.size())];
@@ -566,13 +575,16 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
 
         // Flush triggers beyond the inline ones: the window just filled
         // (next put would block anyway), the batch is big enough to
-        // amortize its syscall, or the oldest staged frame aged out.
+        // amortize its syscall, the link was idle before this put, or the
+        // oldest staged frame aged out.
         if (!flushed_inline && stream_.valid() && !sendbuf_.empty()) {
           if (in_flight_locked() >= effective_window_locked() ||
               in_flight_bytes_ >= kPutWindowBytes) {
             flush_staged_locked(FlushReason::kWindow, events);
           } else if (sendbuf_.size() >= kFlushBytes) {
             flush_staged_locked(FlushReason::kBytes, events);
+          } else if (idle) {
+            flush_staged_locked(FlushReason::kIdle, events);
           } else if (Nanos{ctx_.now_ns() - first_staged_ns_} >= kFlushInterval) {
             flush_staged_locked(FlushReason::kAge, events);
           }
@@ -609,6 +621,23 @@ bool Transport::flush_puts(std::stop_token st) {
     if (drained) return true;
     if (wait_for_link) ctx_.clock->sleep_for(kRetrySlice);
   }
+}
+
+bool Transport::send_staged() {
+  // A link held by another thread is mid-put there (perhaps waiting out
+  // a full window on this very get's progress): that thread flushes its
+  // own staging, so skip rather than wait.
+  if (!mu_.try_lock()) return true;
+  EventBatch& events = tl_rpc_events();
+  const bool ok = !stream_.valid() || flush_staged_locked(FlushReason::kExplicit, events);
+  mu_.unlock();
+  flush(events);  // outside mu_: the shard lock ranks below kNet
+  return ok;
+}
+
+void Transport::record(const stats::Event& e) {
+  const util::MutexLock lock(stats_mu_);
+  shard_->record(e);
 }
 
 std::size_t Transport::puts_in_flight() const {

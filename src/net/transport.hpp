@@ -29,13 +29,14 @@
 /// Puts go through `put_pipelined`, which assigns the put a sequence
 /// number, parks the encoded frame + payload in a bounded in-flight
 /// window, stages it in a SendBuffer (flushed on window-full,
-/// buffer-full, or a small age bound — many envelopes and small payload
-/// tails per sendmsg; payloads sent straight from the item's pooled slab
-/// via scatter-gather), and returns once queued. Coalesced `PutAckMsg`
-/// frames (cumulative seq + credits + summary-STP) release window slots
-/// and refresh the pacing feedback; the producer still paces against
-/// summary-STP, it just learns it from the latest coalesced ack instead
-/// of a per-item round trip. On reconnect the handshake advertises the
+/// buffer-full, a put onto an idle link as Nagle does, or a small age
+/// bound — many envelopes and small payload tails per sendmsg; payloads
+/// sent straight from the item's pooled slab via scatter-gather), and
+/// returns once queued. Coalesced `PutAckMsg` frames (cumulative seq +
+/// credits + summary-STP) release window slots and refresh the pacing
+/// feedback; the producer still paces against summary-STP, it just
+/// learns it from the latest coalesced ack instead of a per-item round
+/// trip. On reconnect the handshake advertises the
 /// transport's random session id and resume seq, then the unacked window
 /// tail is resent — the server suppresses duplicates by (session, seq),
 /// preserving the channel's at-most-once semantics.
@@ -162,6 +163,15 @@ class Transport {
   /// drained. For tests, benches, and orderly teardown.
   bool flush_puts(std::stop_token st) EXCLUDES(mu_, stats_mu_);
 
+  /// Sends the staged put frames now, without waiting for their acks —
+  /// unless another thread holds the link, which then flushes its own.
+  /// False when the link died (the window keeps the puts for a resend).
+  bool send_staged() EXCLUDES(mu_, stats_mu_);
+
+  /// Appends one event to this link's trace shard under the shard lock,
+  /// so a thread other than the one putting on this link may record.
+  void record(const stats::Event& e) EXCLUDES(stats_mu_);
+
   /// Unacked pipelined puts currently in flight (diagnostics/tests).
   std::size_t puts_in_flight() const EXCLUDES(mu_);
 
@@ -179,7 +189,7 @@ class Transport {
   using EventBatch = std::vector<stats::Event>;
 
   /// Why a staged put batch left the send buffer (flush-reason counters).
-  enum class FlushReason : std::uint8_t { kWindow, kBytes, kAge, kExplicit };
+  enum class FlushReason : std::uint8_t { kWindow, kBytes, kIdle, kAge, kExplicit };
 
   /// One in-flight pipelined put: the encoded frame, the payload span it
   /// announces, and the shared_ptr that keeps the payload's slab alive
@@ -323,6 +333,7 @@ class Transport {
   telemetry::Gauge* met_window_ = nullptr;          ///< aru_net_puts_in_flight
   telemetry::Counter* met_flush_window_ = nullptr;  ///< aru_net_put_flush_total{reason=window}
   telemetry::Counter* met_flush_bytes_ = nullptr;   ///< …{reason=bytes}
+  telemetry::Counter* met_flush_idle_ = nullptr;    ///< …{reason=idle}
   telemetry::Counter* met_flush_age_ = nullptr;     ///< …{reason=age}
   telemetry::Counter* met_flush_explicit_ = nullptr;  ///< …{reason=explicit}
   telemetry::Histogram* met_batch_ = nullptr;       ///< aru_net_put_batch_frames

@@ -341,21 +341,25 @@ bool TaskContext::put(std::size_t idx, std::shared_ptr<Item> item) {
 
   // Attribute the compute accumulated since the last put as this item's
   // production cost (the paper's per-item wasted-computation accounting).
-  const Nanos produce_cost = unattributed_compute_;
-  unattributed_compute_ = Nanos{0};
-  item->set_produce_cost(produce_cost);
-  shard_->record_item(stats::ItemRecord{
-      .id = item->id(),
-      .ts = item->ts(),
-      .bytes = static_cast<std::int64_t>(item->bytes()),
-      .producer = id_,
-      .cluster_node = config_.cluster_node,
-      .t_alloc = item->t_alloc(),
-      .produce_cost = produce_cost.count(),
-      .lineage = item->lineage(),
-  });
-  if (produce_cost.count() > 0) {
-    record(stats::EventType::kCompute, produce_cost.count(), 0, item->id(), item->ts());
+  // A forwarded item (made by another node, e.g. fetched off the wire)
+  // keeps its producer's record and cost; the compute stays unattributed.
+  if (item->producer() == id_) {
+    const Nanos produce_cost = unattributed_compute_;
+    unattributed_compute_ = Nanos{0};
+    item->set_produce_cost(produce_cost);
+    shard_->record_item(stats::ItemRecord{
+        .id = item->id(),
+        .ts = item->ts(),
+        .bytes = static_cast<std::int64_t>(item->bytes()),
+        .producer = id_,
+        .cluster_node = config_.cluster_node,
+        .t_alloc = item->t_alloc(),
+        .produce_cost = produce_cost.count(),
+        .lineage = item->lineage(),
+    });
+    if (produce_cost.count() > 0) {
+      record(stats::EventType::kCompute, produce_cost.count(), 0, item->id(), item->ts());
+    }
   }
 
   Nanos summary{0};

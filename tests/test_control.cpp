@@ -7,6 +7,9 @@
 /// Two tiers, like test_net_reconnect: in-process structure tests that
 /// run everywhere, and multi-process supervision tests driving the real
 /// spd_node binary (SPD_NODE_PATH).
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -227,12 +230,14 @@ class FragmentTest : public ::testing::Test {
 };
 
 TEST_F(FragmentTest, RemoteSlotsAreDeterministicSpecOrder) {
-  // frames lives on mid; its remote producers/consumers are the off-node
-  // peers in spec task order. background/histogram are local to mid, so
-  // the remote consumers are exactly detect1, detect2.
+  // frames lives on mid; its remote producers are the off-node tasks in
+  // spec task order, its remote consumers the off-node *nodes* in order
+  // of their first reading task. background/histogram are local to mid,
+  // and detect1/detect2 share back's one fetch, so back is the only
+  // remote consumer.
   const ChannelSlots frames = remote_slots(manifest_, spec_, "frames");
   EXPECT_EQ(frames.producers, (std::vector<std::string>{"digitizer"}));
-  EXPECT_EQ(frames.consumers, (std::vector<std::string>{"detect1", "detect2"}));
+  EXPECT_EQ(frames.consumers, (std::vector<std::string>{"back"}));
 
   // loc1 is on back with both endpoints local: no remote slots, so the
   // back node's server never exports it.
@@ -249,6 +254,7 @@ TEST_F(FragmentTest, FrontHostsDigitizerAndOneProxy) {
   EXPECT_EQ(frag.tasks, (std::vector<std::string>{"digitizer"}));
   EXPECT_TRUE(frag.channels.empty());
   EXPECT_EQ(frag.proxies.size(), 1u);  // frames output -> mid
+  EXPECT_EQ(rt.tasks(), 1u) << "no remote inputs, so no fetch task";
   EXPECT_EQ(frag.server, nullptr) << "no local channels, nothing to serve";
 }
 
@@ -258,17 +264,125 @@ TEST_F(FragmentTest, MidHostsAnalysisChannelsAndServesThem) {
   EXPECT_EQ(frag.channels, (std::vector<std::string>{"frames", "masks", "hists"}));
   EXPECT_EQ(frag.tasks, (std::vector<std::string>{"background", "histogram"}));
   EXPECT_TRUE(frag.proxies.empty()) << "background/histogram touch only mid channels";
+  EXPECT_EQ(rt.tasks(), 2u) << "no remote inputs, so no fetch task";
+  EXPECT_EQ(rt.channels(), 3u) << "no mirrors";
   ASSERT_NE(frag.server, nullptr);
 }
 
-TEST_F(FragmentTest, BackHostsDetectionWithSixProxies) {
+TEST_F(FragmentTest, BackFetchesEachMidChannelOnceIntoMirrors) {
   Runtime rt;
   const Fragment frag = build_fragment(rt, manifest_, spec_, "back");
   EXPECT_EQ(frag.tasks, (std::vector<std::string>{"detect1", "detect2", "gui"}));
   EXPECT_EQ(frag.channels, (std::vector<std::string>{"loc1", "loc2"}));
-  // detect1 + detect2 each reach back to mid for masks, hists, frames.
-  EXPECT_EQ(frag.proxies.size(), 6u);
+  // detect1 + detect2 share one proxy per mid channel, in spec channel
+  // order, each feeding a same-named mirror that both detectors read.
+  ASSERT_EQ(frag.proxies.size(), 3u);
+  EXPECT_EQ(frag.proxies[0]->name(), "frames");
+  EXPECT_EQ(frag.proxies[1]->name(), "masks");
+  EXPECT_EQ(frag.proxies[2]->name(), "hists");
+  EXPECT_EQ(rt.channels(), 5u) << "loc1, loc2 and three mirrors";
+  EXPECT_EQ(rt.tasks(), 4u) << "the three spec tasks plus one fetch task";
   EXPECT_EQ(frag.server, nullptr) << "loc1/loc2 have no remote peers";
+}
+
+/// source -> stream -> {reader1, reader2}: the stream and its source on
+/// node "a", both readers on node "b". Reader k records the ids it gets
+/// in seen[k] (read once the readers are joined) and its newest
+/// timestamp in newest[k].
+struct FanOut {
+  std::array<std::vector<ItemId>, 2> seen;
+  std::array<std::atomic<Timestamp>, 2> newest{Timestamp{-1}, Timestamp{-1}};
+};
+
+PipelineSpec fan_out_spec(std::size_t payload) {
+  PipelineSpec spec;
+  spec.name = "fanout";
+  spec.channels = {"stream"};
+  spec.tasks = {
+      {.name = "source", .inputs = {}, .outputs = {"stream"}},
+      {.name = "reader1", .inputs = {"stream"}, .outputs = {}},
+      {.name = "reader2", .inputs = {"stream"}, .outputs = {}},
+  };
+  spec.make_state = [](const PipelineParams&) -> std::shared_ptr<void> {
+    return std::make_shared<FanOut>();
+  };
+  spec.make_body = [payload](const std::string& task, const PipelineParams&,
+                             const std::shared_ptr<void>& state) -> TaskBody {
+    auto fan = std::static_pointer_cast<FanOut>(state);
+    if (task == "source") {
+      return [payload, ts = Timestamp{0}](TaskContext& ctx) mutable {
+        if (ts == 40) return TaskStatus::kDone;
+        auto item = ctx.make_item(ts++, payload, {});
+        std::ranges::fill(item->mutable_data(), std::byte{1});
+        ctx.put(0, item);
+        ctx.clock().sleep_for(millis(5));
+        return TaskStatus::kContinue;
+      };
+    }
+    const std::size_t k = task == "reader1" ? 0 : 1;
+    return [fan, k](TaskContext& ctx) {
+      // Read every item (get_next), so both readers must see the same ids.
+      auto item = ctx.get_next(0);
+      if (!item) return TaskStatus::kDone;
+      fan->seen[k].push_back(item->id());
+      fan->newest[k].store(item->ts());
+      return TaskStatus::kContinue;
+    };
+  };
+  return spec;
+}
+
+TEST(FragmentLoopback, TwoLocalReadersShareOneFetch) {
+  constexpr std::size_t kPayload = 64 * 1024;
+  constexpr std::size_t kItems = 40;
+  const std::uint16_t port_a = free_port();
+  const std::uint16_t port_b = free_port();
+  ASSERT_NE(port_a, 0);
+  ASSERT_NE(port_b, 0);
+  ASSERT_NE(port_a, port_b);
+  const PipelineSpec spec = fan_out_spec(kPayload);
+  Manifest m = Manifest::parse(
+      opts("pipeline=fanout\n"
+           "node.a=127.0.0.1:" + std::to_string(port_a) + "\n"
+           "node.b=127.0.0.1:" + std::to_string(port_b) + "\n"
+           "place.source=a\nplace.stream=a\nplace.reader1=b\nplace.reader2=b\n"));
+  validate(m, spec);
+
+  Runtime rt_a;
+  Runtime rt_b;
+  Fragment frag_a = build_fragment(rt_a, m, spec, "a");
+  Fragment frag_b = build_fragment(rt_b, m, spec, "b");
+  ASSERT_NE(frag_a.server, nullptr);
+  ASSERT_EQ(frag_b.proxies.size(), 1u) << "one proxy for the node, not one per reader";
+  rt_a.start();
+  frag_a.server->start();
+  rt_b.start();
+
+  auto& fan = *std::static_pointer_cast<FanOut>(frag_b.state);
+  const auto read_all = [&] {
+    const Timestamp last = static_cast<Timestamp>(kItems) - 1;
+    return fan.newest[0].load() == last && fan.newest[1].load() == last;
+  };
+  Clock& clock = RealClock::instance();
+  const Nanos deadline = clock.now() + seconds(30);
+  while (!read_all() && clock.now() < deadline) clock.sleep_for(millis(10));
+  const double rx = static_cast<double>(
+      rt_b.metrics().counter("aru_net_rx_bytes_total", "", {{"link", "stream/get"}}).value());
+  rt_b.stop();
+  rt_a.stop();
+  frag_a.server->stop();
+
+  ASSERT_TRUE(read_all()) << "the readers never saw the last item";
+  // The fetch may skip an item the source outran; what it fetched, both
+  // readers read (get_next), as the same local item.
+  const std::vector<ItemId>& ids = fan.seen[0];
+  ASSERT_GE(ids.size(), kItems / 2);
+  EXPECT_EQ(ids, fan.seen[1]) << "both readers see the same fetched items";
+  // Every item crossed the wire once: about one payload per item (plus
+  // envelopes and heartbeats), where a proxy per reader would take two.
+  const double payloads = static_cast<double>(ids.size() * kPayload);
+  EXPECT_GE(rx, payloads);
+  EXPECT_LT(rx, 1.25 * payloads);
 }
 
 TEST_F(FragmentTest, UnknownOrEmptyNodeIsRejected) {

@@ -530,6 +530,47 @@ TEST(PipelinedReconnect, WindowedPutsDeliverEverythingOnDrain) {
       << "acks must be coalesced, not one per put";
 }
 
+TEST(PipelinedReconnect, SmallPutOnAnIdleLinkLeavesAtOnce) {
+  // A 1 KiB put is small enough to be staged for batching, but with no
+  // put in flight before it, it must leave at once (Nagle): a get sent
+  // right behind it on another proxy's link sees it well inside
+  // io_timeout, with no drain_puts in between.
+  Runtime rt(RuntimeConfig{.aru = {.mode = aru::Mode::kMin}});
+  Channel& ch = rt.add_channel({.name = "records"});
+  ChannelServer server(rt, {{.channel = &ch, .remote_producers = 1,
+                             .remote_consumers = 1}});
+  server.start();
+  const TransportConfig transport = fast_transport(server.port());
+  RemoteChannel writer(rt, {.name = "records", .transport = transport, .producer_key = 0});
+  RemoteChannel reader(rt, {.name = "records", .transport = transport, .consumer_key = 0});
+
+  // A watchdog stop, so a put that stays staged fails the test instead of
+  // parking the get forever.
+  std::stop_source stop;
+  std::jthread watchdog([&](std::stop_token done) {
+    const Nanos deadline = rt.clock().now() + seconds(5);
+    while (!done.stop_requested() && rt.clock().now() < deadline) {
+      rt.clock().sleep_for(millis(10));
+    }
+    stop.request_stop();
+  });
+
+  for (Timestamp ts = 0; ts < 3; ++ts) {
+    const Nanos t0 = rt.clock().now();
+    const auto put = writer.put(make_item(rt, ts, 1024), stop.get_token());
+    EXPECT_TRUE(put.stored);
+    const auto got = reader.get_latest(aru::kUnknownStp, kNoTimestamp, stop.get_token());
+    const Nanos took = rt.clock().now() - t0;
+    ASSERT_NE(got.item, nullptr) << "put " << ts << " stayed staged";
+    EXPECT_EQ(got.item->ts(), ts);
+    EXPECT_LT(took, transport.io_timeout / 2) << "put " << ts;
+    // Let the ack come back, so the next put again finds the link idle.
+    rt.clock().sleep_for(millis(20));
+  }
+  watchdog.request_stop();
+  server.stop();
+}
+
 TEST(PipelinedReconnect, BackpressureThrottlesTheWindowWithoutLoss) {
   // A bounded channel with no consumer caps the advertised credits; the
   // producer's effective window shrinks to the channel's slack and the

@@ -1,6 +1,8 @@
 /// \file test_task_api.cpp
 /// \brief TaskContext surface: access modes from tasks, release_until,
 ///        compute accounting/dilation, monitor gauges, error paths.
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "runtime/runtime.hpp"
@@ -257,6 +259,70 @@ TEST(TaskApi, AccountComputeCountsWithoutSleeping) {
   // The item's produce_cost carries the accounted 500 ms.
   ASSERT_FALSE(trace.items.empty());
   EXPECT_EQ(trace.items[0].produce_cost, millis(500).count());
+}
+
+TEST(TaskApi, ForwardedItemKeepsItsProducerAndCost) {
+  // A relay task puts items it did not make (as a node's fetch task puts
+  // items it received off the wire into a mirror channel). The put must
+  // leave the maker's identity alone: producer, produce cost, one
+  // ItemRecord per id, and no kCompute booked by the relay.
+  Runtime rt;
+  Channel& in = rt.add_channel({.name = "in"});
+  Channel& out = rt.add_channel({.name = "out"});
+  auto next_ts = std::make_shared<Timestamp>(0);
+  TaskContext& src = rt.add_task({.name = "src", .body = [next_ts](TaskContext& ctx) {
+                                    if (*next_ts == 20) return TaskStatus::kDone;
+                                    ctx.account_compute(millis(7));
+                                    ctx.put(0, ctx.make_item((*next_ts)++, 64, {}));
+                                    return TaskStatus::kContinue;
+                                  }});
+  TaskContext& relay = rt.add_task({.name = "relay", .body = [](TaskContext& ctx) {
+                                      auto item = ctx.get(0);
+                                      if (!item) return TaskStatus::kDone;
+                                      ctx.account_compute(millis(3));
+                                      ctx.put(0, std::const_pointer_cast<Item>(item));
+                                      return TaskStatus::kContinue;
+                                    }});
+  struct Seen {
+    NodeId producer;
+    Nanos cost;
+  };
+  auto seen = std::make_shared<std::vector<Seen>>();
+  TaskContext& snk = rt.add_task({.name = "snk", .body = [seen](TaskContext& ctx) {
+                                    auto item = ctx.get(0);
+                                    if (!item) return TaskStatus::kDone;
+                                    seen->push_back({item->producer(), item->produce_cost()});
+                                    ctx.emit(*item);
+                                    return TaskStatus::kContinue;
+                                  }});
+  rt.connect(src, in);
+  rt.connect(in, relay);
+  rt.connect(relay, out);
+  rt.connect(out, snk);
+  rt.start();
+  ASSERT_TRUE(rt.wait_emits(1, seconds(10)));
+  rt.clock().sleep_for(millis(100));
+  rt.stop();
+
+  ASSERT_FALSE(seen->empty());
+  for (const Seen& s : *seen) {
+    EXPECT_EQ(s.producer, src.id());
+    EXPECT_EQ(s.cost, millis(7));
+  }
+  const stats::Trace trace = rt.take_trace();
+  std::map<ItemId, int> records;
+  for (const stats::ItemRecord& rec : trace.items) {
+    ++records[rec.id];
+    EXPECT_EQ(rec.producer, src.id());
+    EXPECT_EQ(rec.produce_cost, millis(7).count());
+  }
+  EXPECT_EQ(records.size(), 20u);
+  for (const auto& [id, n] : records) EXPECT_EQ(n, 1) << "item " << id;
+  for (const stats::Event& e : trace.events) {
+    if (e.type == stats::EventType::kCompute && e.node == relay.id()) {
+      EXPECT_EQ(e.item, 0) << "the relay's compute is not any forwarded item's cost";
+    }
+  }
 }
 
 }  // namespace
