@@ -7,7 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/peer_arena.hpp"
 #include "runtime/item.hpp"
+#include "runtime/pool.hpp"
 #include "util/log.hpp"
 
 namespace stampede::net {
@@ -41,7 +43,8 @@ constexpr std::int64_t kAckCoalescedBytes = 1 << 20;
 /// their WireItem, so the attrs vector's capacity persists across
 /// messages). The payload bytes are not copied anywhere: the frame
 /// announces their size and the caller sends them scatter-gather
-/// straight from the item's pooled slab.
+/// straight from the item's pooled slab, or names the slab's arena
+/// offset instead.
 ARU_ALLOCATES ARU_ANALYZE_ESCAPE("fills the caller's reused WireItem — attrs capacity persists across messages")
 void to_wire(const Item& item, WireItem& wi) {
   wi.ts = item.ts();
@@ -51,6 +54,7 @@ void to_wire(const Item& item, WireItem& wi) {
   wi.attrs.push_back({kTagProducerNode, item.producer()});
   wi.attrs.push_back({kTagClusterNode, item.cluster_node()});
   wi.payload_bytes = static_cast<std::uint32_t>(item.bytes());
+  wi.arena_offset = kNoArenaOffset;
 }
 
 /// Resets a reused WireItem to the encoded-when-absent shape without
@@ -61,6 +65,7 @@ void clear_wire_item(WireItem& wi) {
   wi.produce_cost_ns = 0;
   wi.attrs.clear();
   wi.payload_bytes = 0;
+  wi.arena_offset = kNoArenaOffset;
 }
 
 /// Appends into a reused message vector: after the first message on each
@@ -128,9 +133,14 @@ RemoteChannel::RemoteChannel(Runtime& rt, RemoteChannelConfig config)
   }
   node_ = rt.add_remote_node(config_.name, NodeKind::kChannel);
   if (config_.producer_key >= 0) {
+    // A put proxy sends payloads: from here on this runtime's recycled
+    // slabs live in its shared arena, which the Hello offers the server.
+    ctx_.pool->enable_arena();
     put_link_ = std::make_unique<Transport>(
         ctx_, node_, config_.transport,
-        HelloMsg{.channel = config_.name, .producer_key = config_.producer_key},
+        HelloMsg{.channel = config_.name,
+                 .producer_key = config_.producer_key,
+                 .arena = local_arena(*ctx_.pool)},
         rt.recorder().new_shard());
   }
   if (config_.consumer_key >= 0) {
@@ -243,8 +253,7 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
   // must not park on the server behind the caller's own unsent puts.
   if (put_link_) put_link_->send_staged();
   const Nanos t0 = ctx_.clock->now();
-  const FrameBuf frame =
-      encode(GetMsg{.consumer_summary = consumer_summary, .guarantee = guarantee});
+  GetMsg request{.consumer_summary = consumer_summary, .guarantee = guarantee};
   EnvelopeBody body;
 
   // Reused across retries and calls: decode() overwrites every field and
@@ -255,36 +264,22 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     const Nanos attempt_start = ctx_.clock->now();
     Nanos link_wait{0};
     std::shared_ptr<Item> item;
-    bool decoded = false;
-    // Payload-bearing replies decode inside the sink so the wire bytes
-    // land directly in a freshly acquired pooled buffer — the transport
-    // receives into the span we return, no intermediate copy.
-    const PayloadSink sink = [&](const FrameHeader& header,
-                                 std::span<const std::byte> env) -> std::span<std::byte> {
-      if (!decode(env, reply, nullptr)) return {};
-      decoded = true;
-      if (!reply.has_item || reply.item.payload_bytes != header.payload_len) return {};
+    // The reply decodes inside the sink so the payload lands directly in
+    // a freshly acquired pooled buffer — received from the tail, or copied
+    // out of the server's arena — with no intermediate copy. A tail whose
+    // length disagrees with the envelope drops the link in the transport.
+    const PayloadSink sink = [&](const FrameHeader&, std::span<const std::byte> env)
+        -> std::optional<PayloadDest> {
+      if (!decode(env, reply, nullptr)) return std::nullopt;
+      if (!reply.has_item) return PayloadDest{};
       item = materialize(ctx_, reply.item, node_, config_.cluster_node, get_shard_);
-      return item->mutable_data();
+      return PayloadDest{.bytes = item->mutable_data(),
+                         .arena_offset = reply.item.arena_offset};
     };
-    const auto status =
-        get_link_->rpc(frame, MsgType::kGetReply, body, sink, st, &link_wait);
+    const auto status = get_link_->rpc(request, body, sink, st, &link_wait);
     if (status == Transport::RpcStatus::kStopped) break;
     if (status == Transport::RpcStatus::kDisconnected) continue;  // re-issue
 
-    if (!decoded) {
-      // No payload tail announced, so the sink never ran: decode the
-      // envelope here. An item envelope claiming payload bytes the frame
-      // did not carry is a protocol violation.
-      if (!decode(body.span(), reply, nullptr) ||
-          (reply.has_item && reply.item.payload_bytes != 0)) {
-        get_link_->disconnect();
-        continue;
-      }
-      if (reply.has_item) {
-        item = materialize(ctx_, reply.item, node_, config_.cluster_node, get_shard_);
-      }
-    }
     if (aru::known(reply.summary)) hold_summary(reply.summary);
     if (!reply.has_item) {
       if (reply.closed) break;  // remote channel closed and drained
@@ -321,6 +316,9 @@ ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
           "ChannelServer: channel name exceeds kMaxNameBytes (" +
           std::to_string(kMaxNameBytes) + "): '" + sc.channel->name() + "'");
     }
+    // A served channel with remote consumers sends payloads: its items
+    // come from the shared arena a consumer's HelloAck offers.
+    if (sc.remote_consumers > 0) ctx_.pool->enable_arena();
     Served s{.channel = sc.channel};
     s.slot_attaches = std::make_unique<std::atomic<std::int64_t>[]>(
         static_cast<std::size_t>(sc.remote_producers + sc.remote_consumers));
@@ -507,6 +505,14 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
                   : cap > size          ? static_cast<std::uint32_t>(cap - size)
                                         : 0;
   }
+  // Same-host handoff (wire v5): map a producer's arena if it checks out,
+  // and offer a consumer ours. Either side without one gets the tail.
+  std::unique_ptr<PeerArena> client_arena;
+  if (ack.ok && hello.producer_key >= 0) {
+    client_arena = PeerArena::map(hello.arena);
+    ack.peer_mapped = client_arena != nullptr;
+  }
+  if (ack.ok && hello.consumer_key >= 0) ack.arena = local_arena(*ctx_.pool);
   if (stream.send_all(encode(ack).span(), config_.io_timeout) != IoStatus::kOk) return;
   if (!ack.ok) {
     STAMPEDE_LOG(kWarn) << "net.server: rejected hello: " << ack.message;
@@ -528,12 +534,12 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
 
   stats::Shard* shard = acquire_shard();
   state.shard = shard;  // published to the reaper by the done flag
-  serve_attached(stream, *served, hello, shard, st);
+  serve_attached(stream, *served, hello, client_arena.get(), shard, st);
 }
 
 void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
-                                   const HelloMsg& hello, stats::Shard* shard,
-                                   std::stop_token st) {
+                                   const HelloMsg& hello, const PeerArena* client_arena,
+                                   stats::Shard* shard, std::stop_token st) {
   Channel& channel = *served.channel;
   const NodeId chan_node = channel.id();
   std::int64_t last_tx = ctx_.now_ns();
@@ -547,8 +553,10 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   SendBuffer out;
   RecvBuffer in;
 
+  // `arena_bytes`: payload handed over in our arena instead of the tail;
+  // it counts in the tx bytes all the same.
   auto send_frame = [&](const FrameBuf& frame, std::span<const std::byte> payload,
-                        MsgType type) {
+                        MsgType type, std::size_t arena_bytes = 0) {
     if (out.flush_with(stream, frame.span(), payload, config_.io_timeout) !=
         IoStatus::kOk) {
       return false;
@@ -558,7 +566,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         .type = stats::EventType::kNetTx,
         .node = chan_node,
         .t = last_tx,
-        .a = static_cast<std::int64_t>(frame.len + payload.size()),
+        .a = static_cast<std::int64_t>(frame.len + payload.size() + arena_bytes),
         .b = static_cast<std::int64_t>(type)});
     return true;
   };
@@ -611,8 +619,12 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   bool ack_pending = false;
   std::int64_t puts_since_ack = 0;
   std::int64_t bytes_since_ack = 0;
-  bool last_stored = false;
   Nanos last_summary = channel.summary();
+
+  // The last get reply's item while the consumer copies it out of our
+  // arena: pinned until its kRelease, its next kGet or its hang-up, so a
+  // connection holds at most one.
+  std::shared_ptr<const Item> lent;
 
   // Reused per-connection message scratch: decode() and the assignments
   // below overwrite every field, and the stp/attrs vector capacities
@@ -633,7 +645,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
 
   auto emit_put_ack = [&]() -> bool {
     if (!ack_pending) return true;
-    put_ack.stored = last_stored;
     put_ack.closed = channel.closed();
     put_ack.summary = last_summary;
     put_ack.cum_seq = pseq != nullptr ? pseq->last_seq.load(std::memory_order_relaxed) : 0;
@@ -673,32 +684,52 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     if (header.payload_len != 0 && header.type != MsgType::kPut) {
       return;  // protocol violation: only puts carry payload client→server
     }
+    const std::span<const std::byte> body =
+        in.view().subspan(kHeaderBytes, header.body_len);
+    // A put decodes first, so an arena put's payload counts in the rx
+    // bytes like a tail's. Protocol violations: a put on a consumer-only
+    // link, a garbled envelope, or an unsequenced put (sequences start
+    // at 1).
+    bool arena_put = false;
+    if (header.type == MsgType::kPut) {
+      if (hello.producer_key < 0) return;
+      if (!decode(body, put_msg, nullptr) || put_msg.seq == 0) return;
+      arena_put = put_msg.item.arena_offset != kNoArenaOffset;
+    }
     shard->record(stats::Event{
         .type = stats::EventType::kNetRx,
         .node = chan_node,
         .t = ctx_.now_ns(),
         .a = static_cast<std::int64_t>(kHeaderBytes + header.body_len +
-                                       header.payload_len),
+                                       header.payload_len +
+                                       (arena_put ? put_msg.item.payload_bytes : 0)),
         .b = static_cast<std::int64_t>(header.type)});
-    const std::span<const std::byte> body =
-        in.view().subspan(kHeaderBytes, header.body_len);
 
     switch (header.type) {
       case MsgType::kPut: {
-        // Protocol violations: a put on a consumer-only link, a garbled
-        // envelope, an unsequenced put (sequences start at 1), or an
-        // envelope whose payload length disagrees with the frame's.
-        if (hello.producer_key < 0) return;
-        if (!decode(body, put_msg, nullptr) || put_msg.seq == 0) return;
-        in.consume(frame_bytes);  // payload tail is next in the buffer
-        if (put_msg.item.payload_bytes != header.payload_len) return;
-        // Materialize first, then receive the payload tail directly into
-        // the pooled slab — the frame-sized staging vector is gone.
+        // More violations: an envelope whose payload length disagrees with
+        // the frame's, or an arena offset on a frame that also carries a
+        // tail or on a link whose arena we did not map.
+        in.consume(frame_bytes);  // payload tail (if any) is next in the buffer
+        if (arena_put ? header.payload_len != 0 || client_arena == nullptr
+                      : put_msg.item.payload_bytes != header.payload_len) {
+          return;
+        }
+        // Materialize first, then land the payload directly in the pooled
+        // slab: one copy out of the producer's arena, or the tail received
+        // in place — the frame-sized staging vector is gone.
         auto item = materialize(
             ctx_, put_msg.item,
             served.producer_nodes[static_cast<std::size_t>(hello.producer_key)],
             channel.cluster_node(), shard);
-        if (header.payload_len > 0 && !read_payload(item->mutable_data())) return;
+        if (arena_put) {
+          // An offset outside the mapping never reads a byte past it.
+          if (!client_arena->copy_out(put_msg.item.arena_offset, item->mutable_data())) {
+            return;
+          }
+        } else if (header.payload_len > 0 && !read_payload(item->mutable_data())) {
+          return;
+        }
         const bool duplicate =
             put_msg.seq <= pseq->last_seq.load(std::memory_order_relaxed);
         if (duplicate) {
@@ -708,7 +739,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
           // the cumulative ack settles it again. At-most-once holds.
           ack_pending = true;
           ++puts_since_ack;
-          last_stored = true;
         } else {
           // Wait out a full bounded channel here (not in the channel):
           // heartbeats must keep flowing while backpressure holds the ack,
@@ -720,13 +750,12 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
             if (st.stop_requested() || stream.peer_hup() || !heartbeat_if_due()) return;
             res = channel.try_put(item, kServeSlice);
           }
-          last_stored = res->stored;
           last_summary = res->channel_summary;
           pseq->last_seq.store(put_msg.seq, std::memory_order_relaxed);
           ack_pending = true;
           ++puts_since_ack;
         }
-        bytes_since_ack += static_cast<std::int64_t>(header.payload_len);
+        bytes_since_ack += static_cast<std::int64_t>(put_msg.item.payload_bytes);
         if ((puts_since_ack >= kMaxCoalescedPuts ||
              bytes_since_ack >= kAckCoalescedBytes) &&
             !emit_put_ack()) {
@@ -738,6 +767,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         if (hello.consumer_key < 0) return;
         if (!decode(body, get_msg, nullptr)) return;
         in.consume(frame_bytes);
+        lent.reset();  // a new get means the last reply was copied
         // A connection holding both keys must see its puts settled before
         // the reply (reads-own-writes across one link).
         if (!emit_put_ack()) return;
@@ -758,19 +788,38 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         get_reply.skipped = res.skipped;
         get_reply.summary = channel.summary();
         channel.backward_stp_into(get_reply.stp);
+        std::span<const std::byte> payload;
+        std::size_t arena_bytes = 0;
         if (res.item) {
           to_wire(*res.item, get_reply.item);
+          // A consumer that mapped our arena copies an arena slab out of
+          // it; everything else rides the tail.
+          const std::uint64_t offset =
+              get_msg.arena ? ctx_.pool->arena_offset(res.item->data().data())
+                            : PayloadPool::kNotInArena;
+          if (offset != PayloadPool::kNotInArena) {
+            get_reply.item.arena_offset = offset;
+            arena_bytes = res.item->bytes();
+          } else {
+            payload = res.item->data();
+          }
         } else {
           clear_wire_item(get_reply.item);  // the frame encodes it either way
         }
         // The shared_ptr in `res` keeps the payload slab alive (and
         // un-recycled) for the duration of the scatter-gather send even if
-        // the channel overwrites the slot concurrently.
-        const std::span<const std::byte> payload =
-            res.item ? res.item->data() : std::span<const std::byte>{};
-        if (!send_frame(encode(get_reply), payload, MsgType::kGetReply)) return;
+        // the channel overwrites the slot concurrently; an arena slab stays
+        // lent until the consumer has copied it.
+        if (!send_frame(encode(get_reply), payload, MsgType::kGetReply, arena_bytes)) {
+          return;
+        }
+        if (arena_bytes > 0) lent = std::move(res.item);
         break;
       }
+      case MsgType::kRelease:
+        in.consume(frame_bytes);
+        lent.reset();
+        break;
       case MsgType::kClose:
         emit_put_ack();  // settle the tail of the burst before goodbye
         return;

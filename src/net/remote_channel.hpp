@@ -233,12 +233,14 @@ class ChannelServer {
   void accept_loop(TcpListener listener, std::stop_token st);
   void serve_connection(TcpStream stream, ConnState& state, std::stop_token st);
 
-  /// Handles one attached connection after a successful Hello. `shard` is
-  /// owned by this connection's thread. Hot-path root: this loop serves
+  /// Handles one attached connection after a successful Hello.
+  /// `client_arena` is the producer's arena as this connection mapped it
+  /// (null: puts must carry their payload tail). `shard` is owned by this
+  /// connection's thread. Hot-path root: this loop serves
   /// every put ack and get reply, so the STP piggyback must not allocate.
   ARU_HOT_PATH void serve_attached(TcpStream& stream, const Served& served,
-                                   const HelloMsg& hello, stats::Shard* shard,
-                                   std::stop_token st);
+                                   const HelloMsg& hello, const PeerArena* client_arena,
+                                   stats::Shard* shard, std::stop_token st);
 
   /// Joins and erases finished connection threads, returning their shards
   /// to the free pool. Runs on every accept-loop tick so reconnect churn

@@ -5,6 +5,7 @@
 #include <random>
 #include <utility>
 
+#include "runtime/pool.hpp"
 #include "telemetry/registry.hpp"
 
 namespace stampede::net {
@@ -58,6 +59,10 @@ constexpr std::size_t kFlushBytes = std::size_t{32} * 1024;
 /// Payload tails larger than this skip the staging copy and ride the
 /// flush as a zero-copy trailing iovec instead.
 constexpr std::size_t kInlinePayloadMax = std::size_t{8} * 1024;
+// An arena slab is never staged: the arena only holds recycled slabs, all
+// of which take the trailing-iovec branch of put_pipelined.
+static_assert(PayloadPool::kMinPooledBytes > kInlinePayloadMax);
+static_assert(PayloadPool::kNotInArena == kNoArenaOffset);
 
 /// Frames-per-flush histogram buckets (powers of two up to the largest
 /// sensible window).
@@ -106,6 +111,11 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
     met_reconnects_ = &reg.counter(
         "aru_net_reconnects_total",
         "Successful handshakes after the first (link recoveries).", labels);
+    met_arena_ = &reg.counter(
+        "aru_net_arena_bytes_total",
+        "Payload bytes handed over through a same-host peer's shared arena "
+        "instead of the TCP stream (also counted in tx/rx bytes).",
+        labels);
     if (!producer) {
       met_rpc_ = &reg.histogram(
           "aru_net_rpc_latency_ns",
@@ -169,6 +179,8 @@ void Transport::disconnect() {
 
 void Transport::disconnect_locked() {
   stream_.close();
+  peer_arena_.reset();
+  peer_mapped_ours_ = false;
   connected_.store(false, std::memory_order_relaxed);
 }
 
@@ -225,6 +237,8 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
     return fail();
   }
   credits_ = ack.credits;
+  peer_mapped_ours_ = ack.peer_mapped;
+  if (hello_.consumer_key >= 0) peer_arena_ = PeerArena::map(ack.arena);
 
   if (had_session_) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
@@ -342,18 +356,30 @@ bool Transport::flush_staged_locked(FlushReason reason, EventBatch& events) {
   return true;
 }
 
+std::span<const std::byte> Transport::encode_slot_locked(WindowSlot& slot) {
+  const bool arena = peer_mapped_ours_ && slot.arena_offset != kNoArenaOffset;
+  slot.msg.item.arena_offset = arena ? slot.arena_offset : kNoArenaOffset;
+  encode_into(slot.msg, frame_);
+  return arena ? std::span<const std::byte>{} : slot.payload;
+}
+
 bool Transport::resend_window_locked(EventBatch& events) {
   for (std::uint64_t s = cum_acked_ + 1; s < next_seq_; ++s) {
-    const WindowSlot& slot =
-        window_[static_cast<std::size_t>((s - 1) % window_.size())];
-    if (sendbuf_.flush_with(stream_, slot.frame.span(), slot.payload,
-                            config_.io_timeout) != IoStatus::kOk) {
+    WindowSlot& slot = window_[static_cast<std::size_t>((s - 1) % window_.size())];
+    // The old link's frame may name an arena this server never mapped
+    // (or omit one it now has): encode again for this link.
+    const std::span<const std::byte> tail = encode_slot_locked(slot);
+    if (sendbuf_.flush_with(stream_, frame_.span(), tail, config_.io_timeout) !=
+        IoStatus::kOk) {
       disconnect_locked();
       return false;
     }
     add_event(events, stats::EventType::kNetTx,
-              static_cast<std::int64_t>(slot.frame.len + slot.payload.size()),
+              static_cast<std::int64_t>(frame_.len + slot.payload.size()),
               static_cast<std::int64_t>(MsgType::kPut));
+    if (slot.msg.item.arena_offset != kNoArenaOffset && met_arena_ != nullptr) {
+      met_arena_->add(slot.payload.size());
+    }
   }
   return true;
 }
@@ -378,7 +404,7 @@ bool Transport::read_frame_locked(FrameHeader& header, EnvelopeBody& body) {
   return true;
 }
 
-Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, MsgType expect,
+Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
                                                 EnvelopeBody& reply_body,
                                                 const PayloadSink& sink,
                                                 EventBatch& events,
@@ -417,35 +443,59 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, MsgType e
       }
       continue;
     }
-    if (header.type != expect) {
+    if (header.type != MsgType::kGetReply) {
       disconnect_locked();
       return RpcStatus::kDisconnected;
     }
-    if (header.payload_len > 0) {
-      const std::span<std::byte> dest =
-          sink ? sink(header, reply_body.span()) : std::span<std::byte>{};
-      if (dest.size() != header.payload_len) {
-        // No destination (or a mis-sized one): the tail cannot be read
-        // into place, so the stream is unrecoverable — drop it.
-        disconnect_locked();
-        return RpcStatus::kDisconnected;
-      }
-      if (stream_.recv_exact(dest, config_.io_timeout) != IoStatus::kOk) {
-        disconnect_locked();
-        return RpcStatus::kDisconnected;
-      }
+    const std::optional<PayloadDest> dest =
+        sink ? sink(header, reply_body.span()) : std::optional<PayloadDest>{PayloadDest{}};
+    std::size_t arena_bytes = 0;
+    if (!dest) {
+      disconnect_locked();
+      return RpcStatus::kDisconnected;
     }
+    if (dest->arena_offset != kNoArenaOffset) {
+      // Same-host handoff: one copy out of the server's arena. A frame
+      // that also carries a tail, or an offset this link cannot read, is
+      // a protocol violation.
+      if (header.payload_len != 0 || peer_arena_ == nullptr ||
+          !peer_arena_->copy_out(dest->arena_offset, dest->bytes)) {
+        disconnect_locked();
+        return RpcStatus::kDisconnected;
+      }
+      arena_bytes = dest->bytes.size();
+      // Unpin the server's slab now rather than at the next get. The copy
+      // is done either way; a dead link shows at the next exchange.
+      const FrameBuf release = encode_release();
+      if (stream_.send_all(release.span(), config_.io_timeout) != IoStatus::kOk) {
+        disconnect_locked();
+      } else {
+        add_event(events, stats::EventType::kNetTx, static_cast<std::int64_t>(release.len),
+                  static_cast<std::int64_t>(MsgType::kRelease));
+      }
+    } else if (dest->bytes.size() != header.payload_len) {
+      // No destination (or a mis-sized one): the tail cannot be read into
+      // place, so the stream is unrecoverable — drop it.
+      disconnect_locked();
+      return RpcStatus::kDisconnected;
+    } else if (header.payload_len > 0 &&
+               stream_.recv_exact(dest->bytes, config_.io_timeout) != IoStatus::kOk) {
+      disconnect_locked();
+      return RpcStatus::kDisconnected;
+    }
+    // Payload bytes count in rx whichever way they travelled.
     add_event(events, stats::EventType::kNetRx,
               static_cast<std::int64_t>(kHeaderBytes + header.body_len +
-                                        header.payload_len),
+                                        header.payload_len + arena_bytes),
               static_cast<std::int64_t>(header.type));
+    if (arena_bytes > 0 && met_arena_ != nullptr) met_arena_->add(arena_bytes);
     return RpcStatus::kOk;
   }
 }
 
-Transport::RpcStatus Transport::rpc(const FrameBuf& frame, MsgType expect,
-                                    EnvelopeBody& reply_body, const PayloadSink& sink,
-                                    std::stop_token st, Nanos* link_wait) {
+Transport::RpcStatus Transport::rpc(GetMsg& request, EnvelopeBody& reply_body,
+                                    const PayloadSink& sink, std::stop_token st,
+                                    Nanos* link_wait) {
   EventBatch& events = tl_rpc_events();
   const std::int64_t t0 = ctx_.now_ns();
   for (;;) {
@@ -457,7 +507,8 @@ Transport::RpcStatus Transport::rpc(const FrameBuf& frame, MsgType expect,
       const util::MutexLock lock(mu_);
       if (ensure_connected_locked(events)) {
         if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
-        status = exchange_locked(frame, expect, reply_body, sink, events, st);
+        request.arena = peer_arena_ != nullptr;
+        status = exchange_locked(encode(request), reply_body, sink, events, st);
         sent = true;
       }
     }
@@ -531,9 +582,10 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         msg.seq = next_seq_++;
         WindowSlot& slot =
             window_[static_cast<std::size_t>((msg.seq - 1) % window_.size())];
-        slot.seq = msg.seq;
-        encode_into(msg, slot.frame);
+        slot.msg = msg;
         slot.payload = payload;
+        slot.arena_offset = ctx_.pool->arena_offset(payload.data());
+        const std::span<const std::byte> tail = encode_slot_locked(slot);
         slot.keepalive = std::move(keepalive);
         in_flight_bytes_ += payload.size();
         if (met_window_ != nullptr) {
@@ -544,16 +596,20 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         bool flushed_inline = false;
         if (payload.size() > kInlinePayloadMax) {
           // Zero-copy tail: prior staged frames + this envelope + the slab
-          // payload in one sendmsg.
+          // payload in one sendmsg — or no tail at all when the server
+          // copies the payload out of our arena.
           const std::size_t batch = staged_frames_ + 1;
           staged_frames_ = 0;
-          if (sendbuf_.flush_with(stream_, slot.frame.span(), slot.payload,
+          if (sendbuf_.flush_with(stream_, frame_.span(), tail,
                                   config_.io_timeout) != IoStatus::kOk) {
             disconnect_locked();  // queued: the window will resend it
           } else {
             add_event(events, stats::EventType::kNetTx,
-                      static_cast<std::int64_t>(slot.frame.len + slot.payload.size()),
+                      static_cast<std::int64_t>(frame_.len + slot.payload.size()),
                       static_cast<std::int64_t>(MsgType::kPut));
+            if (slot.msg.item.arena_offset != kNoArenaOffset && met_arena_ != nullptr) {
+              met_arena_->add(payload.size());
+            }
             if (met_flush_bytes_ != nullptr) met_flush_bytes_->add();
             if (met_batch_ != nullptr) {
               met_batch_->observe(static_cast<std::int64_t>(batch));
@@ -561,12 +617,12 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
           }
           flushed_inline = true;
         } else {
-          const std::size_t need = slot.frame.len + payload.size();
+          const std::size_t need = frame_.len + payload.size();
           if (sendbuf_.capacity_left() < need &&
               !flush_staged_locked(FlushReason::kBytes, events)) {
             flushed_inline = true;  // link died; window keeps the put
           } else if (stream_.valid()) {
-            sendbuf_.append(slot.frame.span());
+            sendbuf_.append(frame_.span());
             if (!payload.empty()) sendbuf_.append(payload);
             ++staged_frames_;
             if (staged_frames_ == 1) first_staged_ns_ = ctx_.now_ns();

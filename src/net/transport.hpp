@@ -11,12 +11,22 @@
 /// the lock-order validator and the -Wthread-safety analysis, and means a
 /// stopped runtime has no orphan I/O threads to chase.
 ///
-/// Gets go through `rpc`: the request is a stack FrameBuf (header +
-/// envelope, no payload). A reply's envelope lands in a stack
-/// EnvelopeBody; when the reply carries a payload tail, the caller's
-/// PayloadSink is handed the decoded-envelope bytes and must return the
-/// destination span (typically a freshly acquired pooled buffer's
-/// mutable_data()), into which the payload is received directly.
+/// Gets go through `rpc`: the request is encoded for the current link
+/// into a stack FrameBuf (header + envelope, no payload). A reply's envelope lands in a stack
+/// EnvelopeBody; the caller's PayloadSink is handed the envelope bytes
+/// and returns the destination span (typically a freshly acquired pooled
+/// buffer's mutable_data()). The payload is received into it directly
+/// from the payload tail, or — when the reply names an offset in the
+/// server's arena (wire v5) — copied there out of this link's read-only
+/// mapping of that arena, after which a `kRelease` frame unpins the
+/// server's slab.
+///
+/// Same-host handoff (wire v5): the Hello of a producer link advertises
+/// this runtime's arena, and a put whose slab lives in it travels as an
+/// arena offset once the server reports it mapped the arena. A consumer
+/// link maps the arena the server's HelloAck advertises and says so in
+/// every Get. Mappings belong to one connection: a reconnect re-checks
+/// and re-maps, and the window tail is re-encoded for the new link.
 ///
 /// Reconnect policy: after a failed connect attempt the next attempt is
 /// gated by an exponential backoff doubling from `backoff_initial` to at
@@ -52,12 +62,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stop_token>
 #include <string>
 #include <vector>
 
 #include "core/compress.hpp"
+#include "net/peer_arena.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "runtime/context.hpp"
@@ -88,13 +100,23 @@ struct TransportConfig {
   Nanos backoff_max = millis(500);
 };
 
-/// Supplies the destination buffer for an expected reply's payload tail.
-/// Invoked (under the transport lock) after the reply envelope has been
-/// received, with the decoded frame header and the raw envelope bytes;
-/// must return a span of *exactly* `header.payload_len` bytes for the
-/// payload to be received into, or an empty span to reject the frame
-/// (which drops the connection — mid-frame there is no other recovery).
-using PayloadSink = std::function<std::span<std::byte>(
+/// Where an expected reply's payload goes.
+struct PayloadDest {
+  /// Exactly the payload's size (empty for a reply without one).
+  std::span<std::byte> bytes;
+  /// Offset of the payload in the server's arena, or kNoArenaOffset when
+  /// the frame's payload tail carries it.
+  std::uint64_t arena_offset = kNoArenaOffset;
+};
+
+/// Supplies the destination for an expected reply's payload. Invoked
+/// (under the transport lock) after the reply envelope has been
+/// received, with the decoded frame header and the raw envelope bytes.
+/// An empty optional rejects the frame, which drops the connection —
+/// mid-frame there is no other recovery. So does a destination the frame
+/// cannot fill: a tail of another size, or an arena offset on a frame
+/// with a tail, on a link without a mapping, or outside the mapping.
+using PayloadSink = std::function<std::optional<PayloadDest>(
     const FrameHeader& header, std::span<const std::byte> body)>;
 
 class Transport {
@@ -116,23 +138,22 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   /// Executes one get request/reply exchange (consumer links only).
-  /// `frame` is the encoded header + envelope (no payload tail). Blocks
-  /// (through backoff/reconnect cycles) until a link exists before
-  /// sending. Once the request is sent the outcome is final: a link death
-  /// mid-RPC returns kDisconnected and the caller decides whether to
-  /// re-issue the (lost) request. On kOk, `reply_body` holds the envelope
-  /// of the first non-heartbeat reply frame, whose type matched `expect`;
-  /// if that reply announced a payload tail, it has been received into
-  /// the span `sink` returned (`sink` may be null for replies that never
-  /// carry payload — a payload-bearing reply then drops the link).
+  /// `request.arena` is set here, per link: whether this link mapped the
+  /// server's arena. Blocks (through backoff/reconnect cycles) until a
+  /// link exists before sending. Once the request is sent the outcome is
+  /// final: a link death mid-RPC returns kDisconnected and the caller
+  /// decides whether to re-issue the (lost) request. On kOk,
+  /// `reply_body` holds the envelope of the first non-heartbeat reply
+  /// frame, a kGetReply, and its payload has landed where `sink` said
+  /// (`sink` may be null for replies that never carry payload — a
+  /// payload-bearing reply then drops the link).
   ///
   /// \param link_wait  when non-null and the request went out, set to the
   ///        time spent before sending it: waiting for, or re-establishing,
   ///        the link. A get books it as blocked time.
-  ARU_HOT_PATH RpcStatus rpc(const FrameBuf& frame, MsgType expect,
-                             EnvelopeBody& reply_body, const PayloadSink& sink,
-                             std::stop_token st, Nanos* link_wait = nullptr)
-      EXCLUDES(mu_, stats_mu_);
+  ARU_HOT_PATH RpcStatus rpc(GetMsg& request, EnvelopeBody& reply_body,
+                             const PayloadSink& sink, std::stop_token st,
+                             Nanos* link_wait = nullptr) EXCLUDES(mu_, stats_mu_);
 
   /// Outcome of a pipelined (windowed) put.
   struct PutOutcome {
@@ -145,9 +166,10 @@ class Transport {
   };
 
   /// Queues one put into the in-flight window and returns without waiting
-  /// for its ack (producer links only). Assigns `msg.seq`, encodes the
-  /// frame into a window slot, and stages it for a batched scatter/gather
-  /// flush; `payload` must stay valid until acked, which
+  /// for its ack (producer links only). Assigns `msg.seq`, keeps a copy
+  /// in a window slot, and sends its frame — encoded for this link —
+  /// at once (payload tail, or arena offset, over 8 KiB) or stages it
+  /// for a batched scatter/gather flush; `payload` must stay valid until acked, which
   /// `keepalive` guarantees (the item's shared_ptr). Blocks only when the
   /// window (or the server's advertised credits) is exhausted — then it
   /// flushes and reads coalesced acks until a slot frees, consuming
@@ -191,13 +213,16 @@ class Transport {
   /// Why a staged put batch left the send buffer (flush-reason counters).
   enum class FlushReason : std::uint8_t { kWindow, kBytes, kIdle, kAge, kExplicit };
 
-  /// One in-flight pipelined put: the encoded frame, the payload span it
-  /// announces, and the shared_ptr that keeps the payload's slab alive
-  /// until the cumulative ack passes its sequence number.
+  /// One in-flight pipelined put: the message (its seq included), the
+  /// payload span it announces, and the shared_ptr that keeps the
+  /// payload's slab alive until the cumulative ack passes its sequence
+  /// number. `arena_offset` is the slab's place in this runtime's arena
+  /// (kNoArenaOffset: a heap slab); whether the frame names it depends on
+  /// the link, so the frame is encoded per send, never kept.
   struct WindowSlot {
-    std::uint64_t seq = 0;
-    FrameBuf frame;
+    PutMsg msg;
     std::span<const std::byte> payload;
+    std::uint64_t arena_offset = kNoArenaOffset;
     std::shared_ptr<const void> keepalive;
   };
 
@@ -205,15 +230,20 @@ class Transport {
   bool ensure_connected_locked(EventBatch& events) REQUIRES(mu_);
 
   /// Sends the request frame, then reads frames (skipping heartbeats)
-  /// until one of type `expect` arrives; its payload tail (if any) is
-  /// received via `sink`. Disconnects on any failure. The stop token is
-  /// re-checked after every consumed heartbeat so a reply wait against a
-  /// live-but-idle server (which heartbeats indefinitely) still honors
-  /// shutdown; stop mid-RPC drops the link and returns kStopped.
-  RpcStatus exchange_locked(const FrameBuf& frame, MsgType expect,
-                            EnvelopeBody& reply_body, const PayloadSink& sink,
-                            EventBatch& events, const std::stop_token& st)
-      REQUIRES(mu_);
+  /// until a kGetReply arrives; its payload (if any) lands via `sink`.
+  /// Disconnects on any failure. The stop token is re-checked after every
+  /// consumed heartbeat so a reply wait against a live-but-idle server
+  /// (which heartbeats indefinitely) still honors shutdown; stop mid-RPC
+  /// drops the link and returns kStopped.
+  RpcStatus exchange_locked(const FrameBuf& frame, EnvelopeBody& reply_body,
+                            const PayloadSink& sink, EventBatch& events,
+                            const std::stop_token& st) REQUIRES(mu_);
+
+  /// Encodes a window slot's put into `frame_` for the current link: an
+  /// arena offset when the server mapped our arena and the slab lives
+  /// there, else the payload tail. Returns the payload tail to send after
+  /// the frame (empty for an arena put).
+  std::span<const std::byte> encode_slot_locked(WindowSlot& slot) REQUIRES(mu_);
 
   /// Reads one frame's header + envelope (NOT its payload tail — that is
   /// the caller's job, via the header's payload_len). False (and
@@ -287,6 +317,11 @@ class Transport {
   Nanos backoff_ GUARDED_BY(mu_){0};
   std::int64_t next_attempt_ns_ GUARDED_BY(mu_) = 0;
   bool had_session_ GUARDED_BY(mu_) = false;
+  /// Same-host handoff state of the current connection (wire v5): the
+  /// server's arena as this consumer link mapped it, and whether the
+  /// server mapped this producer link's arena. Reset on disconnect.
+  std::unique_ptr<PeerArena> peer_arena_ GUARDED_BY(mu_);
+  bool peer_mapped_ours_ GUARDED_BY(mu_) = false;
 
   /// Pipelined-put window ring (empty on a consumer link). Slot for seq s
   /// lives at (s-1) % size; sequence numbers start at 1 (the server
@@ -308,6 +343,8 @@ class Transport {
   Nanos last_ack_summary_ GUARDED_BY(mu_) = aru::kUnknownStp;
   /// Reused coalesced-ack decode scratch (stp capacity persists).
   PutAckMsg ack_scratch_ GUARDED_BY(mu_);
+  /// Encode scratch for the put frame being sent or resent.
+  FrameBuf frame_ GUARDED_BY(mu_);
   /// Staging buffer for batched put flushes; count + age of what is staged.
   SendBuffer sendbuf_ GUARDED_BY(mu_);
   std::size_t staged_frames_ GUARDED_BY(mu_) = 0;
@@ -327,6 +364,8 @@ class Transport {
   telemetry::Counter* met_tx_ = nullptr;          ///< aru_net_tx_bytes_total
   telemetry::Counter* met_rx_ = nullptr;          ///< aru_net_rx_bytes_total
   telemetry::Counter* met_reconnects_ = nullptr;  ///< aru_net_reconnects_total
+  /// Payload bytes handed over through a peer's arena (also in tx/rx).
+  telemetry::Counter* met_arena_ = nullptr;       ///< aru_net_arena_bytes_total
   telemetry::Histogram* met_rpc_ = nullptr;       ///< aru_net_rpc_latency_ns (get links)
   /// Pipelined-put series (registered on producer links only): window
   /// occupancy, one flush counter per reason, and frames-per-flush.

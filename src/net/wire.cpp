@@ -66,6 +66,14 @@ class Writer {
       i64(value);
     }
     u32(it.payload_bytes);
+    u64(it.arena_offset);
+  }
+
+  void arena(const ArenaRef& a) {
+    u32(static_cast<std::uint32_t>(a.pid));
+    u32(static_cast<std::uint32_t>(a.fd));
+    u64(a.token);
+    u64(a.size);
   }
 
  private:
@@ -171,6 +179,14 @@ class Reader {
     if (it.payload_bytes > kMaxPayloadBytes) {
       return set_err("payload exceeds kMaxPayloadBytes");
     }
+    return u64(it.arena_offset);
+  }
+
+  bool arena(ArenaRef& a) {
+    std::uint32_t pid = 0, fd = 0;
+    if (!u32(pid) || !u32(fd) || !u64(a.token) || !u64(a.size)) return false;
+    a.pid = static_cast<std::int32_t>(pid);
+    a.fd = static_cast<std::int32_t>(fd);
     return true;
   }
 
@@ -230,6 +246,12 @@ FrameBuf make_frame(MsgType type, std::uint32_t payload_len, const auto& write_b
   return frame;
 }
 
+/// The payload tail an item's frame carries: none when the bytes wait in
+/// the sender's arena.
+std::uint32_t tail_bytes(const WireItem& it) {
+  return it.arena_offset == kNoArenaOffset ? it.payload_bytes : 0;
+}
+
 bool finish(const Reader& r, std::string* err) {
   if (r.done()) return true;
   if (err != nullptr) *err = r.error();
@@ -248,6 +270,7 @@ const char* to_string(MsgType type) {
     case MsgType::kGetReply: return "get_reply";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kClose: return "close";
+    case MsgType::kRelease: return "release";
   }
   return "unknown";
 }
@@ -259,6 +282,7 @@ FrameBuf encode(const HelloMsg& m) {
     w.u32(static_cast<std::uint32_t>(m.consumer_key));
     w.u64(m.session);
     w.u64(m.start_seq);
+    w.arena(m.arena);
   });
 }
 
@@ -267,6 +291,8 @@ FrameBuf encode(const HelloAckMsg& m) {
     w.u8(m.ok ? 1 : 0);
     w.str(m.message);
     w.u32(m.credits);
+    w.arena(m.arena);
+    w.u8(m.peer_mapped ? 1 : 0);
   });
 }
 
@@ -277,7 +303,7 @@ FrameBuf encode(const PutMsg& m) {
 }
 
 void encode_into(const PutMsg& m, FrameBuf& out) {
-  make_frame_into(out, MsgType::kPut, m.item.payload_bytes, [&](Writer& w) {
+  make_frame_into(out, MsgType::kPut, tail_bytes(m.item), [&](Writer& w) {
     w.u64(m.seq);
     w.item(m.item);
     w.stp_vector(m.stp);
@@ -286,7 +312,6 @@ void encode_into(const PutMsg& m, FrameBuf& out) {
 
 FrameBuf encode(const PutAckMsg& m) {
   return make_frame(MsgType::kPutAck, 0, [&](Writer& w) {
-    w.u8(m.stored ? 1 : 0);
     w.u8(m.closed ? 1 : 0);
     w.i64(m.summary.count());
     w.u64(m.cum_seq);
@@ -299,11 +324,12 @@ FrameBuf encode(const GetMsg& m) {
   return make_frame(MsgType::kGet, 0, [&](Writer& w) {
     w.i64(m.consumer_summary.count());
     w.i64(m.guarantee);
+    w.u8(m.arena ? 1 : 0);
   });
 }
 
 FrameBuf encode(const GetReplyMsg& m) {
-  const std::uint32_t payload_len = m.has_item ? m.item.payload_bytes : 0;
+  const std::uint32_t payload_len = m.has_item ? tail_bytes(m.item) : 0;
   return make_frame(MsgType::kGetReply, payload_len, [&](Writer& w) {
     w.u8(m.has_item ? 1 : 0);
     w.u8(m.closed ? 1 : 0);
@@ -321,6 +347,10 @@ FrameBuf encode(const HeartbeatMsg& m) {
 
 FrameBuf encode_close() {
   return make_frame(MsgType::kClose, 0, [](Writer&) {});
+}
+
+FrameBuf encode_release() {
+  return make_frame(MsgType::kRelease, 0, [](Writer&) {});
 }
 
 bool decode_header(std::span<const std::byte> buf, FrameHeader& out, std::string* err) {
@@ -363,7 +393,7 @@ bool decode(std::span<const std::byte> body, HelloMsg& out, std::string* err) {
   Reader r(body);
   std::uint32_t producer = 0, consumer = 0;
   if (r.str(out.channel) && r.u32(producer) && r.u32(consumer) &&
-      r.u64(out.session) && r.u64(out.start_seq)) {
+      r.u64(out.session) && r.u64(out.start_seq) && r.arena(out.arena)) {
     out.producer_key = static_cast<std::int32_t>(producer);
     out.consumer_key = static_cast<std::int32_t>(consumer);
   }
@@ -372,7 +402,10 @@ bool decode(std::span<const std::byte> body, HelloMsg& out, std::string* err) {
 
 bool decode(std::span<const std::byte> body, HelloAckMsg& out, std::string* err) {
   Reader r(body);
-  if (r.boolean(out.ok) && r.str(out.message)) r.u32(out.credits);
+  if (r.boolean(out.ok) && r.str(out.message) && r.u32(out.credits) &&
+      r.arena(out.arena)) {
+    r.boolean(out.peer_mapped);
+  }
   return finish(r, err);
 }
 
@@ -385,7 +418,7 @@ bool decode(std::span<const std::byte> body, PutMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
   Reader r(body);
   std::int64_t summary_ns = 0;
-  if (r.boolean(out.stored) && r.boolean(out.closed) && r.i64(summary_ns) &&
+  if (r.boolean(out.closed) && r.i64(summary_ns) &&
       r.u64(out.cum_seq) && r.u32(out.credits)) {
     out.summary = Nanos{summary_ns};
     r.stp_vector(out.stp);
@@ -396,7 +429,7 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, GetMsg& out, std::string* err) {
   Reader r(body);
   std::int64_t summary_ns = 0;
-  if (r.i64(summary_ns) && r.i64(out.guarantee)) {
+  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.boolean(out.arena)) {
     out.consumer_summary = Nanos{summary_ns};
   }
   return finish(r, err);

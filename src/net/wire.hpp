@@ -57,6 +57,25 @@
 /// that as blocked time; the rest of the RPC — the transfer — counts in
 /// its current-STP (paper §3.3.1), as the simulated link model charges it.
 ///
+/// Version 5 lets same-host peers hand a payload over through the
+/// sender's shared arena (runtime/pool.hpp) instead of the payload tail.
+/// `kHello` and `kHelloAck` advertise the sender's arena as an `ArenaRef`
+/// (pid, fd, random token, size); the receiver maps it read-only only if
+/// `/proc/<pid>/fd/<fd>` names `memfd:aru-arena-<token>`, belongs to its
+/// own euid, is sealed against shrinking and growing, and is at least the
+/// advertised size (net/peer_arena.hpp). `HelloAck.peer_mapped` tells a
+/// producer whether the server mapped its arena; `Get.arena` tells the
+/// server whether the consumer mapped the server's. A `WireItem` whose
+/// `arena_offset` is set has its payload at that offset of the sender's
+/// arena, and its frame has no payload tail. A get reply's slab stays
+/// lent (pinned by the server) until the client's `kRelease`, its next
+/// `kGet`, or its hang-up, so a connection pins at most one item. A put's
+/// slab is pinned by the client's window until the cumulative ack. Any
+/// failed check falls back to the payload tail, and a descriptor the
+/// receiver cannot honour drops the connection. Version 5 also drops
+/// `PutAck.stored`, which clients had ignored since the window became the
+/// only put path.
+///
 /// Decoding is defensive: every length is bounds-checked against both the
 /// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
 /// kMaxNameBytes, kMaxEnvelopeBytes), and a truncated or corrupt buffer
@@ -79,7 +98,7 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
@@ -96,17 +115,18 @@ enum class MsgType : std::uint8_t {
   kHello = 1,    ///< connection attach: channel name + endpoint keys
   kHelloAck,     ///< attach outcome
   kPut,          ///< item + producer backward-STP vector
-  kPutAck,       ///< stored/closed + channel summary + backward-STP vector
+  kPutAck,       ///< cumulative ack: closed + channel summary + backward-STP vector
   kGet,          ///< latest-item request + consumer summary-STP + guarantee
   kGetReply,     ///< item (or closed) + channel summary + backward-STP vector
   kHeartbeat,    ///< liveness while a blocking get waits server-side
   kClose,        ///< orderly goodbye
+  kRelease,      ///< consumer copied the lent arena item of the last reply (v5)
 };
 
 /// True for a value the header decoder should accept.
 constexpr bool valid_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(MsgType::kHello) &&
-         t <= static_cast<std::uint8_t>(MsgType::kClose);
+         t <= static_cast<std::uint8_t>(MsgType::kRelease);
 }
 
 const char* to_string(MsgType type);
@@ -116,18 +136,38 @@ const char* to_string(MsgType type);
 inline constexpr std::uint32_t kTagProducerNode = 1;  ///< origin-process producer NodeId
 inline constexpr std::uint32_t kTagClusterNode = 2;   ///< origin-process cluster node
 
+/// `WireItem::arena_offset` of an item whose payload rides the frame's
+/// payload tail.
+inline constexpr std::uint64_t kNoArenaOffset = ~std::uint64_t{0};
+
 /// A timestamped item in transit: everything a peer needs to materialize
 /// a local `Item` replica plus the attribute tags riding along. The
 /// payload bytes are NOT part of the envelope — `payload_bytes` records
-/// their size and the frame's payload tail carries them.
+/// their size and the frame's payload tail carries them, or the sender's
+/// arena holds them at `arena_offset` (wire v5).
 struct WireItem {
   Timestamp ts = kNoTimestamp;
   std::uint64_t origin_id = 0;  ///< item id in the *sending* process's id space
   std::int64_t produce_cost_ns = 0;
   std::vector<std::pair<std::uint32_t, std::int64_t>> attrs;
-  std::uint32_t payload_bytes = 0;  ///< size of the frame's payload tail
+  std::uint32_t payload_bytes = 0;  ///< size of the payload
+  /// Offset of the payload in the sender's arena; kNoArenaOffset means the
+  /// frame's payload tail carries it.
+  std::uint64_t arena_offset = kNoArenaOffset;
 
   bool operator==(const WireItem&) const = default;
+};
+
+/// A sender's shared payload arena as a same-host peer finds it (v5):
+/// `/proc/<pid>/fd/<fd>` is a memfd named `aru-arena-<token>` of at least
+/// `size` bytes. A zero token advertises no arena.
+struct ArenaRef {
+  std::int32_t pid = 0;
+  std::int32_t fd = -1;
+  std::uint64_t token = 0;
+  std::uint64_t size = 0;
+
+  bool operator==(const ArenaRef&) const = default;
 };
 
 struct HelloMsg {
@@ -136,6 +176,7 @@ struct HelloMsg {
   std::int32_t consumer_key = -1;  ///< pre-registered consumer slot (-1 = none)
   std::uint64_t session = 0;       ///< random per-transport id for dup suppression
   std::uint64_t start_seq = 0;     ///< first put sequence this attach will send
+  ArenaRef arena;                  ///< the producer's arena, for the server to map
 
   bool operator==(const HelloMsg&) const = default;
 };
@@ -144,6 +185,8 @@ struct HelloAckMsg {
   bool ok = false;
   std::string message;
   std::uint32_t credits = 0;  ///< receiver buffer slack at attach time
+  ArenaRef arena;             ///< the server's arena, for a consumer to map
+  bool peer_mapped = false;   ///< the server mapped the Hello's arena
 
   bool operator==(const HelloAckMsg&) const = default;
 };
@@ -157,9 +200,6 @@ struct PutMsg {
 };
 
 struct PutAckMsg {
-  /// Store verdict of the last put this ack settles. Clients ignore it
-  /// (a window put reports "queued"); kept on the wire until v5.
-  bool stored = false;
   bool closed = false;        ///< channel is closed; producers should stop
   Nanos summary{0};           ///< channel summary-STP (paper §3.3.2 put return)
   std::uint64_t cum_seq = 0;  ///< cumulative ack: all seq ≤ this are settled
@@ -172,6 +212,7 @@ struct PutAckMsg {
 struct GetMsg {
   Nanos consumer_summary{0};            ///< piggy-backed consumer summary-STP
   Timestamp guarantee = kNoTimestamp;   ///< DGC extra guarantee (kNoTimestamp = none)
+  bool arena = false;  ///< the consumer mapped the server's arena on this link (v5)
 
   bool operator==(const GetMsg&) const = default;
 };
@@ -226,25 +267,26 @@ struct EnvelopeBody {
 
 // -- encoding ---------------------------------------------------------------
 // Each returns the frame's header + envelope; for item-bearing messages
-// the header's payload_len field is item.payload_bytes and the caller is
-// responsible for sending exactly that many payload bytes after the
-// envelope. Encoders enforce the same hard caps as the decoders: a
-// variable-length field over its cap (name, STP slots, attrs) throws
-// std::length_error at the sender instead of emitting a frame every peer
-// would reject.
+// the header's payload_len field is item.payload_bytes — 0 when the item
+// names an arena offset — and the caller is responsible for sending
+// exactly that many payload bytes after the envelope. Encoders enforce
+// the same hard caps as the decoders: a variable-length field over its
+// cap (name, STP slots, attrs) throws std::length_error at the sender
+// instead of emitting a frame every peer would reject.
 
 ARU_HOT_PATH FrameBuf encode(const HelloMsg& m);
 ARU_HOT_PATH FrameBuf encode(const HelloAckMsg& m);
 ARU_HOT_PATH FrameBuf encode(const PutMsg& m);
-/// In-place variant for the pipelined window: encodes into the slot's own
-/// FrameBuf, skipping the ~2 KiB struct copy a by-value return costs on
-/// every enqueued put.
+/// In-place variant for the pipelined window: encodes into the
+/// transport's reused FrameBuf, skipping the ~2 KiB struct copy a
+/// by-value return costs on every enqueued put.
 ARU_HOT_PATH void encode_into(const PutMsg& m, FrameBuf& out);
 ARU_HOT_PATH FrameBuf encode(const PutAckMsg& m);
 ARU_HOT_PATH FrameBuf encode(const GetMsg& m);
 ARU_HOT_PATH FrameBuf encode(const GetReplyMsg& m);
 ARU_HOT_PATH FrameBuf encode(const HeartbeatMsg& m);
 ARU_HOT_PATH FrameBuf encode_close();
+ARU_HOT_PATH FrameBuf encode_release();
 
 // -- decoding ---------------------------------------------------------------
 // All decoders return false (and set *err when non-null) on truncated,

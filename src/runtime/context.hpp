@@ -32,9 +32,9 @@ struct RunContext {
   /// hand-rolled test fixtures that bypass Runtime.
   telemetry::Registry* metrics = nullptr;
   /// Payload buffer pool items allocate from (runtime/pool.hpp). Must be
-  /// set before any Item is constructed: there is deliberately no heap
-  /// fallback, so PayloadPool::acquire stays the one place that decides
-  /// which payloads are recycled.
+  /// set before any Item is constructed: Item never allocates around it,
+  /// so PayloadPool::acquire stays the one place that decides which
+  /// payloads are recycled, and which live in the shared arena.
   PayloadPool* pool = nullptr;
   const cluster::Topology* topology = nullptr;
   PressureModel pressure;

@@ -1,5 +1,5 @@
 /// \file pool.hpp
-/// \brief Frame-slab recycling for item payloads.
+/// \brief Frame-slab recycling for item payloads, in a shared arena.
 ///
 /// The paper's tracker allocates a 738 kB frame, a 246 kB mask and a ~1 MB
 /// histogram at digitizer rate, and frees each one on whichever thread
@@ -21,6 +21,18 @@
 /// zeros. `PayloadBuffer` remembers the *requested* size, so
 /// `Item::bytes()` and all accounting stay exact.
 ///
+/// Shared arena. Once `enable_arena()` has run (the net layer calls it
+/// when the runtime registers its first endpoint that sends payloads to a
+/// peer), the recycled slabs are carved from one sealed memfd of
+/// kArenaBytes, mapped once. Its size is fixed and sparse: only slabs in
+/// use or parked hold pages. A same-host peer maps the arena read-only
+/// (net/peer_arena.hpp) and copies a payload straight out of it, given
+/// the slab's `arena_offset()` — one memcpy instead of a TCP stream. The
+/// free lists work as before; a slab released past kMaxParkedBytes has
+/// its pages punched out (its address range stays with its size class
+/// for reuse) instead of being freed. When the arena is full, or memfd is
+/// unavailable, a recycled-size request gets a heap slab as without one.
+///
 /// Ownership: `acquire` hands out a move-only `PayloadBuffer` whose
 /// destructor returns the slab to the pool — so recycling happens exactly
 /// when the last `shared_ptr<Item>` reference drops, wherever that is
@@ -31,7 +43,9 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -54,6 +68,16 @@ inline constexpr bool kPoolPoisonDefault = false;
 #else
 inline constexpr bool kPoolPoisonDefault = true;
 #endif
+
+/// What a same-host peer needs to find and check a pool's shared arena:
+/// the memfd's descriptor number in this process, the random token in
+/// its name (`aru-arena-<token>`, 16 hex digits) and its sealed size.
+/// `fd < 0`: the pool has no arena.
+struct ArenaInfo {
+  int fd = -1;
+  std::uint64_t token = 0;
+  std::uint64_t size = 0;
+};
 
 /// Move-only owning handle to one payload slab. Destruction recycles the
 /// slab into the pool that issued it, or frees it for an unrecycled
@@ -124,10 +148,18 @@ class PayloadPool {
   /// (the tracker's steady-state working set is far smaller).
   static constexpr std::size_t kMaxParkedBytes = std::size_t{128} << 20;  // 128 MiB
 
+  /// Address space of the shared arena. Sparse: pages exist only under
+  /// slabs in use or parked, so twice the parked cap leaves room for the
+  /// slabs in flight.
+  static constexpr std::size_t kArenaBytes = 2 * kMaxParkedBytes;
+  /// `arena_offset()` of a pointer outside the arena.
+  static constexpr std::uint64_t kNotInArena = ~std::uint64_t{0};
+
   /// \param poison fill every acquired payload with kPoolPoisonByte.
   explicit PayloadPool(bool poison = kPoolPoisonDefault) : poison_(poison) {}
 
-  /// Frees every parked slab. All issued buffers must already be gone.
+  /// Frees every parked slab and unmaps the arena. All issued buffers
+  /// must already be gone.
   ~PayloadPool();
 
   PayloadPool(const PayloadPool&) = delete;
@@ -146,6 +178,19 @@ class PayloadPool {
   /// Bytes parked in the free lists now (takes the pool lock).
   std::size_t parked_bytes() const;
 
+  /// Creates the shared arena if there is none yet: a memfd named
+  /// `aru-arena-<token>` sized kArenaBytes and sealed against shrinking
+  /// and growing, so a peer's read-only mapping can never fault. Later
+  /// recycled-size slabs come from it. Idempotent and thread-safe; on
+  /// any failure the pool keeps using heap slabs.
+  void enable_arena();
+
+  /// The arena's identity for a peer; `fd < 0` when there is none.
+  ArenaInfo arena() const;
+
+  /// Offset of `p` from the arena's start, or kNotInArena. Lock-free.
+  ARU_HOT_PATH std::uint64_t arena_offset(const std::byte* p) const;
+
  private:
   friend class PayloadBuffer;
 
@@ -162,6 +207,17 @@ class PayloadPool {
   mutable util::Mutex mu_{util::LockRank::kPool, "runtime.pool"};
   std::array<std::vector<std::byte*>, kClasses> free_ GUARDED_BY(mu_);
   std::size_t parked_bytes_ GUARDED_BY(mu_) = 0;
+
+  /// Arena mapping: published once by enable_arena, then read lock-free
+  /// by arena_offset. Null: no arena.
+  std::atomic<std::byte*> arena_base_{nullptr};
+  int arena_fd_ GUARDED_BY(mu_) = -1;
+  std::uint64_t arena_token_ GUARDED_BY(mu_) = 0;
+  /// Bytes of the arena carved into slabs so far (a bump pointer).
+  std::size_t arena_used_ GUARDED_BY(mu_) = 0;
+  /// Punched-out arena slabs per class: address ranges with no pages,
+  /// reused before the bump pointer moves on.
+  std::array<std::vector<std::byte*>, kClasses> holes_ GUARDED_BY(mu_);
 };
 
 }  // namespace stampede

@@ -368,6 +368,8 @@ TEST(FragmentLoopback, TwoLocalReadersShareOneFetch) {
   while (!read_all() && clock.now() < deadline) clock.sleep_for(millis(10));
   const double rx = static_cast<double>(
       rt_b.metrics().counter("aru_net_rx_bytes_total", "", {{"link", "stream/get"}}).value());
+  const double arena = static_cast<double>(
+      rt_b.metrics().counter("aru_net_arena_bytes_total", "", {{"link", "stream/get"}}).value());
   rt_b.stop();
   rt_a.stop();
   frag_a.server->stop();
@@ -383,6 +385,11 @@ TEST(FragmentLoopback, TwoLocalReadersShareOneFetch) {
   const double payloads = static_cast<double>(ids.size() * kPayload);
   EXPECT_GE(rx, payloads);
   EXPECT_LT(rx, 1.25 * payloads);
+  // The nodes share a host, so the payloads came out of a's arena, not
+  // the TCP stream; rx counts them either way.
+  EXPECT_GE(arena, payloads);
+  EXPECT_LT(arena, 1.25 * payloads);
+  EXPECT_LE(arena, rx);
 }
 
 TEST_F(FragmentTest, UnknownOrEmptyNodeIsRejected) {

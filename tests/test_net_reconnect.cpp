@@ -9,13 +9,16 @@
 /// Two tiers: an in-process server bounce (runs everywhere, including the
 /// TSan preset) and a real two-process test that SIGKILLs an spd_node
 /// child mid-stream and respawns it on the same port.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -24,12 +27,16 @@
 
 #include <fcntl.h>
 #include <spawn.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "net/peer_arena.hpp"
 #include "net/remote_channel.hpp"
+#include "runtime/pool.hpp"
 #include "runtime/runtime.hpp"
 
 extern char** environ;
@@ -659,15 +666,15 @@ bool raw_await_cum_ack(TcpStream& s, std::uint64_t want) {
   return false;
 }
 
-std::optional<TcpStream> raw_attach(std::uint16_t port, std::uint64_t session,
-                                    std::uint64_t start_seq) {
+/// Sends `hello` on a fresh connection and returns it once the HelloAck
+/// says ok (copied to `*ack_out` when non-null).
+std::optional<TcpStream> raw_hello(std::uint16_t port, const HelloMsg& hello,
+                                   HelloAckMsg* ack_out = nullptr) {
   auto stream = TcpStream::connect("127.0.0.1", port, seconds(2));
   if (!stream) return std::nullopt;
-  const FrameBuf hello = encode(HelloMsg{.channel = "frames",
-                                         .producer_key = 0,
-                                         .session = session,
-                                         .start_seq = start_seq});
-  if (stream->send_all(hello.span(), seconds(2)) != IoStatus::kOk) return std::nullopt;
+  if (stream->send_all(encode(hello).span(), seconds(2)) != IoStatus::kOk) {
+    return std::nullopt;
+  }
   FrameHeader h;
   std::vector<std::byte> body;
   HelloAckMsg ack;
@@ -675,7 +682,16 @@ std::optional<TcpStream> raw_attach(std::uint16_t port, std::uint64_t session,
       !decode(std::span<const std::byte>(body), ack, nullptr) || !ack.ok) {
     return std::nullopt;
   }
+  if (ack_out != nullptr) *ack_out = ack;
   return stream;
+}
+
+std::optional<TcpStream> raw_attach(std::uint16_t port, std::uint64_t session,
+                                    std::uint64_t start_seq) {
+  return raw_hello(port, HelloMsg{.channel = "frames",
+                                  .producer_key = 0,
+                                  .session = session,
+                                  .start_seq = start_seq});
 }
 
 TEST(PipelinedReconnect, ReplayedWindowTailIsNotDuplicated) {
@@ -762,6 +778,360 @@ TEST(PipelinedReconnect, UnsequencedPutDropsTheConnection) {
   server.stop();
 }
 
+// -- same-host arena handoff (wire v5) against a hostile peer ---------------
+
+constexpr std::size_t kArenaPayload = std::size_t{64} << 10;
+
+/// True once the server has hung up: heartbeats may come first, never
+/// anything else (no ack, no reply).
+bool raw_hung_up(TcpStream& s) {
+  FrameHeader h;
+  std::vector<std::byte> body;
+  for (int i = 0; i < 64; ++i) {
+    if (!raw_read_frame(s, h, body)) return true;
+    if (h.type != MsgType::kHeartbeat) return false;
+  }
+  return false;
+}
+
+/// A put frame whose item names `offset` of the sender's arena.
+FrameBuf raw_arena_put(std::uint64_t seq, std::uint64_t offset, std::uint32_t bytes) {
+  PutMsg m{.seq = seq};
+  m.item.ts = static_cast<Timestamp>(seq);
+  m.item.payload_bytes = bytes;
+  m.item.arena_offset = offset;
+  return encode(m);
+}
+
+/// A producer Hello for "frames" offering `arena`.
+HelloMsg producer_hello(const ArenaRef& arena) {
+  return {.channel = "frames", .producer_key = 0, .session = 0xA4E7A, .start_seq = 1,
+          .arena = arena};
+}
+
+/// A served "frames" channel with one remote producer and one consumer.
+struct ArenaServer {
+  Runtime rt;
+  Channel& ch = rt.add_channel({.name = "frames"});
+  ChannelServer server{rt, {{.channel = &ch, .remote_producers = 1,
+                             .remote_consumers = 1}}};
+  ArenaServer() { server.start(); }
+  ~ArenaServer() { server.stop(); }
+};
+
+TEST(ArenaHandoff, OnlyDescriptorsInsideAMappedArenaAreStored) {
+  ArenaServer srv;
+  PayloadPool pool(/*poison=*/false);
+  pool.enable_arena();
+  ASSERT_GE(pool.arena().fd, 0) << "memfd arenas unavailable";
+  const std::uint64_t size = pool.arena().size;
+
+  // Past the arena's end: the offset alone, the length, and wrap-around.
+  const std::pair<std::uint64_t, std::uint32_t> out_of_range[] = {
+      {size, 1}, {size - 100, 4096}, {~std::uint64_t{0} - 10, 4096}};
+  for (const auto& [offset, bytes] : out_of_range) {
+    HelloAckMsg ack;
+    auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
+    ASSERT_TRUE(s.has_value());
+    ASSERT_TRUE(ack.peer_mapped);
+    ASSERT_EQ(s->send_all(raw_arena_put(1, offset, bytes).span(), seconds(2)),
+              IoStatus::kOk);
+    EXPECT_TRUE(raw_hung_up(*s)) << "offset " << offset << " + " << bytes;
+  }
+
+  // A descriptor that also carries a payload tail.
+  {
+    HelloAckMsg ack;
+    auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
+    ASSERT_TRUE(s.has_value());
+    FrameBuf frame = raw_arena_put(1, 0, 16);
+    const std::uint32_t tail = 16;
+    std::memcpy(frame.data.data() + 12, &tail, sizeof(tail));  // header payload_len
+    const std::array<std::byte, 16> bytes{};
+    ASSERT_EQ(s->send_all(frame.span(), seconds(2)), IoStatus::kOk);
+    ASSERT_EQ(s->send_all(bytes, seconds(2)), IoStatus::kOk);
+    EXPECT_TRUE(raw_hung_up(*s)) << "a descriptor with a tail must drop the link";
+  }
+
+  // A descriptor on a link whose Hello offered no arena.
+  {
+    HelloAckMsg ack;
+    auto s = raw_hello(srv.server.port(), producer_hello(ArenaRef{}), &ack);
+    ASSERT_TRUE(s.has_value());
+    EXPECT_FALSE(ack.peer_mapped);
+    ASSERT_EQ(s->send_all(raw_arena_put(1, 0, 16).span(), seconds(2)), IoStatus::kOk);
+    EXPECT_TRUE(raw_hung_up(*s)) << "no mapping: a descriptor must drop the link";
+  }
+  EXPECT_EQ(srv.ch.size(), 0u) << "nothing from outside the arena may be stored";
+
+  // The server survived all of it, and a valid descriptor is copied out of
+  // the producer's arena byte for byte.
+  PayloadBuffer slab = pool.acquire(kArenaPayload);
+  for (std::size_t i = 0; i < slab.size(); ++i) slab.span()[i] = std::byte(i * 7 + 1);
+  const std::uint64_t offset = pool.arena_offset(slab.span().data());
+  ASSERT_NE(offset, PayloadPool::kNotInArena);
+  HelloAckMsg ack;
+  auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
+  ASSERT_TRUE(s.has_value());
+  ASSERT_TRUE(ack.peer_mapped);
+  ASSERT_EQ(s->send_all(raw_arena_put(1, offset, kArenaPayload).span(), seconds(2)),
+            IoStatus::kOk);
+  ASSERT_TRUE(raw_await_cum_ack(*s, 1));
+  ASSERT_EQ(srv.ch.size(), 1u);
+  auto got = srv.ch.get_latest(0, aru::kUnknownStp, kNoTimestamp, {});
+  ASSERT_NE(got.item, nullptr);
+  ASSERT_EQ(got.item->bytes(), kArenaPayload);
+  EXPECT_TRUE(std::equal(slab.span().begin(), slab.span().end(), got.item->data().begin()))
+      << "the stored payload must be the producer's bytes";
+}
+
+TEST(ArenaHandoff, HelloWithABadArenaFallsBackToTheTail) {
+  ArenaServer srv;
+  PayloadPool pool(/*poison=*/false);
+  pool.enable_arena();
+  const ArenaRef good = local_arena(pool);
+  ASSERT_NE(good.token, 0u) << "memfd arenas unavailable";
+
+  // A memfd with the right name shape but no seals: the peer could shrink
+  // it under our reads.
+  char name[32];
+  std::snprintf(name, sizeof(name), "aru-arena-%016llx", 0x5EA1ED0FFULL);
+  const int unsealed = ::memfd_create(name, MFD_CLOEXEC);
+  ASSERT_GE(unsealed, 0);
+  ASSERT_EQ(::ftruncate(unsealed, 1 << 20), 0);
+  // Not a memfd at all: a FIFO with no writer, whose blocking open would
+  // never return.
+  const std::string fifo = testing::TempDir() + "/arena_fifo_" + std::to_string(::getpid());
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const int fifo_fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  ASSERT_GE(fifo_fd, 0);
+
+  ArenaRef wrong_token = good;
+  wrong_token.token ^= 1;
+  const ArenaRef unsealed_ref{.pid = good.pid, .fd = unsealed, .token = 0x5EA1ED0FFULL,
+                              .size = 1 << 20};
+  ArenaRef not_memfd = good;
+  not_memfd.fd = fifo_fd;
+  ArenaRef oversized = good;
+  oversized.size = good.size + 4096;
+  ArenaRef other_pid = good;
+  other_pid.pid = 1;
+
+  std::uint64_t seq = 0;
+  for (const ArenaRef& bad : {wrong_token, unsealed_ref, not_memfd, oversized, other_pid}) {
+    HelloAckMsg ack;
+    auto s = raw_hello(srv.server.port(), producer_hello(bad), &ack);
+    ASSERT_TRUE(s.has_value()) << "a bad arena must not fail the attach";
+    EXPECT_FALSE(ack.peer_mapped) << "fd " << bad.fd << " token " << bad.token;
+    // Same session across attaches: each put is a new sequence number.
+    ++seq;
+    ASSERT_EQ(s->send_all(raw_put_frame(seq, static_cast<Timestamp>(seq)).span(),
+                          seconds(2)),
+              IoStatus::kOk);
+    EXPECT_TRUE(raw_await_cum_ack(*s, seq)) << "the tail path must still work";
+  }
+  EXPECT_EQ(srv.ch.size(), seq);
+  ::close(unsealed);
+  ::close(fifo_fd);
+  ::unlink(fifo.c_str());
+}
+
+TEST(ArenaHandoff, UnreleasedGetReplyPinsAtMostOneItem) {
+  ArenaServer srv;
+  HelloAckMsg ack;
+  auto s = raw_hello(srv.server.port(), HelloMsg{.channel = "frames", .consumer_key = 0},
+                     &ack);
+  ASSERT_TRUE(s.has_value());
+  auto mapped = PeerArena::map(ack.arena);
+  ASSERT_NE(mapped, nullptr) << "a consumer must be offered the server's arena";
+
+  // A consumer that copies its replies out of the arena but never sends
+  // kRelease: each new get unpins the last reply, so at most one item is
+  // ever held beyond what the channel itself keeps.
+  std::vector<std::weak_ptr<Item>> items;
+  for (Timestamp ts = 0; ts < 8; ++ts) {
+    auto item = std::make_shared<Item>(srv.rt.context(), ts, kArenaPayload, 100, 0,
+                                       std::vector<ItemId>{}, Nanos{0});
+    std::memset(item->mutable_data().data(), static_cast<int>(ts), kArenaPayload);
+    items.push_back(item);
+    srv.ch.put(std::move(item), {});
+
+    const FrameBuf get = encode(GetMsg{.consumer_summary = millis(1), .arena = true});
+    ASSERT_EQ(s->send_all(get.span(), seconds(2)), IoStatus::kOk);
+    FrameHeader h;
+    std::vector<std::byte> body;
+    do {
+      ASSERT_TRUE(raw_read_frame(*s, h, body));
+    } while (h.type == MsgType::kHeartbeat);
+    ASSERT_EQ(h.type, MsgType::kGetReply);
+    EXPECT_EQ(h.payload_len, 0u) << "an arena reply has no tail";
+    GetReplyMsg reply;
+    ASSERT_TRUE(decode(std::span<const std::byte>(body), reply, nullptr));
+    ASSERT_TRUE(reply.has_item);
+    EXPECT_EQ(reply.item.ts, ts);
+    ASSERT_NE(reply.item.arena_offset, kNoArenaOffset);
+    std::vector<std::byte> copy(reply.item.payload_bytes);
+    ASSERT_TRUE(mapped->copy_out(reply.item.arena_offset, copy));
+    EXPECT_EQ(copy.front(), std::byte(ts));
+    EXPECT_EQ(copy.back(), std::byte(ts));
+  }
+  const auto pinned = [&] {
+    return std::count_if(items.begin(), items.end(),
+                         [](const std::weak_ptr<Item>& w) { return !w.expired(); });
+  };
+  // The channel keeps the newest item; the lent reply is the same one, so
+  // anything older is gone.
+  EXPECT_LE(pinned(), 2);
+  const Nanos deadline = srv.rt.clock().now() + seconds(5);
+  while (pinned() > 1 && srv.rt.clock().now() < deadline) {
+    srv.rt.clock().sleep_for(millis(1));
+  }
+  EXPECT_LE(pinned(), 1) << "items older than the last reply must not stay pinned";
+
+  const auto await_expired = [&](const std::weak_ptr<Item>& w) {
+    const Nanos until = srv.rt.clock().now() + seconds(5);
+    while (!w.expired() && srv.rt.clock().now() < until) {
+      srv.rt.clock().sleep_for(millis(1));
+    }
+    return w.expired();
+  };
+  const auto put_item = [&](Timestamp ts) {
+    auto item = std::make_shared<Item>(srv.rt.context(), ts, kArenaPayload, 100, 0,
+                                       std::vector<ItemId>{}, Nanos{0});
+    items.push_back(item);
+    srv.ch.put(std::move(item), {});
+  };
+  const auto read_reply = [&](Timestamp want) {
+    FrameHeader h;
+    std::vector<std::byte> body;
+    do {
+      ASSERT_TRUE(raw_read_frame(*s, h, body));
+    } while (h.type == MsgType::kHeartbeat);
+    ASSERT_EQ(h.type, MsgType::kGetReply);
+    GetReplyMsg reply;
+    ASSERT_TRUE(decode(std::span<const std::byte>(body), reply, nullptr));
+    EXPECT_EQ(reply.item.ts, want);
+    EXPECT_NE(reply.item.arena_offset, kNoArenaOffset);
+  };
+  const FrameBuf get = encode(GetMsg{.arena = true});
+
+  // A new get unpins the last reply at once, even while it parks for an
+  // item that is not there yet.
+  const std::weak_ptr<Item> lent_by_get = items.back();
+  ASSERT_EQ(s->send_all(get.span(), seconds(2)), IoStatus::kOk);
+  EXPECT_TRUE(await_expired(lent_by_get)) << "a parked get must not pin the last reply";
+  put_item(8);
+  read_reply(8);
+
+  // Newer items push the reply out of the channel: only the lent pin
+  // holds it now, until the consumer sends kRelease.
+  const std::weak_ptr<Item> lent_by_release = items.back();
+  put_item(9);
+  put_item(10);
+  EXPECT_FALSE(lent_by_release.expired()) << "the last reply stays lent until released";
+  ASSERT_EQ(s->send_all(encode_release().span(), seconds(2)), IoStatus::kOk);
+  EXPECT_TRUE(await_expired(lent_by_release)) << "kRelease must unpin the reply";
+
+  // Once more, ended by a hang-up instead.
+  ASSERT_EQ(s->send_all(get.span(), seconds(2)), IoStatus::kOk);
+  read_reply(10);
+  const std::weak_ptr<Item> lent_by_hangup = items.back();
+  put_item(11);
+  put_item(12);
+  EXPECT_FALSE(lent_by_hangup.expired()) << "the reply stays lent until the hang-up";
+  s->close();
+  EXPECT_TRUE(await_expired(lent_by_hangup)) << "a hang-up must release the lent item";
+}
+
+TEST(ArenaHandoff, WindowTailIsReencodedForTheNewLink) {
+  // The first server maps the producer's arena and takes three frame-sized
+  // puts as arena offsets without acking them, then vanishes. Its
+  // replacement on the same port does not map the arena, so the resent
+  // window tail must carry the bytes as payload tails.
+  constexpr std::size_t kPayload = std::size_t{720} << 10;
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.has_value());
+  const std::uint16_t port = listener->port();
+  Runtime rt;
+  RemoteChannel proxy(rt, {.name = "frames", .transport = fast_transport(port),
+                           .producer_key = 0});
+  std::stop_source stop;
+
+  // A fake server: acks the Hello (mapped or not), then hands each put
+  // frame to `on_put` with its tail (empty when there is none).
+  using OnPut = std::function<void(const FrameHeader&, const PutMsg&,
+                                   const std::vector<std::byte>&)>;
+  const auto serve = [](TcpListener& l, bool mapped, int puts, const OnPut& on_put) {
+    auto s = l.accept(seconds(5));
+    if (!s) return std::optional<TcpStream>{};
+    FrameHeader h;
+    std::vector<std::byte> body;
+    if (!raw_read_frame(*s, h, body) || h.type != MsgType::kHello) return std::optional<TcpStream>{};
+    const FrameBuf ack = encode(HelloAckMsg{.ok = true, .credits = 64, .peer_mapped = mapped});
+    if (s->send_all(ack.span(), seconds(2)) != IoStatus::kOk) return std::optional<TcpStream>{};
+    for (int i = 0; i < puts; ++i) {
+      PutMsg put;
+      std::vector<std::byte> tail;
+      if (!raw_read_frame(*s, h, body) || h.type != MsgType::kPut ||
+          !decode(std::span<const std::byte>(body), put, nullptr)) {
+        return std::optional<TcpStream>{};
+      }
+      tail.resize(h.payload_len);
+      if (!tail.empty() && s->recv_exact(tail, seconds(2)) != IoStatus::kOk) {
+        return std::optional<TcpStream>{};
+      }
+      on_put(h, put, tail);
+    }
+    return std::optional<TcpStream>{std::move(*s)};
+  };
+
+  int arena_puts = 0;
+  std::thread first([&] {
+    auto s = serve(*listener, /*mapped=*/true, 3,
+                   [&](const FrameHeader& h, const PutMsg& put, const std::vector<std::byte>&) {
+                     if (h.payload_len == 0 && put.item.arena_offset != kNoArenaOffset) {
+                       ++arena_puts;
+                     }
+                   });
+    listener->close();  // and `s` hangs up on return: no ack ever came
+  });
+  for (Timestamp ts = 0; ts < 3; ++ts) {
+    auto item = make_item(rt, ts, kPayload);
+    std::memset(item->mutable_data().data(), static_cast<int>(ts + 1), kPayload);
+    ASSERT_TRUE(proxy.put(std::move(item), stop.get_token()).stored);
+  }
+  first.join();
+  EXPECT_EQ(arena_puts, 3) << "a mapping server takes frame puts as arena offsets";
+
+  auto listener2 = TcpListener::listen(port);
+  ASSERT_TRUE(listener2.has_value());
+  int tail_puts = 0;
+  std::atomic<bool> drained{false};
+  std::thread second([&] {
+    auto s = serve(*listener2, /*mapped=*/false, 3,
+                   [&](const FrameHeader& h, const PutMsg& put,
+                       const std::vector<std::byte>& tail) {
+                     const auto fill = std::byte(static_cast<unsigned>(put.item.ts + 1));
+                     if (put.item.arena_offset == kNoArenaOffset && h.payload_len == kPayload &&
+                         std::all_of(tail.begin(), tail.end(),
+                                     [&](std::byte b) { return b == fill; })) {
+                       ++tail_puts;
+                     }
+                   });
+    if (s) {
+      (void)s->send_all(encode(PutAckMsg{.cum_seq = 3, .credits = 64}).span(), seconds(2));
+      // Stay up until the client has read the ack.
+      const Nanos until = rt.clock().now() + seconds(5);
+      while (!drained.load() && rt.clock().now() < until) rt.clock().sleep_for(millis(1));
+    }
+  });
+  EXPECT_TRUE(proxy.drain_puts(stop.get_token())) << "the resent tail was never acked";
+  drained = true;
+  second.join();
+  EXPECT_EQ(tail_puts, 3) << "the resent tail must carry the bytes for an unmapped link";
+}
+
 // ---------------------------------------------------------------------------
 // Two-process tier: SIGKILL a real spd_node child mid-stream
 // ---------------------------------------------------------------------------
@@ -827,6 +1197,66 @@ struct SpdNodeProc {
 
   ~SpdNodeProc() { kill_hard(); }
 };
+
+/// A frame-sized item (the tracker's 738 kB frame lands in the 768 KiB
+/// slab class) whose bytes are a pattern keyed by its timestamp.
+constexpr std::size_t kFramePayload = std::size_t{720} << 10;
+
+std::shared_ptr<Item> frame_item(Runtime& rt, Timestamp ts) {
+  auto item = make_item(rt, ts, kFramePayload);
+  const auto data = item->mutable_data();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::byte(static_cast<unsigned>(i * 31 + static_cast<std::size_t>(ts)));
+  }
+  return item;
+}
+
+bool has_frame_pattern(const Item& item) {
+  const auto data = item.data();
+  if (data.size() != kFramePayload) return false;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (data[i] != std::byte(static_cast<unsigned>(i * 31 +
+                                                   static_cast<std::size_t>(item.ts())))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ArenaHandoff, FrameRoundTripThroughAChildProcessUsesTheArenas) {
+  // Across a real process boundary on one host: the spd_node child maps
+  // this process's arena to take the put, and this process maps the
+  // child's to take the get reply. The payload comes back byte-exact and
+  // the arena counters carry it on both links.
+  auto node = SpdNodeProc::spawn({"port=0"});
+  ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
+  ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
+
+  Runtime rt;
+  RemoteChannel proxy(rt, {.name = "frames",
+                           .transport = fast_transport(node.port),
+                           .producer_key = 0,
+                           .consumer_key = 0});
+  std::stop_source stop;
+  for (Timestamp ts = 0; ts < 3; ++ts) {
+    ASSERT_TRUE(proxy.put(frame_item(rt, ts), stop.get_token()).stored);
+    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+    const auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token());
+    ASSERT_NE(got.item, nullptr);
+    EXPECT_EQ(got.item->ts(), ts);
+    EXPECT_TRUE(has_frame_pattern(*got.item)) << "ts " << ts;
+  }
+  const auto counter = [&](const char* name, const char* link) {
+    return rt.metrics().counter(name, "", {{"link", link}}).value();
+  };
+  const std::uint64_t payloads = 3 * kFramePayload;
+  EXPECT_EQ(counter("aru_net_arena_bytes_total", "frames/put"), payloads);
+  EXPECT_EQ(counter("aru_net_arena_bytes_total", "frames/get"), payloads);
+  // tx/rx still count the payload bytes, plus envelopes.
+  EXPECT_GE(counter("aru_net_tx_bytes_total", "frames/put"), payloads);
+  EXPECT_GE(counter("aru_net_rx_bytes_total", "frames/get"), payloads);
+  rt.stop();
+}
 
 TEST(NetReconnect, SurvivesServerProcessKillAndRestart) {
   // SIGKILL a real spd_node child between bursts, with every put already
@@ -909,7 +1339,11 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   // backoff, replay the tail into the fresh process, and resume — with the
   // sink seeing strictly increasing timestamps (no duplicates, no
   // reordering) and the summary-STP feedback reconverging over the
-  // coalesced acks.
+  // coalesced acks. The items are frame-sized, so on this host they cross
+  // as offsets into each side's arena: the kill lands while the client
+  // has the server's arena mapped (it must not fault), and the respawned
+  // server offers a new arena, maps ours afresh, and gets the window tail
+  // re-encoded for the new link.
   auto node = SpdNodeProc::spawn({"port=0"});
   ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
   ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
@@ -923,13 +1357,14 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
 
   // Stream a burst and confirm delivery end to end.
   for (Timestamp ts = 0; ts < 10; ++ts) {
-    proxy.put(make_item(rt, ts), stop.get_token());
+    proxy.put(frame_item(rt, ts), stop.get_token());
   }
   ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   auto got = proxy.get_latest(millis(9), kNoTimestamp, stop.get_token());
   ASSERT_NE(got.item, nullptr);
+  EXPECT_TRUE(has_frame_pattern(*got.item));
   // The get folded our consumer summary-STP; the next ack carries it back.
-  proxy.put(make_item(rt, 10), stop.get_token());
+  proxy.put(frame_item(rt, 10), stop.get_token());
   ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
   const Nanos held = proxy.summary();
   ASSERT_EQ(held, millis(9));
@@ -937,7 +1372,7 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   // Kill mid-window: queue fresh puts and SIGKILL before draining them.
   const std::uint16_t port = node.port;
   for (Timestamp ts = 11; ts < 15; ++ts) {
-    proxy.put(make_item(rt, ts), stop.get_token());
+    proxy.put(frame_item(rt, ts), stop.get_token());
   }
   node.kill_hard();
 
@@ -945,7 +1380,7 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   // returning the held summary-STP.
   std::int64_t outage_drops = 0;
   for (Timestamp ts = 15; ts < 30; ++ts) {
-    const auto res = proxy.put(make_item(rt, ts), stop.get_token());
+    const auto res = proxy.put(frame_item(rt, ts), stop.get_token());
     if (res.dropped) {
       ++outage_drops;
       EXPECT_EQ(res.summary, held) << "held summary-STP must survive the outage";
@@ -964,7 +1399,7 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   const Nanos deadline = rt.clock().now() + seconds(10);
   Timestamp ts = 100;
   while (rt.clock().now() < deadline) {
-    const auto res = proxy.put(make_item(rt, ts++), stop.get_token());
+    const auto res = proxy.put(frame_item(rt, ts++), stop.get_token());
     if (res.stored && proxy.drain_puts(stop.get_token())) {
       resumed = true;
       break;
@@ -986,10 +1421,11 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
     got = proxy.get_latest(kRespawnSummary, kNoTimestamp, stop.get_token());
     if (got.item == nullptr) break;
     EXPECT_GT(got.item->ts(), last_ts) << "duplicate or reordered timestamp after respawn";
+    EXPECT_TRUE(has_frame_pattern(*got.item)) << "ts " << got.item->ts();
     last_ts = got.item->ts();
     ++fetched;
     // keep the stream warm so the next get has something to skip to
-    proxy.put(make_item(rt, ts++), stop.get_token());
+    proxy.put(frame_item(rt, ts++), stop.get_token());
     proxy.drain_puts(stop.get_token());
   }
   EXPECT_GE(fetched, 1);
@@ -998,12 +1434,20 @@ TEST(PipelinedReconnect, SurvivesServerKillMidWindowAndReconverges) {
   // come back over a coalesced ack, replacing the held pre-kill value.
   const Nanos conv_deadline = rt.clock().now() + seconds(5);
   while (proxy.summary() != kRespawnSummary && rt.clock().now() < conv_deadline) {
-    proxy.put(make_item(rt, ts++), stop.get_token());
+    proxy.put(frame_item(rt, ts++), stop.get_token());
     proxy.drain_puts(stop.get_token());
     rt.clock().sleep_for(millis(5));
   }
   EXPECT_EQ(proxy.summary(), kRespawnSummary)
       << "summary-STP pacing must reconverge after the respawn";
+
+  // Both directions went through the arenas, before and after the kill.
+  EXPECT_GT(rt.metrics().counter("aru_net_arena_bytes_total", "", {{"link", "frames/put"}})
+                .value(),
+            0u);
+  EXPECT_GT(rt.metrics().counter("aru_net_arena_bytes_total", "", {{"link", "frames/get"}})
+                .value(),
+            0u);
 
   // The trace tells the story: one kDrop per outage drop, and a bounded
   // backoff on the first recovery.

@@ -6,10 +6,15 @@
 ///        interesting schedules run under TSan via the preset matrix).
 #include "runtime/pool.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <set>
 #include <thread>
 #include <vector>
@@ -208,6 +213,101 @@ TEST(Pool, ParkedBytesStayOutOfTrackerTotals) {
   // The pressure model measures live item footprint; parked slabs are
   // reuse inventory, not load.
   EXPECT_EQ(env.tracker.total_bytes(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Shared arena
+// ---------------------------------------------------------------------------
+
+TEST(PoolArena, RecycledSlabsComeFromTheSealedArenaOnceEnabled) {
+  PayloadPool pool(/*poison=*/false);
+  EXPECT_LT(pool.arena().fd, 0) << "no arena until a sender asks for one";
+  PayloadBuffer before = pool.acquire(kMin);
+  EXPECT_EQ(pool.arena_offset(before.span().data()), PayloadPool::kNotInArena);
+
+  pool.enable_arena();
+  pool.enable_arena();  // idempotent
+  const ArenaInfo info = pool.arena();
+  ASSERT_GE(info.fd, 0) << "memfd arenas unavailable";
+  EXPECT_EQ(info.size, PayloadPool::kArenaBytes);
+  EXPECT_NE(info.token, 0u);
+
+  // What a peer checks: the name carries the token, and the size cannot
+  // change under a mapping.
+  char self[64];
+  std::snprintf(self, sizeof(self), "/proc/self/fd/%d", info.fd);
+  char target[128] = {};
+  ASSERT_GT(::readlink(self, target, sizeof(target) - 1), 0);
+  char expect[64];
+  std::snprintf(expect, sizeof(expect), "/memfd:aru-arena-%016llx",
+                static_cast<unsigned long long>(info.token));
+  EXPECT_EQ(std::string(target).rfind(expect, 0), 0u) << target;
+  const int seals = ::fcntl(info.fd, F_GET_SEALS);
+  EXPECT_EQ(seals & (F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL),
+            F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL);
+
+  PayloadBuffer frame = pool.acquire(vision::kFrameBytes);
+  PayloadBuffer slab = pool.acquire(kMin);
+  const std::uint64_t frame_off = pool.arena_offset(frame.span().data());
+  const std::uint64_t slab_off = pool.arena_offset(slab.span().data());
+  ASSERT_NE(frame_off, PayloadPool::kNotInArena);
+  ASSERT_NE(slab_off, PayloadPool::kNotInArena);
+  EXPECT_EQ(frame_off % kMin, 0u) << "slabs are page- and class-aligned";
+  EXPECT_EQ(slab_off % kMin, 0u);
+  EXPECT_NE(frame_off, slab_off);
+  // Small payloads stay exact-size heap buffers.
+  PayloadBuffer small = pool.acquire(kMin - 1);
+  EXPECT_EQ(pool.arena_offset(small.span().data()), PayloadPool::kNotInArena);
+
+  // Recycling keeps working inside the arena.
+  std::byte* const p = frame.span().data();
+  frame = PayloadBuffer{};
+  PayloadBuffer again = pool.acquire(vision::kFrameBytes);
+  EXPECT_EQ(again.span().data(), p);
+}
+
+TEST(PoolArena, SlabsPastTheParkedCapArePunchedOutAndReused) {
+  // As RetainedBytesRespectTheCap, but in the arena: the seventeenth
+  // 8 MiB slab is not freed but punched out, and its address range is the
+  // next one its class gets. A punched range reads as zeros.
+  PayloadPool pool(/*poison=*/false);
+  pool.enable_arena();
+  ASSERT_GE(pool.arena().fd, 0) << "memfd arenas unavailable";
+  std::byte* punched = nullptr;
+  {
+    std::vector<PayloadBuffer> held;
+    for (int i = 0; i < 17; ++i) {
+      held.push_back(pool.acquire(kMax));
+      held.back().span()[0] = std::byte{0x5A};
+    }
+    punched = held.back().span().data();
+  }  // released in order: the last one overflows the cap
+  EXPECT_EQ(pool.parked_bytes(), PayloadPool::kMaxParkedBytes);
+
+  std::vector<PayloadBuffer> again;
+  for (int i = 0; i < 16; ++i) {
+    again.push_back(pool.acquire(kMax));
+    EXPECT_EQ(again.back().span()[0], std::byte{0x5A}) << "parked slabs keep their pages";
+  }
+  PayloadBuffer reused = pool.acquire(kMax);
+  EXPECT_EQ(reused.span().data(), punched);
+  EXPECT_EQ(reused.span()[0], std::byte{0}) << "the punched slab's pages were returned";
+}
+
+TEST(PoolArena, FullArenaFallsBackToHeapSlabs) {
+  PayloadPool pool(/*poison=*/false);
+  pool.enable_arena();
+  ASSERT_GE(pool.arena().fd, 0) << "memfd arenas unavailable";
+  std::vector<PayloadBuffer> held;
+  for (std::size_t i = 0; i < PayloadPool::kArenaBytes / kMax; ++i) {
+    held.push_back(pool.acquire(kMax));
+    EXPECT_NE(pool.arena_offset(held.back().span().data()), PayloadPool::kNotInArena);
+  }
+  PayloadBuffer overflow = pool.acquire(kMax);
+  EXPECT_TRUE(overflow.pooled()) << "a heap slab still recycles";
+  EXPECT_EQ(pool.arena_offset(overflow.span().data()), PayloadPool::kNotInArena);
+  PayloadBuffer smaller = pool.acquire(kMin);
+  EXPECT_EQ(pool.arena_offset(smaller.span().data()), PayloadPool::kNotInArena);
 }
 
 // ---------------------------------------------------------------------------

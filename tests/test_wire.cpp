@@ -61,13 +61,26 @@ WireItem random_item(Xoshiro256& rng, std::size_t max_payload = 1 << 20) {
                             static_cast<std::int64_t>(rng.next()));
   }
   item.payload_bytes = static_cast<std::uint32_t>(rng.below(max_payload + 1));
+  // Half the items name an arena offset (wire v5) instead of a tail.
+  if (rng.below(2) == 1) item.arena_offset = rng.next() >> 1;
   return item;
 }
 
-/// The payload tail a frame's header must announce for a given message.
-std::uint32_t payload_len_of(const PutMsg& m) { return m.item.payload_bytes; }
+ArenaRef random_arena(Xoshiro256& rng) {
+  return {.pid = static_cast<std::int32_t>(rng.next()),
+          .fd = static_cast<std::int32_t>(rng.next()),
+          .token = rng.next(),
+          .size = rng.next()};
+}
+
+/// The payload tail a frame's header must announce for a given message:
+/// none when the item's bytes wait in the sender's arena.
+std::uint32_t tail_of(const WireItem& item) {
+  return item.arena_offset == kNoArenaOffset ? item.payload_bytes : 0;
+}
+std::uint32_t payload_len_of(const PutMsg& m) { return tail_of(m.item); }
 std::uint32_t payload_len_of(const GetReplyMsg& m) {
-  return m.has_item ? m.item.payload_bytes : 0;
+  return m.has_item ? tail_of(m.item) : 0;
 }
 template <typename Msg>
 std::uint32_t payload_len_of(const Msg&) {
@@ -123,7 +136,8 @@ TEST(Wire, HelloRoundTripRandomized) {
                               .producer_key = static_cast<std::int32_t>(rng.next()),
                               .consumer_key = static_cast<std::int32_t>(rng.next()),
                               .session = rng.next(),
-                              .start_seq = rng.next()},
+                              .start_seq = rng.next(),
+                              .arena = random_arena(rng)},
                      MsgType::kHello);
   }
 }
@@ -133,7 +147,9 @@ TEST(Wire, HelloAckRoundTripRandomized) {
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(HelloAckMsg{.ok = rng.below(2) == 1,
                                  .message = random_name(rng, kMaxNameBytes),
-                                 .credits = static_cast<std::uint32_t>(rng.next())},
+                                 .credits = static_cast<std::uint32_t>(rng.next()),
+                                 .arena = random_arena(rng),
+                                 .peer_mapped = rng.below(2) == 1},
                      MsgType::kHelloAck);
   }
 }
@@ -151,8 +167,7 @@ TEST(Wire, PutRoundTripRandomized) {
 TEST(Wire, PutAckRoundTripRandomized) {
   Xoshiro256 rng(0xDEAD);
   for (int i = 0; i < 200; ++i) {
-    expect_roundtrip(PutAckMsg{.stored = rng.below(2) == 1,
-                               .closed = rng.below(2) == 1,
+    expect_roundtrip(PutAckMsg{.closed = rng.below(2) == 1,
                                .summary = Nanos{static_cast<std::int64_t>(rng.next() >> 8)},
                                .cum_seq = rng.next(),
                                .credits = static_cast<std::uint32_t>(rng.next()),
@@ -165,7 +180,8 @@ TEST(Wire, GetRoundTripRandomized) {
   Xoshiro256 rng(0xF00D);
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(GetMsg{.consumer_summary = Nanos{static_cast<std::int64_t>(rng.next())},
-                            .guarantee = static_cast<Timestamp>(rng.next() >> 4)},
+                            .guarantee = static_cast<Timestamp>(rng.next() >> 4),
+                            .arena = rng.below(2) == 1},
                      MsgType::kGet);
   }
 }
@@ -194,6 +210,12 @@ TEST(Wire, HeartbeatAndCloseRoundTrip) {
   std::string err;
   ASSERT_TRUE(decode_header(frame.span().first(kHeaderBytes), h, &err)) << err;
   EXPECT_EQ(h.type, MsgType::kClose);
+  EXPECT_EQ(h.body_len, 0u);
+  EXPECT_EQ(h.payload_len, 0u);
+
+  const FrameBuf release = encode_release();
+  ASSERT_TRUE(decode_header(release.span().first(kHeaderBytes), h, &err)) << err;
+  EXPECT_EQ(h.type, MsgType::kRelease);
   EXPECT_EQ(h.body_len, 0u);
   EXPECT_EQ(h.payload_len, 0u);
 }
@@ -225,7 +247,8 @@ TEST(Wire, EnvelopesNeverExceedTheStackBufferCap) {
 
 TEST(Wire, PayloadLenRidesTheHeaderNotTheEnvelope) {
   Xoshiro256 rng(0x9E7);
-  const WireItem item = random_item(rng);
+  WireItem item = random_item(rng);
+  item.arena_offset = kNoArenaOffset;
   const FrameBuf frame = encode(PutMsg{.item = item});
   FrameHeader h;
   ASSERT_TRUE(decode_header(frame.span().first(kHeaderBytes), h, nullptr));
@@ -234,19 +257,29 @@ TEST(Wire, PayloadLenRidesTheHeaderNotTheEnvelope) {
   // separately (scatter-gather on send, sink-directed receive).
   EXPECT_EQ(frame.len, kHeaderBytes + h.body_len);
   EXPECT_LT(frame.len, sizeof(frame.data) + 1);
+
+  // An item in the sender's arena announces its size in the envelope and
+  // no payload tail in the header.
+  item.arena_offset = 4096;
+  const FrameBuf arena_frame = encode(PutMsg{.item = item});
+  ASSERT_TRUE(decode_header(arena_frame.span().first(kHeaderBytes), h, nullptr));
+  EXPECT_EQ(h.payload_len, 0u);
+  PutMsg out;
+  ASSERT_TRUE(decode(arena_frame.span().subspan(kHeaderBytes), out, nullptr));
+  EXPECT_EQ(out.item.payload_bytes, item.payload_bytes);
+  EXPECT_EQ(out.item.arena_offset, 4096u);
 }
 
 // -- summary-STP vector boundaries ------------------------------------------
 
 TEST(Wire, EmptyStpVectorRoundTrips) {
-  expect_roundtrip(PutAckMsg{.stored = true, .summary = millis(7), .stp = {}},
+  expect_roundtrip(PutAckMsg{.summary = millis(7), .stp = {}},
                    MsgType::kPutAck);
 }
 
 TEST(Wire, MaxSizeStpVectorRoundTrips) {
   Xoshiro256 rng(0x57EF);
-  expect_roundtrip(PutAckMsg{.stored = true,
-                             .summary = millis(3),
+  expect_roundtrip(PutAckMsg{.summary = millis(3),
                              .stp = random_stp(rng, kMaxStpSlots)},
                    MsgType::kPutAck);
   expect_roundtrip(PutMsg{.item = random_item(rng, 16),
@@ -257,11 +290,11 @@ TEST(Wire, MaxSizeStpVectorRoundTrips) {
 TEST(Wire, OversizedStpVectorIsRejected) {
   // Hand-build a PutAck body whose slot count exceeds the cap: the decoder
   // must reject it before trusting the length.
-  PutAckMsg m{.stored = true, .stp = std::vector<Nanos>(kMaxStpSlots, millis(1))};
+  PutAckMsg m{.stp = std::vector<Nanos>(kMaxStpSlots, millis(1))};
   FrameBuf frame = encode(m);
-  // Body layout (v3, unchanged in v4): stored u8, closed u8, summary i64, cum_seq u64,
-  // credits u32, count u16, slots...
-  const std::size_t count_off = kHeaderBytes + 1 + 1 + 8 + 8 + 4;
+  // Body layout (v5): closed u8, summary i64, cum_seq u64, credits u32,
+  // count u16, slots...
+  const std::size_t count_off = kHeaderBytes + 1 + 8 + 8 + 4;
   const auto bumped = static_cast<std::uint16_t>(kMaxStpSlots + 1);
   std::memcpy(frame.data.data() + count_off, &bumped, sizeof(bumped));
 
@@ -308,12 +341,14 @@ TEST(Wire, TruncatedBodiesNeverCrash) {
                       .consumer_key = 1,
                       .session = 0x1122334455667788ULL,
                       .start_seq = 42}));
-  expect_truncation_safe<HelloAckMsg>(
-      encode(HelloAckMsg{.ok = false, .message = "no", .credits = 7}));
+  expect_truncation_safe<HelloAckMsg>(encode(HelloAckMsg{.ok = false,
+                                                         .message = "no",
+                                                         .credits = 7,
+                                                         .arena = random_arena(rng),
+                                                         .peer_mapped = true}));
   expect_truncation_safe<PutMsg>(encode(
       PutMsg{.seq = 99, .item = random_item(rng, 64), .stp = random_stp(rng, 5)}));
-  expect_truncation_safe<PutAckMsg>(encode(PutAckMsg{.stored = true,
-                                                     .summary = millis(2),
+  expect_truncation_safe<PutAckMsg>(encode(PutAckMsg{.summary = millis(2),
                                                      .cum_seq = 99,
                                                      .credits = 5,
                                                      .stp = random_stp(rng, 3)}));
@@ -381,13 +416,13 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_FALSE(e.empty());
   };
-  static_assert(kWireVersion == 4, "v4: GetReply carries the server-side wait");
+  static_assert(kWireVersion == 5, "v5: same-host peers hand payloads over in an arena");
   corrupt(0, 0xFF);                                      // magic
   corrupt(8, kWireVersion + 1);                          // version
-  corrupt(8, kWireVersion - 1);                          // v3 peers (no GetReply waited)
+  corrupt(8, kWireVersion - 1);                          // v4 peers (no arena fields)
   corrupt(8, 1);                                         // v1 peers are rejected too
   corrupt(9, 0);                                         // type below range
-  corrupt(9, static_cast<std::uint8_t>(MsgType::kClose) + 1);  // type above range
+  corrupt(9, static_cast<std::uint8_t>(MsgType::kRelease) + 1);  // type above range
 
   // body_len beyond the envelope cap.
   {
