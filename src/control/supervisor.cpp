@@ -15,6 +15,7 @@
 
 #include "telemetry/exporter.hpp"
 #include "util/log.hpp"
+#include "util/thread_name.hpp"
 
 extern char** environ;
 
@@ -137,7 +138,10 @@ void Supervisor::start() {
       throw std::runtime_error("supervisor: failed to spawn worker '" + w.node + "'");
     }
   }
-  thread_ = std::jthread([this](std::stop_token st) { supervise(st); });
+  thread_ = std::jthread([this](std::stop_token st) {
+    util::set_thread_name("supervisor");
+    supervise(st);
+  });
 }
 
 void Supervisor::stop() {

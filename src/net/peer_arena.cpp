@@ -1,5 +1,6 @@
 #include "net/peer_arena.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -7,8 +8,6 @@
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-
-#include "runtime/pool.hpp"
 
 namespace stampede::net {
 namespace {
@@ -34,7 +33,7 @@ bool names_arena(const char* link, std::uint64_t token) {
          (target[len] == '\0' || std::strcmp(target + len, " (deleted)") == 0);
 }
 
-std::unique_ptr<PeerArena> fail(std::string* why, const char* what) {
+std::shared_ptr<PeerArena> fail(std::string* why, const char* what) {
   if (why != nullptr) *why = what;
   return nullptr;
 }
@@ -50,7 +49,44 @@ ArenaRef local_arena(const PayloadPool& pool) {
           .size = info.size};
 }
 
-std::unique_ptr<PeerArena> PeerArena::map(const ArenaRef& ref, std::string* why) {
+ReleaseList::ReleaseList() {
+  // Room for a full slot's leases twice over (a reconnect to a respawned
+  // peer can leave a full set behind), so a push seldom allocates.
+  const util::MutexLock lock(mu_);
+  ids_.reserve(2 * kMaxLeases);
+}
+
+void ReleaseList::push(std::uint64_t lease) {
+  const util::MutexLock lock(mu_);
+  ids_.push_back(lease);
+}
+
+void ReleaseList::returned(std::uint64_t lease) {
+  const util::MutexLock lock(mu_);
+  ids_.push_back(lease);
+  if (sink_ != nullptr) sink_->send_now(ids_);
+}
+
+void ReleaseList::attach(ReleaseSink* sink) {
+  const util::MutexLock lock(mu_);
+  sink_ = sink;
+}
+
+void ReleaseList::take(std::vector<std::uint64_t>& out) {
+  const util::MutexLock lock(mu_);
+  const std::size_t n = std::min(ids_.size(), kMaxLeases);
+  out.assign(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(n));
+  ids_.erase(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+void ReleaseList::put_back(const std::vector<std::uint64_t>& ids) {
+  const util::MutexLock lock(mu_);
+  ids_.insert(ids_.begin(), ids.begin(), ids.end());
+}
+
+std::shared_ptr<PeerArena> PeerArena::map(const ArenaRef& ref,
+                                          std::shared_ptr<ReleaseList> releases,
+                                          std::string* why) {
   if (ref.token == 0 || ref.pid <= 0 || ref.fd < 0 || ref.size == 0) {
     return fail(why, "no arena advertised");
   }
@@ -80,7 +116,8 @@ std::unique_ptr<PeerArena> PeerArena::map(const ArenaRef& ref, std::string* why)
   }
   void* base = ::mmap(nullptr, ref.size, PROT_READ, MAP_SHARED, file.fd, 0);
   if (base == MAP_FAILED) return fail(why, "cannot map the arena");
-  return std::unique_ptr<PeerArena>(new PeerArena(static_cast<const std::byte*>(base), ref.size));
+  return std::shared_ptr<PeerArena>(
+      new PeerArena(static_cast<const std::byte*>(base), ref.size, std::move(releases)));
 }
 
 PeerArena::~PeerArena() {
@@ -88,9 +125,19 @@ PeerArena::~PeerArena() {
 }
 
 bool PeerArena::copy_out(std::uint64_t offset, std::span<std::byte> dest) const {
-  if (offset > size_ || dest.size() > size_ - offset) return false;
+  if (!contains(offset, dest.size())) return false;
   std::memcpy(dest.data(), base_ + offset, dest.size());
   return true;
+}
+
+PayloadBuffer PeerArena::view(const std::shared_ptr<PeerArena>& arena, std::uint64_t offset,
+                              std::size_t bytes, std::uint64_t lease) {
+  if (!arena->contains(offset, bytes)) return {};
+  return PayloadBuffer::borrow(arena->base_ + offset, bytes, arena, lease);
+}
+
+void PeerArena::give_back(std::uint64_t lease) noexcept {
+  if (releases_ != nullptr) releases_->returned(lease);
 }
 
 }  // namespace stampede::net

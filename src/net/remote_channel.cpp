@@ -11,6 +11,7 @@
 #include "runtime/item.hpp"
 #include "runtime/pool.hpp"
 #include "util/log.hpp"
+#include "util/thread_name.hpp"
 
 namespace stampede::net {
 namespace {
@@ -73,29 +74,30 @@ void clear_wire_item(WireItem& wi) {
 ARU_ALLOCATES ARU_ANALYZE_ESCAPE("amortized append into a reused message vector whose capacity persists across calls")
 void append_nanos(std::vector<Nanos>& v, Nanos n) { v.push_back(n); }
 
-/// Materializes a local Item replica for a received WireItem, accounting
-/// the allocation in the trace exactly like TaskContext::make_item (the
-/// Item constructor itself handles the memory tracker). The payload is
-/// NOT filled in here: the caller receives the wire bytes directly into
-/// item->mutable_data() — and if that receive fails, dropping the item
-/// records a matching kFree, so the trace stays balanced either way.
-ARU_ALLOCATES ARU_ANALYZE_ESCAPE("constructs the consumer-side Item replica (one shared_ptr control block per received item — the ownership handoff itself); its payload slab comes from the pool")
-std::shared_ptr<Item> materialize(RunContext& ctx, const WireItem& wi, NodeId producer,
-                                  int cluster_node, stats::Shard* shard) {
-  auto item = std::make_shared<Item>(ctx, wi.ts, wi.payload_bytes, producer,
-                                     cluster_node, std::vector<ItemId>{},
-                                     Nanos{wi.produce_cost_ns});
+/// Materializes a local Item replica for a received WireItem around its
+/// payload, accounting the allocation in the trace exactly like
+/// TaskContext::make_item (the Item constructor itself handles the memory
+/// tracker). A borrowed payload charges nothing: its lender counts it. On
+/// the put path the payload is a fresh pooled buffer the caller then
+/// fills — and if that fails, dropping the item records a matching kFree,
+/// so the trace stays balanced either way.
+ARU_ALLOCATES ARU_ANALYZE_ESCAPE("constructs the consumer-side Item replica (one shared_ptr control block per received item — the ownership handoff itself); its payload slab comes from the pool or is borrowed")
+std::shared_ptr<Item> materialize(RunContext& ctx, const WireItem& wi, PayloadBuffer payload,
+                                  NodeId producer, int cluster_node, stats::Shard* shard) {
+  auto item = std::make_shared<Item>(ctx, wi.ts, std::move(payload), producer, cluster_node,
+                                     std::vector<ItemId>{}, Nanos{wi.produce_cost_ns});
+  const auto charged = static_cast<std::int64_t>(item->charged_bytes());
   shard->record(stats::Event{.type = stats::EventType::kAlloc,
                              .node = producer,
                              .ts = wi.ts,
                              .item = item->id(),
                              .t = ctx.now_ns(),
-                             .a = static_cast<std::int64_t>(wi.payload_bytes),
+                             .a = charged,
                              .b = cluster_node});
   shard->record_item(stats::ItemRecord{
       .id = item->id(),
       .ts = wi.ts,
-      .bytes = static_cast<std::int64_t>(wi.payload_bytes),
+      .bytes = charged,
       .producer = producer,
       .cluster_node = cluster_node,
       .t_alloc = item->t_alloc(),
@@ -253,30 +255,21 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
   // must not park on the server behind the caller's own unsent puts.
   if (put_link_) put_link_->send_staged();
   const Nanos t0 = ctx_.clock->now();
-  GetMsg request{.consumer_summary = consumer_summary, .guarantee = guarantee};
-  EnvelopeBody body;
 
-  // Reused across retries and calls: decode() overwrites every field and
-  // the stp vector's capacity persists, so the steady-state get path is
+  // Reused across retries and calls: the transport overwrites every field
+  // and the vectors' capacities persist, so the steady-state get path is
   // allocation-free apart from the materialized item itself.
+  static thread_local GetMsg request;
   static thread_local GetReplyMsg reply;
+  request.consumer_summary = consumer_summary;
+  request.guarantee = guarantee;
   for (;;) {
     const Nanos attempt_start = ctx_.clock->now();
     Nanos link_wait{0};
-    std::shared_ptr<Item> item;
-    // The reply decodes inside the sink so the payload lands directly in
-    // a freshly acquired pooled buffer — received from the tail, or copied
-    // out of the server's arena — with no intermediate copy. A tail whose
-    // length disagrees with the envelope drops the link in the transport.
-    const PayloadSink sink = [&](const FrameHeader&, std::span<const std::byte> env)
-        -> std::optional<PayloadDest> {
-      if (!decode(env, reply, nullptr)) return std::nullopt;
-      if (!reply.has_item) return PayloadDest{};
-      item = materialize(ctx_, reply.item, node_, config_.cluster_node, get_shard_);
-      return PayloadDest{.bytes = item->mutable_data(),
-                         .arena_offset = reply.item.arena_offset};
-    };
-    const auto status = get_link_->rpc(request, body, sink, st, &link_wait);
+    // The payload arrives received into a pooled slab, or as a borrowed
+    // view of the server's arena slab: no copy either way.
+    PayloadBuffer payload;
+    const auto status = get_link_->rpc(request, reply, payload, st, &link_wait);
     if (status == Transport::RpcStatus::kStopped) break;
     if (status == Transport::RpcStatus::kDisconnected) continue;  // re-issue
 
@@ -293,7 +286,8 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     const Nanos sent = attempt_start + link_wait;
     const Nanos end = ctx_.clock->now();
     const Nanos waited = std::clamp(reply.waited, Nanos{0}, end - sent);
-    return GetResult{.item = std::move(item),
+    return GetResult{.item = materialize(ctx_, reply.item, std::move(payload), node_,
+                                         config_.cluster_node, get_shard_),
                      .blocked = sent - t0 + waited,
                      .skipped = reply.skipped};
   }
@@ -343,6 +337,14 @@ ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
       s.consumer_idx.push_back(
           sc.channel->register_consumer(n, sc.channel->cluster_node()));
     }
+    s.leases = std::make_unique<LeaseTable>(
+        s.consumer_idx.size(),
+        ctx_.metrics == nullptr
+            ? nullptr
+            : &ctx_.metrics->gauge("aru_net_leases",
+                                   "Get replies lent to remote consumers and still "
+                                   "pinned (wire v6 leases).",
+                                   {{"channel", sc.channel->name()}}));
     served_.push_back(std::move(s));
   }
 
@@ -391,6 +393,85 @@ ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
 
 ChannelServer::~ChannelServer() { stop(); }
 
+ChannelServer::LeaseTable::LeaseTable(std::size_t slots, telemetry::Gauge* gauge)
+    : slots_(std::make_unique<Slot[]>(slots)), size_(slots), gauge_(gauge) {}
+
+void ChannelServer::LeaseTable::count(std::int64_t delta) const {
+  if (gauge_ != nullptr && delta != 0) gauge_->add(delta);
+}
+
+std::int64_t ChannelServer::LeaseTable::end_all_locked(Slot& slot, Dropped& dropped) {
+  std::int64_t ended = 0;
+  for (Lease& lease : slot.leases) {
+    if (lease.id == 0) continue;
+    lease.id = 0;
+    dropped[static_cast<std::size_t>(ended++)] = std::move(lease.item);
+  }
+  return ended;
+}
+
+void ChannelServer::LeaseTable::attach(std::size_t slot, std::uint64_t session) {
+  Dropped dropped;  // declared first: destroyed after the lock is released
+  std::int64_t ended = 0;
+  {
+    Slot& s = slots_[slot];
+    const util::MutexLock lock(s.mu);
+    if (s.session == session) return;
+    s.session = session;
+    ended = end_all_locked(s, dropped);
+  }
+  count(-ended);
+}
+
+std::uint64_t ChannelServer::LeaseTable::lend(std::size_t slot, std::uint64_t session,
+                                              const std::shared_ptr<const Item>& item) {
+  std::uint64_t id = 0;
+  {
+    Slot& s = slots_[slot];
+    const util::MutexLock lock(s.mu);
+    if (s.session != session) return 0;  // a newer session owns the slot
+    for (Lease& lease : s.leases) {
+      if (lease.id != 0) continue;
+      id = lease.id = s.next_id++;
+      lease.item = item;
+      break;
+    }
+  }
+  count(id != 0 ? 1 : 0);
+  return id;
+}
+
+void ChannelServer::LeaseTable::release(std::size_t slot,
+                                        std::span<const std::uint64_t> ids) {
+  if (ids.empty()) return;
+  Dropped dropped;
+  std::int64_t ended = 0;
+  {
+    Slot& s = slots_[slot];
+    const util::MutexLock lock(s.mu);
+    for (const std::uint64_t id : ids) {
+      const auto it = std::ranges::find(s.leases, id, &Lease::id);
+      if (id == 0 || it == s.leases.end()) continue;  // unknown, or already released
+      it->id = 0;
+      dropped[static_cast<std::size_t>(ended++)] = std::move(it->item);
+    }
+  }
+  count(-ended);
+}
+
+void ChannelServer::LeaseTable::release_all() {
+  for (std::size_t k = 0; k < size_; ++k) {
+    Dropped dropped;
+    std::int64_t ended = 0;
+    {
+      Slot& s = slots_[k];
+      const util::MutexLock lock(s.mu);
+      ended = end_all_locked(s, dropped);
+    }
+    count(-ended);
+  }
+}
+
 const ChannelServer::Served* ChannelServer::find(const std::string& name) const {
   for (const Served& s : served_) {
     if (s.channel->name() == name) return &s;
@@ -409,7 +490,10 @@ void ChannelServer::start() {
   port_.store(listener->port(), std::memory_order_release);
   accept_thread_ = std::jthread(
       [this, l = std::make_shared<TcpListener>(std::move(*listener))](
-          std::stop_token st) { accept_loop(std::move(*l), st); });
+          std::stop_token st) {
+        util::set_thread_name("net.accept");
+        accept_loop(std::move(*l), st);
+      });
 }
 
 void ChannelServer::stop() {
@@ -428,6 +512,8 @@ void ChannelServer::stop() {
   for (auto& c : conns) {
     if (c.thread.joinable()) c.thread.join();
   }
+  // No connection thread is left to lend or release.
+  for (Served& s : served_) s.leases->release_all();
 }
 
 void ChannelServer::reap_finished_locked() {
@@ -507,7 +593,7 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
   }
   // Same-host handoff (wire v5): map a producer's arena if it checks out,
   // and offer a consumer ours. Either side without one gets the tail.
-  std::unique_ptr<PeerArena> client_arena;
+  std::shared_ptr<PeerArena> client_arena;
   if (ack.ok && hello.producer_key >= 0) {
     client_arena = PeerArena::map(hello.arena);
     ack.peer_mapped = client_arena != nullptr;
@@ -520,6 +606,9 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
   }
 
   if (met_connections_ != nullptr) met_connections_->add();
+  if (hello.consumer_key >= 0) {
+    served->leases->attach(static_cast<std::size_t>(hello.consumer_key), hello.session);
+  }
   if (hello.producer_key >= 0 || hello.consumer_key >= 0) {
     const std::size_t slot =
         hello.producer_key >= 0
@@ -531,6 +620,12 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
       met_reconnects_->add();
     }
   }
+
+  // "get:frames", "put:masks", "pg:<channel>" for a link holding both keys.
+  std::string name = hello.producer_key >= 0 ? (hello.consumer_key >= 0 ? "pg:" : "put:")
+                                             : (hello.consumer_key >= 0 ? "get:" : "link:");
+  name += hello.channel;
+  util::set_thread_name(name);
 
   stats::Shard* shard = acquire_shard();
   state.shard = shard;  // published to the reaper by the done flag
@@ -621,11 +716,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   std::int64_t bytes_since_ack = 0;
   Nanos last_summary = channel.summary();
 
-  // The last get reply's item while the consumer copies it out of our
-  // arena: pinned until its kRelease, its next kGet or its hang-up, so a
-  // connection holds at most one.
-  std::shared_ptr<const Item> lent;
-
   // Reused per-connection message scratch: decode() and the assignments
   // below overwrite every field, and the stp/attrs vector capacities
   // persist across frames, so the steady-state serve loop — every put ack
@@ -635,6 +725,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   PutAckMsg put_ack;
   GetMsg get_msg;
   GetReplyMsg get_reply;
+  ReleaseMsg release_msg;
 
   auto credits_of = [&]() -> std::uint32_t {
     const std::size_t cap = channel.capacity();
@@ -719,7 +810,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         // slab: one copy out of the producer's arena, or the tail received
         // in place — the frame-sized staging vector is gone.
         auto item = materialize(
-            ctx_, put_msg.item,
+            ctx_, put_msg.item, ctx_.pool->acquire(put_msg.item.payload_bytes),
             served.producer_nodes[static_cast<std::size_t>(hello.producer_key)],
             channel.cluster_node(), shard);
         if (arena_put) {
@@ -767,11 +858,12 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         if (hello.consumer_key < 0) return;
         if (!decode(body, get_msg, nullptr)) return;
         in.consume(frame_bytes);
-        lent.reset();  // a new get means the last reply was copied
+        const auto slot = static_cast<std::size_t>(hello.consumer_key);
+        served.leases->release(slot, get_msg.released);
         // A connection holding both keys must see its puts settled before
         // the reply (reads-own-writes across one link).
         if (!emit_put_ack()) return;
-        const int idx = served.consumer_idx[static_cast<std::size_t>(hello.consumer_key)];
+        const int idx = served.consumer_idx[slot];
         // Park in slices (not in the channel's blocking get) so heartbeats
         // keep flowing and a vanished peer is noticed while we wait; a put
         // wakes the wait at once. The time parked goes back in the reply:
@@ -790,14 +882,19 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         channel.backward_stp_into(get_reply.stp);
         std::span<const std::byte> payload;
         std::size_t arena_bytes = 0;
+        get_reply.lease = 0;
         if (res.item) {
           to_wire(*res.item, get_reply.item);
-          // A consumer that mapped our arena copies an arena slab out of
-          // it; everything else rides the tail.
+          // A consumer that mapped our arena reads an arena slab in place,
+          // under a lease that pins it; everything else — and a reply past
+          // the slot's lease cap — rides the tail.
           const std::uint64_t offset =
               get_msg.arena ? ctx_.pool->arena_offset(res.item->data().data())
                             : PayloadPool::kNotInArena;
           if (offset != PayloadPool::kNotInArena) {
+            get_reply.lease = served.leases->lend(slot, hello.session, res.item);
+          }
+          if (get_reply.lease != 0) {
             get_reply.item.arena_offset = offset;
             arena_bytes = res.item->bytes();
           } else {
@@ -806,19 +903,21 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         } else {
           clear_wire_item(get_reply.item);  // the frame encodes it either way
         }
-        // The shared_ptr in `res` keeps the payload slab alive (and
+        // The shared_ptr in `res` keeps a tail's slab alive (and
         // un-recycled) for the duration of the scatter-gather send even if
-        // the channel overwrites the slot concurrently; an arena slab stays
-        // lent until the consumer has copied it.
+        // the channel overwrites the slot concurrently; a lent slab stays
+        // pinned until the consumer releases it.
         if (!send_frame(encode(get_reply), payload, MsgType::kGetReply, arena_bytes)) {
           return;
         }
-        if (arena_bytes > 0) lent = std::move(res.item);
         break;
       }
       case MsgType::kRelease:
+        // Leases returned by an idle consumer as its views die (wire v6).
+        if (hello.consumer_key < 0 || !decode(body, release_msg, nullptr)) return;
         in.consume(frame_bytes);
-        lent.reset();
+        served.leases->release(static_cast<std::size_t>(hello.consumer_key),
+                               release_msg.released);
         break;
       case MsgType::kClose:
         emit_put_ack();  // settle the tail of the burst before goodbye

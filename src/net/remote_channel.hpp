@@ -27,9 +27,11 @@
 /// free-running into a doomed-to-drop frenzy.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stop_token>
 #include <string>
 #include <thread>
@@ -197,6 +199,56 @@ class ChannelServer {
     std::atomic<std::uint64_t> last_seq{0};
   };
 
+  /// Get replies lent to the remote consumers of one served channel (wire
+  /// v6), kept per consumer slot: each lease pins its item — and so its
+  /// arena slab, which the consumer reads in place — until the lease id
+  /// comes back in a Get on any connection of the slot, a Hello with a new
+  /// session attaches the slot, or the server stops. A hang-up keeps the
+  /// leases, so a consumer that reconnects never has a view it still holds
+  /// recycled underneath it. Ended leases drop their items outside the
+  /// slot lock.
+  class LeaseTable {
+   public:
+    LeaseTable(std::size_t slots, telemetry::Gauge* gauge);
+
+    /// A Hello of `session` attached `slot`. Another session means the
+    /// slot's old holder is gone (one consumer per slot), so its leases end.
+    void attach(std::size_t slot, std::uint64_t session);
+
+    /// Pins `item` for `session` on `slot`. Returns the lease id, or 0 when
+    /// the slot holds kMaxLeases already or another session has it now.
+    std::uint64_t lend(std::size_t slot, std::uint64_t session,
+                       const std::shared_ptr<const Item>& item);
+
+    /// Ends the named leases of `slot`; unknown and repeated ids are no-ops.
+    void release(std::size_t slot, std::span<const std::uint64_t> ids);
+
+    /// Ends every lease (server stop).
+    void release_all();
+
+   private:
+    struct Lease {
+      std::uint64_t id = 0;  ///< 0: a free entry
+      std::shared_ptr<const Item> item;
+    };
+    struct Slot {
+      util::Mutex mu{util::LockRank::kNet, "net.server.leases"};
+      std::uint64_t session GUARDED_BY(mu) = 0;
+      std::uint64_t next_id GUARDED_BY(mu) = 1;
+      std::array<Lease, kMaxLeases> leases GUARDED_BY(mu);
+    };
+    /// Items of ended leases, dropped once the slot lock is released.
+    using Dropped = std::array<std::shared_ptr<const Item>, kMaxLeases>;
+
+    /// Ends every lease of `slot` into `dropped`; returns how many.
+    static std::int64_t end_all_locked(Slot& slot, Dropped& dropped) REQUIRES(slot.mu);
+    void count(std::int64_t delta) const;
+
+    std::unique_ptr<Slot[]> slots_;
+    const std::size_t size_;
+    telemetry::Gauge* const gauge_;  ///< aru_net_leases{channel}; null without a registry
+  };
+
   struct Served {
     Channel* channel = nullptr;
     /// producer_key → pseudo-node registered for that remote producer.
@@ -213,6 +265,8 @@ class ChannelServer {
     /// thread (the value piggy-backed on its put acks). Null entries when
     /// the runtime has no registry.
     std::vector<telemetry::Gauge*> producer_stp;
+    /// consumer_key → get replies lent to that slot.
+    std::unique_ptr<LeaseTable> leases;
   };
 
   /// State shared between a connection thread and the accept loop's

@@ -93,9 +93,11 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
       config_(std::move(config)),
       hello_(std::move(hello)),
       session_(random_session_id()),
+      releases_(hello_.consumer_key >= 0 ? std::make_shared<ReleaseList>() : nullptr),
       shard_(shard) {
   const bool producer = hello_.producer_key >= 0;
   if (producer) window_.resize(kPutWindow);
+  if (releases_ != nullptr) releases_->attach(this);
 
   if (ctx_.metrics != nullptr) {
     // One link per transport; puts and gets of the same channel are
@@ -140,6 +142,31 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
                                   kBatchBounds, labels);
     }
   }
+}
+
+Transport::~Transport() {
+  // A view that outlives the link queues its id and sends nothing.
+  if (releases_ != nullptr) releases_->attach(nullptr);
+}
+
+void Transport::send_now(std::vector<std::uint64_t>& ids) noexcept {
+  // Inside a get the link is busy: the ids ride the next one. Otherwise
+  // the frame goes out at once; it is a few dozen bytes on a link whose
+  // send buffer holds at most a Get, so the send does not wait.
+  if (ids.empty() || !mu_.try_lock()) return;
+  if (stream_.valid()) {
+    static thread_local ReleaseMsg msg;
+    const auto n = static_cast<std::ptrdiff_t>(std::min(ids.size(), kMaxLeases));
+    msg.released.assign(ids.begin(), ids.begin() + n);
+    const FrameBuf frame = encode(msg);
+    if (stream_.send_all(frame.span(), config_.io_timeout) == IoStatus::kOk) {
+      ids.erase(ids.begin(), ids.begin() + n);
+      if (met_tx_ != nullptr) met_tx_->add(frame.len);
+    } else {
+      disconnect_locked();  // the ids stay queued for the next get
+    }
+  }
+  mu_.unlock();
 }
 
 void Transport::add_event(EventBatch& events, stats::EventType type, std::int64_t a,
@@ -238,7 +265,7 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
   }
   credits_ = ack.credits;
   peer_mapped_ours_ = ack.peer_mapped;
-  if (hello_.consumer_key >= 0) peer_arena_ = PeerArena::map(ack.arena);
+  if (hello_.consumer_key >= 0) peer_arena_ = PeerArena::map(ack.arena, releases_);
 
   if (had_session_) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
@@ -404,10 +431,8 @@ bool Transport::read_frame_locked(FrameHeader& header, EnvelopeBody& body) {
   return true;
 }
 
-Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
-                                                EnvelopeBody& reply_body,
-                                                const PayloadSink& sink,
-                                                EventBatch& events,
+Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyMsg& reply,
+                                                PayloadBuffer& payload, EventBatch& events,
                                                 const std::stop_token& st) {
   if (stream_.send_all(frame.span(), config_.io_timeout) != IoStatus::kOk) {
     disconnect_locked();
@@ -422,9 +447,10 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
   // are otherwise consumed here; anything else must be the expected reply.
   // A live-but-idle server heartbeats forever, so the stop token must be
   // re-checked between frames or a parked get never observes shutdown.
+  EnvelopeBody body;
   for (;;) {
     FrameHeader header{};
-    if (!read_frame_locked(header, reply_body)) return RpcStatus::kDisconnected;
+    if (!read_frame_locked(header, body)) return RpcStatus::kDisconnected;
     if (header.type == MsgType::kHeartbeat) {
       if (header.payload_len != 0) {
         // Protocol violation — and an unconsumed payload tail would
@@ -443,47 +469,20 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
       }
       continue;
     }
-    if (header.type != MsgType::kGetReply) {
+    if (header.type != MsgType::kGetReply || !decode(body.span(), reply, nullptr)) {
       disconnect_locked();
       return RpcStatus::kDisconnected;
     }
-    const std::optional<PayloadDest> dest =
-        sink ? sink(header, reply_body.span()) : std::optional<PayloadDest>{PayloadDest{}};
-    std::size_t arena_bytes = 0;
-    if (!dest) {
-      disconnect_locked();
-      return RpcStatus::kDisconnected;
-    }
-    if (dest->arena_offset != kNoArenaOffset) {
-      // Same-host handoff: one copy out of the server's arena. A frame
-      // that also carries a tail, or an offset this link cannot read, is
-      // a protocol violation.
-      if (header.payload_len != 0 || peer_arena_ == nullptr ||
-          !peer_arena_->copy_out(dest->arena_offset, dest->bytes)) {
-        disconnect_locked();
-        return RpcStatus::kDisconnected;
-      }
-      arena_bytes = dest->bytes.size();
-      // Unpin the server's slab now rather than at the next get. The copy
-      // is done either way; a dead link shows at the next exchange.
-      const FrameBuf release = encode_release();
-      if (stream_.send_all(release.span(), config_.io_timeout) != IoStatus::kOk) {
-        disconnect_locked();
-      } else {
-        add_event(events, stats::EventType::kNetTx, static_cast<std::int64_t>(release.len),
-                  static_cast<std::int64_t>(MsgType::kRelease));
-      }
-    } else if (dest->bytes.size() != header.payload_len) {
-      // No destination (or a mis-sized one): the tail cannot be read into
-      // place, so the stream is unrecoverable — drop it.
-      disconnect_locked();
-      return RpcStatus::kDisconnected;
-    } else if (header.payload_len > 0 &&
-               stream_.recv_exact(dest->bytes, config_.io_timeout) != IoStatus::kOk) {
-      disconnect_locked();
+    const bool ok = receive_payload_locked(header, reply, payload);
+    // A lease that did not become a view (a tail reply, or one this link
+    // refused) goes straight back with the next get.
+    if (reply.lease != 0 && !payload.borrowed()) releases_->push(reply.lease);
+    if (!ok) {
+      disconnect_locked();  // rpc drops what was received, after unlocking
       return RpcStatus::kDisconnected;
     }
     // Payload bytes count in rx whichever way they travelled.
+    const std::size_t arena_bytes = payload.borrowed() ? payload.size() : 0;
     add_event(events, stats::EventType::kNetRx,
               static_cast<std::int64_t>(kHeaderBytes + header.body_len +
                                         header.payload_len + arena_bytes),
@@ -493,11 +492,33 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame,
   }
 }
 
-Transport::RpcStatus Transport::rpc(GetMsg& request, EnvelopeBody& reply_body,
-                                    const PayloadSink& sink, std::stop_token st,
+bool Transport::receive_payload_locked(const FrameHeader& header, const GetReplyMsg& reply,
+                                       PayloadBuffer& payload) {
+  if (!reply.has_item) return header.payload_len == 0;
+  const WireItem& wi = reply.item;
+  if (wi.arena_offset != kNoArenaOffset) {
+    // Same-host handoff: read the server's slab in place, pinned by the
+    // reply's lease until the view dies. A frame that also carries a tail,
+    // an unleased slab, or an offset this link cannot read is a protocol
+    // violation.
+    if (header.payload_len != 0 || reply.lease == 0 || peer_arena_ == nullptr) return false;
+    payload = PeerArena::view(peer_arena_, wi.arena_offset, wi.payload_bytes, reply.lease);
+    return payload.borrowed();
+  }
+  // No destination of the right size means the tail cannot be read into
+  // place, so the stream is unrecoverable.
+  if (wi.payload_bytes != header.payload_len) return false;
+  payload = ctx_.pool->acquire(header.payload_len);
+  return header.payload_len == 0 ||
+         stream_.recv_exact(payload.span(), config_.io_timeout) == IoStatus::kOk;
+}
+
+Transport::RpcStatus Transport::rpc(GetMsg& request, GetReplyMsg& reply,
+                                    PayloadBuffer& payload, std::stop_token st,
                                     Nanos* link_wait) {
   EventBatch& events = tl_rpc_events();
   const std::int64_t t0 = ctx_.now_ns();
+  payload = PayloadBuffer{};
   for (;;) {
     if (stop_requested(st)) return RpcStatus::kStopped;
 
@@ -508,11 +529,17 @@ Transport::RpcStatus Transport::rpc(GetMsg& request, EnvelopeBody& reply_body,
       if (ensure_connected_locked(events)) {
         if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
         request.arena = peer_arena_ != nullptr;
-        status = exchange_locked(encode(request), reply_body, sink, events, st);
+        releases_->take(request.released);
+        status = exchange_locked(encode(request), reply, payload, events, st);
+        // The server may not have seen this get: offer its releases again
+        // (an id already released is ignored there).
+        if (status != RpcStatus::kOk) releases_->put_back(request.released);
         sent = true;
       }
     }
     flush(events);
+    // A view dies outside mu_: its lease may then be sent on this link.
+    if (status != RpcStatus::kOk) payload = PayloadBuffer{};
     if (sent) {
       if (status == RpcStatus::kOk && met_rpc_ != nullptr) {
         met_rpc_->observe(ctx_.now_ns() - t0);

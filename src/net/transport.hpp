@@ -12,21 +12,27 @@
 /// stopped runtime has no orphan I/O threads to chase.
 ///
 /// Gets go through `rpc`: the request is encoded for the current link
-/// into a stack FrameBuf (header + envelope, no payload). A reply's envelope lands in a stack
-/// EnvelopeBody; the caller's PayloadSink is handed the envelope bytes
-/// and returns the destination span (typically a freshly acquired pooled
-/// buffer's mutable_data()). The payload is received into it directly
-/// from the payload tail, or — when the reply names an offset in the
-/// server's arena (wire v5) — copied there out of this link's read-only
-/// mapping of that arena, after which a `kRelease` frame unpins the
-/// server's slab.
+/// into a stack FrameBuf (header + envelope, no payload). The transport
+/// decodes the reply envelope itself and hands the caller the payload as
+/// a `PayloadBuffer`: a pooled slab the payload tail was received into,
+/// or — when the reply names an offset in the server's arena under a lease
+/// (wire v6) — a borrowed view of the slab in this link's read-only
+/// mapping of that arena, copied nowhere.
 ///
-/// Same-host handoff (wire v5): the Hello of a producer link advertises
+/// Same-host handoff (wire v5/v6): the Hello of a producer link advertises
 /// this runtime's arena, and a put whose slab lives in it travels as an
 /// arena offset once the server reports it mapped the arena. A consumer
 /// link maps the arena the server's HelloAck advertises and says so in
 /// every Get. Mappings belong to one connection: a reconnect re-checks
-/// and re-maps, and the window tail is re-encoded for the new link.
+/// and re-maps, and the window tail is re-encoded for the new link. A
+/// borrowed view holds its mapping, so the old mapping lives until its
+/// last view dies. The views' lease ids come back through the link's
+/// `ReleaseList`, which outlives connections: a view that dies while the
+/// link is idle has its id sent at once in a `kRelease` frame (from the
+/// thread that dropped it); one that dies during a get waits for the next
+/// Get, on whatever connection. Returning leases promptly matters: with
+/// Get-borne releases alone, a lease outlived its view by about a fetch
+/// cycle, and tracker-net's footprint rose by a third.
 ///
 /// Reconnect policy: after a failed connect attempt the next attempt is
 /// gated by an exponential backoff doubling from `backoff_initial` to at
@@ -60,9 +66,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stop_token>
 #include <string>
@@ -100,26 +104,7 @@ struct TransportConfig {
   Nanos backoff_max = millis(500);
 };
 
-/// Where an expected reply's payload goes.
-struct PayloadDest {
-  /// Exactly the payload's size (empty for a reply without one).
-  std::span<std::byte> bytes;
-  /// Offset of the payload in the server's arena, or kNoArenaOffset when
-  /// the frame's payload tail carries it.
-  std::uint64_t arena_offset = kNoArenaOffset;
-};
-
-/// Supplies the destination for an expected reply's payload. Invoked
-/// (under the transport lock) after the reply envelope has been
-/// received, with the decoded frame header and the raw envelope bytes.
-/// An empty optional rejects the frame, which drops the connection —
-/// mid-frame there is no other recovery. So does a destination the frame
-/// cannot fill: a tail of another size, or an arena offset on a frame
-/// with a tail, on a link without a mapping, or outside the mapping.
-using PayloadSink = std::function<std::optional<PayloadDest>(
-    const FrameHeader& header, std::span<const std::byte> body)>;
-
-class Transport {
+class Transport final : public ReleaseSink {
  public:
   enum class RpcStatus : std::uint8_t {
     kOk,            ///< reply of the expected type received
@@ -134,26 +119,36 @@ class Transport {
   Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello,
             stats::Shard* shard);
 
+  ~Transport();
+
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
+  /// ReleaseSink: sends dead views' lease ids as one kRelease frame when
+  /// the link is idle (consumer links). Trace-free: it may run under a
+  /// channel lock, where the shard lock must not be taken; the bytes still
+  /// count in aru_net_tx_bytes_total.
+  void send_now(std::vector<std::uint64_t>& ids) noexcept override EXCLUDES(mu_);
+
   /// Executes one get request/reply exchange (consumer links only).
-  /// `request.arena` is set here, per link: whether this link mapped the
-  /// server's arena. Blocks (through backoff/reconnect cycles) until a
-  /// link exists before sending. Once the request is sent the outcome is
-  /// final: a link death mid-RPC returns kDisconnected and the caller
-  /// decides whether to re-issue the (lost) request. On kOk,
-  /// `reply_body` holds the envelope of the first non-heartbeat reply
-  /// frame, a kGetReply, and its payload has landed where `sink` said
-  /// (`sink` may be null for replies that never carry payload — a
-  /// payload-bearing reply then drops the link).
+  /// `request.arena` and `request.released` are set here, per link:
+  /// whether this link mapped the server's arena, and the leases of views
+  /// that died since the last get. Blocks (through backoff/reconnect
+  /// cycles) until a link exists before sending. Once the request is sent
+  /// the outcome is final: a link death mid-RPC returns kDisconnected and
+  /// the caller decides whether to re-issue the (lost) request. On kOk,
+  /// `reply` holds the first non-heartbeat reply frame, a kGetReply, and
+  /// `payload` its item's bytes (empty without an item). A reply the link
+  /// cannot honour drops it: a tail of another size than the envelope
+  /// says, or an arena offset on a frame with a tail, without a lease, on
+  /// a link without a mapping, or outside the mapping.
   ///
   /// \param link_wait  when non-null and the request went out, set to the
   ///        time spent before sending it: waiting for, or re-establishing,
   ///        the link. A get books it as blocked time.
-  ARU_HOT_PATH RpcStatus rpc(GetMsg& request, EnvelopeBody& reply_body,
-                             const PayloadSink& sink, std::stop_token st,
-                             Nanos* link_wait = nullptr) EXCLUDES(mu_, stats_mu_);
+  ARU_HOT_PATH RpcStatus rpc(GetMsg& request, GetReplyMsg& reply, PayloadBuffer& payload,
+                             std::stop_token st, Nanos* link_wait = nullptr)
+      EXCLUDES(mu_, stats_mu_);
 
   /// Outcome of a pipelined (windowed) put.
   struct PutOutcome {
@@ -230,14 +225,19 @@ class Transport {
   bool ensure_connected_locked(EventBatch& events) REQUIRES(mu_);
 
   /// Sends the request frame, then reads frames (skipping heartbeats)
-  /// until a kGetReply arrives; its payload (if any) lands via `sink`.
-  /// Disconnects on any failure. The stop token is re-checked after every
+  /// until a kGetReply arrives, decodes it into `reply` and its payload
+  /// (if any) into `payload`. Disconnects on any failure. The stop token is re-checked after every
   /// consumed heartbeat so a reply wait against a live-but-idle server
   /// (which heartbeats indefinitely) still honors shutdown; stop mid-RPC
   /// drops the link and returns kStopped.
-  RpcStatus exchange_locked(const FrameBuf& frame, EnvelopeBody& reply_body,
-                            const PayloadSink& sink, EventBatch& events,
-                            const std::stop_token& st) REQUIRES(mu_);
+  RpcStatus exchange_locked(const FrameBuf& frame, GetReplyMsg& reply, PayloadBuffer& payload,
+                            EventBatch& events, const std::stop_token& st) REQUIRES(mu_);
+
+  /// The payload of a decoded get reply whose header says `header`: a
+  /// borrowed view of the server's arena, or a pooled buffer the tail is
+  /// received into. Empty and false when the link cannot honour it.
+  bool receive_payload_locked(const FrameHeader& header, const GetReplyMsg& reply,
+                              PayloadBuffer& payload) REQUIRES(mu_);
 
   /// Encodes a window slot's put into `frame_` for the current link: an
   /// arena offset when the server mapped our arena and the slab lives
@@ -318,10 +318,14 @@ class Transport {
   std::int64_t next_attempt_ns_ GUARDED_BY(mu_) = 0;
   bool had_session_ GUARDED_BY(mu_) = false;
   /// Same-host handoff state of the current connection (wire v5): the
-  /// server's arena as this consumer link mapped it, and whether the
-  /// server mapped this producer link's arena. Reset on disconnect.
-  std::unique_ptr<PeerArena> peer_arena_ GUARDED_BY(mu_);
+  /// server's arena as this consumer link mapped it (shared with the views
+  /// lent from it), and whether the server mapped this producer link's
+  /// arena. Reset on disconnect.
+  std::shared_ptr<PeerArena> peer_arena_ GUARDED_BY(mu_);
   bool peer_mapped_ours_ GUARDED_BY(mu_) = false;
+  /// Leases of dead views, for the next Get (consumer links; wire v6).
+  const std::shared_ptr<ReleaseList> releases_;
+
 
   /// Pipelined-put window ring (empty on a consumer link). Slot for seq s
   /// lives at (s-1) % size; sequence numbers start at 1 (the server

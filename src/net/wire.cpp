@@ -54,6 +54,12 @@ class Writer {
     for (Nanos n : v) i64(n.count());
   }
 
+  void leases(const std::vector<std::uint64_t>& ids) {
+    check(ids.size() <= kMaxLeases, "lease list exceeds kMaxLeases");
+    u16(static_cast<std::uint16_t>(ids.size()));
+    for (std::uint64_t id : ids) u64(id);
+  }
+
   void item(const WireItem& it) {
     check(it.attrs.size() <= kMaxAttrs, "attr count exceeds kMaxAttrs");
     check(it.payload_bytes <= kMaxPayloadBytes, "payload exceeds kMaxPayloadBytes");
@@ -155,6 +161,21 @@ class Reader {
       std::int64_t ns = 0;
       if (!i64(ns)) return false;
       v.push_back(Nanos{ns});
+    }
+    return true;
+  }
+
+  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("decodes into the caller's reused vector, capped at kMaxLeases; capacity amortizes to zero allocations")
+  bool leases(std::vector<std::uint64_t>& ids) {
+    std::uint16_t count = 0;
+    if (!u16(count)) return false;
+    if (count > kMaxLeases) return set_err("lease list exceeds kMaxLeases");
+    ids.clear();
+    ids.reserve(count);
+    for (std::uint16_t i = 0; i < count; ++i) {
+      std::uint64_t id = 0;
+      if (!u64(id)) return false;
+      ids.push_back(id);
     }
     return true;
   }
@@ -325,6 +346,7 @@ FrameBuf encode(const GetMsg& m) {
     w.i64(m.consumer_summary.count());
     w.i64(m.guarantee);
     w.u8(m.arena ? 1 : 0);
+    w.leases(m.released);
   });
 }
 
@@ -338,7 +360,12 @@ FrameBuf encode(const GetReplyMsg& m) {
     w.i64(m.summary.count());
     w.i64(m.waited.count());
     w.stp_vector(m.stp);
+    w.u64(m.lease);
   });
+}
+
+FrameBuf encode(const ReleaseMsg& m) {
+  return make_frame(MsgType::kRelease, 0, [&](Writer& w) { w.leases(m.released); });
 }
 
 FrameBuf encode(const HeartbeatMsg& m) {
@@ -347,10 +374,6 @@ FrameBuf encode(const HeartbeatMsg& m) {
 
 FrameBuf encode_close() {
   return make_frame(MsgType::kClose, 0, [](Writer&) {});
-}
-
-FrameBuf encode_release() {
-  return make_frame(MsgType::kRelease, 0, [](Writer&) {});
 }
 
 bool decode_header(std::span<const std::byte> buf, FrameHeader& out, std::string* err) {
@@ -429,7 +452,8 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, GetMsg& out, std::string* err) {
   Reader r(body);
   std::int64_t summary_ns = 0;
-  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.boolean(out.arena)) {
+  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.boolean(out.arena) &&
+      r.leases(out.released)) {
     out.consumer_summary = Nanos{summary_ns};
   }
   return finish(r, err);
@@ -445,8 +469,14 @@ bool decode(std::span<const std::byte> body, GetReplyMsg& out, std::string* err)
     out.skipped = static_cast<std::int32_t>(skipped);
     out.summary = Nanos{summary_ns};
     out.waited = Nanos{waited_ns};
-    r.stp_vector(out.stp);
+    if (r.stp_vector(out.stp)) r.u64(out.lease);
   }
+  return finish(r, err);
+}
+
+bool decode(std::span<const std::byte> body, ReleaseMsg& out, std::string* err) {
+  Reader r(body);
+  r.leases(out.released);
   return finish(r, err);
 }
 

@@ -67,14 +67,25 @@
 /// producer whether the server mapped its arena; `Get.arena` tells the
 /// server whether the consumer mapped the server's. A `WireItem` whose
 /// `arena_offset` is set has its payload at that offset of the sender's
-/// arena, and its frame has no payload tail. A get reply's slab stays
-/// lent (pinned by the server) until the client's `kRelease`, its next
-/// `kGet`, or its hang-up, so a connection pins at most one item. A put's
-/// slab is pinned by the client's window until the cumulative ack. Any
-/// failed check falls back to the payload tail, and a descriptor the
-/// receiver cannot honour drops the connection. Version 5 also drops
-/// `PutAck.stored`, which clients had ignored since the window became the
-/// only put path.
+/// arena, and its frame has no payload tail. A put's slab is pinned by the
+/// client's window until the cumulative ack. Any failed check falls back
+/// to the payload tail, and a descriptor the receiver cannot honour drops
+/// the connection. Version 5 also drops `PutAck.stored`, which clients had
+/// ignored since the window became the only put path.
+///
+/// Version 6 lends get replies instead of having them copied: a consumer
+/// reads an arena reply in place, for as long as its item lives. The
+/// server pins the item under a lease and names it in `GetReply.lease`
+/// (0: no lease, the reply is a tail or was never pinned). The consumer
+/// returns a dead view's id at once in a `kRelease` frame when its link is
+/// idle, else in the next `Get.released`; either list holds at most
+/// kMaxLeases ids. Leases belong to the (channel, consumer slot), not to a
+/// connection: a slot pins at most kMaxLeases items (a reply past the cap
+/// rides the tail), a hang-up keeps them for the same session to release
+/// after a reconnect, and a Hello with a new session, or the server's
+/// stop, releases them all. Unknown and repeated ids are ignored. v5's
+/// empty `kRelease` ("the last reply was copied") is gone; the type now
+/// carries ids.
 ///
 /// Decoding is defensive: every length is bounds-checked against both the
 /// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
@@ -98,7 +109,7 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 5;
+inline constexpr std::uint8_t kWireVersion = 6;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
@@ -106,6 +117,10 @@ inline constexpr std::size_t kMaxStpSlots = 64;  ///< matches Channel::kMaxConsu
 inline constexpr std::size_t kMaxAttrs = 64;
 inline constexpr std::size_t kMaxNameBytes = 256;
 inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 26;  // 64 MiB
+/// Items one consumer slot may hold on lease (wire v6), and so the most
+/// ids one `Get.released` may carry. A reader holds a handful of items per
+/// channel, so a slot at the cap is leaking views, not using them.
+inline constexpr std::size_t kMaxLeases = 16;
 /// Upper bound on an envelope. Every message's fixed fields plus maxed-out
 /// variable fields (name, attrs, STP slots) total well under 2 KiB, which
 /// is what lets the whole envelope path live in stack buffers.
@@ -120,7 +135,7 @@ enum class MsgType : std::uint8_t {
   kGetReply,     ///< item (or closed) + channel summary + backward-STP vector
   kHeartbeat,    ///< liveness while a blocking get waits server-side
   kClose,        ///< orderly goodbye
-  kRelease,      ///< consumer copied the lent arena item of the last reply (v5)
+  kRelease,      ///< consumer returns the leases of dead views (v6)
 };
 
 /// True for a value the header decoder should accept.
@@ -213,6 +228,8 @@ struct GetMsg {
   Nanos consumer_summary{0};            ///< piggy-backed consumer summary-STP
   Timestamp guarantee = kNoTimestamp;   ///< DGC extra guarantee (kNoTimestamp = none)
   bool arena = false;  ///< the consumer mapped the server's arena on this link (v5)
+  /// Leases whose views died since the last get (v6; at most kMaxLeases).
+  std::vector<std::uint64_t> released;
 
   bool operator==(const GetMsg&) const = default;
 };
@@ -228,8 +245,19 @@ struct GetReplyMsg {
   /// blocked, so the transfer counts in its current-STP.
   Nanos waited{0};
   std::vector<Nanos> stp;    ///< channel's full backwardSTP vector
+  /// Lease pinning the item's arena slab until the consumer releases it
+  /// (v6); 0 when the reply holds no lease.
+  std::uint64_t lease = 0;
 
   bool operator==(const GetReplyMsg&) const = default;
+};
+
+/// Leases returned outside a get (wire v6): a consumer link that is idle
+/// when a view dies sends its id at once rather than with the next get.
+struct ReleaseMsg {
+  std::vector<std::uint64_t> released;  ///< at most kMaxLeases ids
+
+  bool operator==(const ReleaseMsg&) const = default;
 };
 
 struct HeartbeatMsg {
@@ -284,9 +312,9 @@ ARU_HOT_PATH void encode_into(const PutMsg& m, FrameBuf& out);
 ARU_HOT_PATH FrameBuf encode(const PutAckMsg& m);
 ARU_HOT_PATH FrameBuf encode(const GetMsg& m);
 ARU_HOT_PATH FrameBuf encode(const GetReplyMsg& m);
+ARU_HOT_PATH FrameBuf encode(const ReleaseMsg& m);
 ARU_HOT_PATH FrameBuf encode(const HeartbeatMsg& m);
 ARU_HOT_PATH FrameBuf encode_close();
-ARU_HOT_PATH FrameBuf encode_release();
 
 // -- decoding ---------------------------------------------------------------
 // All decoders return false (and set *err when non-null) on truncated,
@@ -309,6 +337,8 @@ ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body, GetMs
                                           std::string* err);
 ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body,
                                           GetReplyMsg& out, std::string* err);
+ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body,
+                                          ReleaseMsg& out, std::string* err);
 ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body,
                                           HeartbeatMsg& out, std::string* err);
 

@@ -13,6 +13,11 @@ const char* to_string(NodeKind kind) {
 
 Item::Item(RunContext& ctx, Timestamp ts, std::size_t bytes, NodeId producer,
            int cluster_node, std::vector<ItemId> lineage, Nanos produce_cost)
+    : Item(ctx, ts, ctx.pool->acquire(bytes), producer, cluster_node, std::move(lineage),
+           produce_cost) {}
+
+Item::Item(RunContext& ctx, Timestamp ts, PayloadBuffer payload, NodeId producer,
+           int cluster_node, std::vector<ItemId> lineage, Nanos produce_cost)
     : ctx_(ctx),
       id_(ctx.recorder->next_item_id()),
       ts_(ts),
@@ -21,12 +26,12 @@ Item::Item(RunContext& ctx, Timestamp ts, std::size_t bytes, NodeId producer,
       produce_cost_(produce_cost),
       t_alloc_(ctx.now_ns()),
       lineage_(std::move(lineage)),
-      data_(ctx.pool->acquire(bytes)) {
-  ctx_.tracker->on_alloc(cluster_node_, static_cast<std::int64_t>(bytes));
+      data_(std::move(payload)) {
+  ctx_.tracker->on_alloc(cluster_node_, static_cast<std::int64_t>(charged_bytes()));
 }
 
 Item::~Item() {
-  const std::int64_t bytes = static_cast<std::int64_t>(data_.size());
+  const std::int64_t bytes = static_cast<std::int64_t>(charged_bytes());
   ctx_.tracker->on_free(cluster_node_, bytes);
   ctx_.recorder->record_any_thread(stats::Event{
       .type = stats::EventType::kFree,

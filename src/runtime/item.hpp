@@ -43,6 +43,11 @@ class Item {
   ARU_HOT_PATH Item(RunContext& ctx, Timestamp ts, std::size_t bytes, NodeId producer,
                     int cluster_node, std::vector<ItemId> lineage, Nanos produce_cost);
 
+  /// Creates an item around a payload that already exists: a pooled
+  /// buffer the caller fills, or a borrowed view (see charged_bytes()).
+  ARU_HOT_PATH Item(RunContext& ctx, Timestamp ts, PayloadBuffer payload, NodeId producer,
+                    int cluster_node, std::vector<ItemId> lineage, Nanos produce_cost);
+
   /// Accounts the release (tracker + trace). May run on any thread.
   ~Item();
 
@@ -53,6 +58,10 @@ class Item {
   Timestamp ts() const { return ts_; }
   /// Logical payload size as requested — not the (rounded) slab size.
   std::size_t bytes() const { return data_.size(); }
+  /// Bytes this item charges to its runtime's memory tracker and trace:
+  /// its size, or 0 when it borrows a peer's bytes — a byte counts once,
+  /// where it lives, and the lender's own item counts it until released.
+  std::size_t charged_bytes() const { return data_.borrowed() ? 0 : data_.size(); }
   NodeId producer() const { return producer_; }
   int cluster_node() const { return cluster_node_; }
   Nanos produce_cost() const { return produce_cost_; }
@@ -64,7 +73,8 @@ class Item {
   const std::vector<ItemId>& lineage() const { return lineage_; }
 
   /// Payload access. Producers fill the payload before putting the item
-  /// into a channel; after that, consumers only use the const view.
+  /// into a channel; after that, consumers only use the const view. A
+  /// borrowed payload is read-only: its mutable view is empty.
   std::span<std::byte> mutable_data() { return data_.span(); }
   std::span<const std::byte> data() const { return data_.span(); }
 

@@ -18,7 +18,28 @@ ARU_ALLOCATES std::byte* raw_alloc(std::size_t bytes) { return new std::byte[byt
 
 }  // namespace
 
+PayloadBuffer PayloadBuffer::borrow(const std::byte* data, std::size_t size,
+                                    std::shared_ptr<PayloadLender> lender,
+                                    std::uint64_t lease) {
+  PayloadBuffer view;
+  // Never written through: the mutable span() of a borrowed buffer is empty.
+  view.data_ = const_cast<std::byte*>(data);
+  view.size_ = size;
+  view.capacity_ = size;
+  view.lender_ = std::move(lender);
+  view.lease_ = lease;
+  return view;
+}
+
 void PayloadBuffer::reset() {
+  if (lender_ != nullptr) {
+    std::exchange(lender_, nullptr)->give_back(lease_);
+    data_ = nullptr;
+    size_ = 0;
+    capacity_ = 0;
+    lease_ = 0;
+    return;
+  }
   if (data_ == nullptr) return;
   if (pool_ != nullptr) {
     pool_->release(data_, capacity_);

@@ -26,8 +26,10 @@
 /// peer), the recycled slabs are carved from one sealed memfd of
 /// kArenaBytes, mapped once. Its size is fixed and sparse: only slabs in
 /// use or parked hold pages. A same-host peer maps the arena read-only
-/// (net/peer_arena.hpp) and copies a payload straight out of it, given
-/// the slab's `arena_offset()` — one memcpy instead of a TCP stream. The
+/// (net/peer_arena.hpp) and, given a slab's `arena_offset()`, copies a put
+/// straight out of it (one memcpy instead of a TCP stream) or reads a get
+/// reply in place, as a borrowed `PayloadBuffer`, while the serving side
+/// pins the item under a lease (no copy at all). The
 /// free lists work as before; a slab released past kMaxParkedBytes has
 /// its pages punched out (its address range stays with its size class
 /// for reuse) instead of being freed. When the arena is full, or memfd is
@@ -39,14 +41,17 @@
 /// (consumer thread, channel GC sweep, or a same-timestamp overwrite under
 /// the channel lock). The free lists therefore sit at rank `kPool`, above
 /// `kBuffer` in the lock hierarchy. The pool must outlive every buffer it
-/// issued; the Runtime owns it ahead of all channels/queues/tasks.
+/// issued; the Runtime owns it ahead of all channels/queues/tasks. A
+/// borrowed buffer owes the pool nothing: its lender keeps the bytes.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/mutex.hpp"
@@ -79,35 +84,38 @@ struct ArenaInfo {
   std::uint64_t size = 0;
 };
 
+/// Where a borrowed payload goes when its last reference drops: the
+/// owner of the bytes it views (net/peer_arena.hpp lends a same-host
+/// peer's arena slab under a lease).
+class PayloadLender {
+ public:
+  virtual ~PayloadLender() = default;
+
+  /// Hands lease `lease` back. Runs once per borrowed buffer, on whatever
+  /// thread drops it — possibly under a channel lock (rank kBuffer), so it
+  /// must not take a lock ranked at or below that, nor wait on anything
+  /// that could be waiting for that lock.
+  virtual void give_back(std::uint64_t lease) noexcept = 0;
+};
+
 /// Move-only owning handle to one payload slab. Destruction recycles the
-/// slab into the pool that issued it, or frees it for an unrecycled
-/// buffer. `size()` is the requested payload size; `capacity()` the slab
-/// size actually backing it.
+/// slab into the pool that issued it, frees it for an unrecycled buffer,
+/// or gives a borrowed view back to its lender. `size()` is the requested
+/// payload size; `capacity()` the slab size actually backing it.
+///
+/// A borrowed buffer views someone else's read-only memory: its mutable
+/// `span()` is empty, so no caller can write through it.
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;
   ~PayloadBuffer();
 
-  PayloadBuffer(PayloadBuffer&& other) noexcept
-      : data_(other.data_), size_(other.size_), capacity_(other.capacity_),
-        pool_(other.pool_) {
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.capacity_ = 0;
-    other.pool_ = nullptr;
-  }
+  PayloadBuffer(PayloadBuffer&& other) noexcept { take(other); }
 
   PayloadBuffer& operator=(PayloadBuffer&& other) noexcept {
     if (this != &other) {
       reset();
-      data_ = other.data_;
-      size_ = other.size_;
-      capacity_ = other.capacity_;
-      pool_ = other.pool_;
-      other.data_ = nullptr;
-      other.size_ = 0;
-      other.capacity_ = 0;
-      other.pool_ = nullptr;
+      take(other);
     }
     return *this;
   }
@@ -115,11 +123,19 @@ class PayloadBuffer {
   PayloadBuffer(const PayloadBuffer&) = delete;
   PayloadBuffer& operator=(const PayloadBuffer&) = delete;
 
+  /// A read-only view of `size` bytes at `data` that `lender` keeps valid
+  /// until this buffer dies and hands `lease` back to it.
+  static PayloadBuffer borrow(const std::byte* data, std::size_t size,
+                              std::shared_ptr<PayloadLender> lender, std::uint64_t lease);
+
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   bool pooled() const { return pool_ != nullptr; }
+  bool borrowed() const { return lender_ != nullptr; }
 
-  std::span<std::byte> span() { return {data_, size_}; }
+  std::span<std::byte> span() {
+    return borrowed() ? std::span<std::byte>{} : std::span<std::byte>{data_, size_};
+  }
   std::span<const std::byte> span() const { return {data_, size_}; }
 
  private:
@@ -130,10 +146,22 @@ class PayloadBuffer {
 
   void reset();
 
+  void take(PayloadBuffer& other) noexcept {
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
+    pool_ = std::exchange(other.pool_, nullptr);
+    lender_ = std::move(other.lender_);
+    lease_ = std::exchange(other.lease_, 0);
+  }
+
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
   PayloadPool* pool_ = nullptr;  ///< null: plain heap buffer, destructor frees
+  /// Set: a borrowed view of read-only memory, never written or freed here.
+  std::shared_ptr<PayloadLender> lender_;
+  std::uint64_t lease_ = 0;
 };
 
 /// Thread-safe free-listed slab pool. See file comment for the design.

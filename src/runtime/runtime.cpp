@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "util/log.hpp"
+#include "util/thread_name.hpp"
 
 namespace stampede {
 
@@ -218,12 +219,16 @@ void Runtime::start() {
   running_.store(true, std::memory_order_release);
   threads_.reserve(tasks_.size() + 1);
   for (auto& task : tasks_) {
-    threads_.emplace_back([t = task.get()](std::stop_token st) { t->run_loop(st); });
+    threads_.emplace_back([t = task.get()](std::stop_token st) {
+      util::set_thread_name(t->name());
+      t->run_loop(st);
+    });
   }
 
   if (config_.monitor_period.count() > 0) {
     stats::Shard* shard = recorder_.new_shard();
     threads_.emplace_back([this, shard](std::stop_token st) {
+      util::set_thread_name("monitor");
       while (!st.stop_requested() && !run_.stopping.load(std::memory_order_relaxed)) {
         const std::int64_t now = run_.now_ns();
         for (const auto& ch : channels_) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "telemetry/registry.hpp"
+#include "util/thread_name.hpp"
 
 namespace stampede::telemetry {
 namespace {
@@ -82,6 +83,7 @@ void Exporter::start() {
   }
   port_.store(listener->port(), std::memory_order_release);
   thread_ = std::jthread([this, l = std::move(*listener)](std::stop_token st) mutable {
+    util::set_thread_name("exporter");
     serve(st, std::move(l));
   });
 }

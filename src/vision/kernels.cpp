@@ -101,6 +101,16 @@ int frame_difference(ConstFrameView cur, ConstFrameView prev, std::span<std::byt
   return moving;
 }
 
+void copy_sampled_rows(ConstFrameView src, std::span<std::byte> dst, int stride) {
+  if (dst.size() < kFrameBytes) {
+    throw std::invalid_argument("copy_sampled_rows: destination too small");
+  }
+  const std::size_t row_bytes = static_cast<std::size_t>(src.width()) * 3;
+  for (int y = 0; y < src.height(); y += stride) {
+    std::memcpy(dst.data() + static_cast<std::size_t>(y) * row_bytes, src.row(y), row_bytes);
+  }
+}
+
 void color_histogram(ConstFrameView frame, std::span<std::byte> histogram_payload,
                      int stride) {
   HistogramView hist(histogram_payload);

@@ -23,6 +23,13 @@ ARU_HOT_PATH int frame_difference(ConstFrameView cur, ConstFrameView prev,
                                   std::span<std::byte> mask_out, int threshold = 24,
                                   int stride = kDefaultStride);
 
+/// Copies the rows of `src` that frame_difference reads at `stride`
+/// (y % stride == 0) into the same rows of `dst` (size >= kFrameBytes) and
+/// leaves the others alone: a background stage keeps just these of its
+/// previous frame — 48 of 384 rows at stride 8.
+ARU_HOT_PATH void copy_sampled_rows(ConstFrameView src, std::span<std::byte> dst,
+                                    int stride = kDefaultStride);
+
 /// Builds the normalized 16^3-bin RGB histogram of `frame` and a
 /// per-pixel backprojection byte map (bin frequency scaled to 0-255) into
 /// the histogram payload.

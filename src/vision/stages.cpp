@@ -94,7 +94,8 @@ TaskBody make_background(StageCosts costs, int stride) {
         // like any other — frame_difference covers the later ones.
         std::memset(mask->mutable_data().data(), 0, kMaskBytes);
       }
-      std::memcpy(state->prev.data(), frame->data().data(), kFrameBytes);
+      // The next difference reads only the sampled rows of this frame.
+      copy_sampled_rows(cur, state->prev, stride);
       state->has_prev = true;
     });
     ctx.put(0, mask);

@@ -106,6 +106,39 @@ TEST(FrameDifference, SmallMaskBufferThrows) {
   EXPECT_THROW(frame_difference(ConstFrameView(a), ConstFrameView(a), tiny), std::invalid_argument);
 }
 
+TEST(FrameDifference, SampledRowCopyGivesTheFullCopyMasks) {
+  // Golden check for the background stage: keeping only the sampled rows
+  // of the previous frame yields bit-identical masks to keeping all of it,
+  // over a moving sequence. The unsampled rows of the row copy hold junk
+  // (they are never read) and the masks start from the same junk.
+  for (const int stride : {1, 3, 8}) {
+    SceneGenerator gen(11);
+    std::vector<std::byte> full_prev(kFrameBytes);
+    std::vector<std::byte> row_prev(kFrameBytes, std::byte{0xA5});
+    int moving_frames = 0;
+    for (std::int64_t index = 0; index < 24; ++index) {
+      const auto cur = render(gen, index * 3, stride);
+      if (index > 0) {
+        std::vector<std::byte> want(kMaskBytes, std::byte{0x11});
+        std::vector<std::byte> got(kMaskBytes, std::byte{0x11});
+        const int a = frame_difference(ConstFrameView(cur), ConstFrameView(full_prev), want,
+                                       24, stride);
+        const int b = frame_difference(ConstFrameView(cur), ConstFrameView(row_prev), got,
+                                       24, stride);
+        EXPECT_EQ(a, b) << "stride " << stride << " frame " << index;
+        ASSERT_EQ(want, got) << "stride " << stride << " frame " << index;
+        moving_frames += a > 0 ? 1 : 0;
+      }
+      full_prev = cur;
+      copy_sampled_rows(ConstFrameView(cur), row_prev, stride);
+    }
+    EXPECT_GT(moving_frames, 0) << "the sequence must move at stride " << stride;
+  }
+  std::vector<std::byte> tiny(16);
+  const auto frame = render(SceneGenerator(1), 0);
+  EXPECT_THROW(copy_sampled_rows(ConstFrameView(frame), tiny), std::invalid_argument);
+}
+
 TEST(ColorHistogram, BinsAreNormalized) {
   SceneGenerator gen(4);
   const auto frame = render(gen, 8, 4);

@@ -937,113 +937,6 @@ TEST(ArenaHandoff, HelloWithABadArenaFallsBackToTheTail) {
   ::unlink(fifo.c_str());
 }
 
-TEST(ArenaHandoff, UnreleasedGetReplyPinsAtMostOneItem) {
-  ArenaServer srv;
-  HelloAckMsg ack;
-  auto s = raw_hello(srv.server.port(), HelloMsg{.channel = "frames", .consumer_key = 0},
-                     &ack);
-  ASSERT_TRUE(s.has_value());
-  auto mapped = PeerArena::map(ack.arena);
-  ASSERT_NE(mapped, nullptr) << "a consumer must be offered the server's arena";
-
-  // A consumer that copies its replies out of the arena but never sends
-  // kRelease: each new get unpins the last reply, so at most one item is
-  // ever held beyond what the channel itself keeps.
-  std::vector<std::weak_ptr<Item>> items;
-  for (Timestamp ts = 0; ts < 8; ++ts) {
-    auto item = std::make_shared<Item>(srv.rt.context(), ts, kArenaPayload, 100, 0,
-                                       std::vector<ItemId>{}, Nanos{0});
-    std::memset(item->mutable_data().data(), static_cast<int>(ts), kArenaPayload);
-    items.push_back(item);
-    srv.ch.put(std::move(item), {});
-
-    const FrameBuf get = encode(GetMsg{.consumer_summary = millis(1), .arena = true});
-    ASSERT_EQ(s->send_all(get.span(), seconds(2)), IoStatus::kOk);
-    FrameHeader h;
-    std::vector<std::byte> body;
-    do {
-      ASSERT_TRUE(raw_read_frame(*s, h, body));
-    } while (h.type == MsgType::kHeartbeat);
-    ASSERT_EQ(h.type, MsgType::kGetReply);
-    EXPECT_EQ(h.payload_len, 0u) << "an arena reply has no tail";
-    GetReplyMsg reply;
-    ASSERT_TRUE(decode(std::span<const std::byte>(body), reply, nullptr));
-    ASSERT_TRUE(reply.has_item);
-    EXPECT_EQ(reply.item.ts, ts);
-    ASSERT_NE(reply.item.arena_offset, kNoArenaOffset);
-    std::vector<std::byte> copy(reply.item.payload_bytes);
-    ASSERT_TRUE(mapped->copy_out(reply.item.arena_offset, copy));
-    EXPECT_EQ(copy.front(), std::byte(ts));
-    EXPECT_EQ(copy.back(), std::byte(ts));
-  }
-  const auto pinned = [&] {
-    return std::count_if(items.begin(), items.end(),
-                         [](const std::weak_ptr<Item>& w) { return !w.expired(); });
-  };
-  // The channel keeps the newest item; the lent reply is the same one, so
-  // anything older is gone.
-  EXPECT_LE(pinned(), 2);
-  const Nanos deadline = srv.rt.clock().now() + seconds(5);
-  while (pinned() > 1 && srv.rt.clock().now() < deadline) {
-    srv.rt.clock().sleep_for(millis(1));
-  }
-  EXPECT_LE(pinned(), 1) << "items older than the last reply must not stay pinned";
-
-  const auto await_expired = [&](const std::weak_ptr<Item>& w) {
-    const Nanos until = srv.rt.clock().now() + seconds(5);
-    while (!w.expired() && srv.rt.clock().now() < until) {
-      srv.rt.clock().sleep_for(millis(1));
-    }
-    return w.expired();
-  };
-  const auto put_item = [&](Timestamp ts) {
-    auto item = std::make_shared<Item>(srv.rt.context(), ts, kArenaPayload, 100, 0,
-                                       std::vector<ItemId>{}, Nanos{0});
-    items.push_back(item);
-    srv.ch.put(std::move(item), {});
-  };
-  const auto read_reply = [&](Timestamp want) {
-    FrameHeader h;
-    std::vector<std::byte> body;
-    do {
-      ASSERT_TRUE(raw_read_frame(*s, h, body));
-    } while (h.type == MsgType::kHeartbeat);
-    ASSERT_EQ(h.type, MsgType::kGetReply);
-    GetReplyMsg reply;
-    ASSERT_TRUE(decode(std::span<const std::byte>(body), reply, nullptr));
-    EXPECT_EQ(reply.item.ts, want);
-    EXPECT_NE(reply.item.arena_offset, kNoArenaOffset);
-  };
-  const FrameBuf get = encode(GetMsg{.arena = true});
-
-  // A new get unpins the last reply at once, even while it parks for an
-  // item that is not there yet.
-  const std::weak_ptr<Item> lent_by_get = items.back();
-  ASSERT_EQ(s->send_all(get.span(), seconds(2)), IoStatus::kOk);
-  EXPECT_TRUE(await_expired(lent_by_get)) << "a parked get must not pin the last reply";
-  put_item(8);
-  read_reply(8);
-
-  // Newer items push the reply out of the channel: only the lent pin
-  // holds it now, until the consumer sends kRelease.
-  const std::weak_ptr<Item> lent_by_release = items.back();
-  put_item(9);
-  put_item(10);
-  EXPECT_FALSE(lent_by_release.expired()) << "the last reply stays lent until released";
-  ASSERT_EQ(s->send_all(encode_release().span(), seconds(2)), IoStatus::kOk);
-  EXPECT_TRUE(await_expired(lent_by_release)) << "kRelease must unpin the reply";
-
-  // Once more, ended by a hang-up instead.
-  ASSERT_EQ(s->send_all(get.span(), seconds(2)), IoStatus::kOk);
-  read_reply(10);
-  const std::weak_ptr<Item> lent_by_hangup = items.back();
-  put_item(11);
-  put_item(12);
-  EXPECT_FALSE(lent_by_hangup.expired()) << "the reply stays lent until the hang-up";
-  s->close();
-  EXPECT_TRUE(await_expired(lent_by_hangup)) << "a hang-up must release the lent item";
-}
-
 TEST(ArenaHandoff, WindowTailIsReencodedForTheNewLink) {
   // The first server maps the producer's arena and takes three frame-sized
   // puts as arena offsets without acking them, then vanishes. Its
@@ -1223,6 +1116,325 @@ bool has_frame_pattern(const Item& item) {
   return true;
 }
 
+// -- lent get replies (wire v6) ----------------------------------------------
+
+/// A raw consumer of slot 0 of an ArenaServer's "frames" that maps the
+/// server's arena and says so in every Get, but keeps its own books: what
+/// it releases, and when, is up to the test.
+struct RawLessee {
+  TcpStream s;
+  std::shared_ptr<PeerArena> arena;
+
+  static std::optional<RawLessee> attach(std::uint16_t port, std::uint64_t session) {
+    HelloAckMsg ack;
+    auto s = raw_hello(port, HelloMsg{.channel = "frames", .consumer_key = 0,
+                                      .session = session},
+                       &ack);
+    if (!s) return std::nullopt;
+    auto arena = PeerArena::map(ack.arena);
+    if (arena == nullptr) return std::nullopt;
+    return RawLessee{std::move(*s), std::move(arena)};
+  }
+
+  /// Sends a Get carrying `released` and reads the reply; a payload tail
+  /// lands in `*tail`. False when the link died.
+  bool get(GetReplyMsg& reply, std::vector<std::uint64_t> released = {},
+           std::vector<std::byte>* tail = nullptr) {
+    const FrameBuf frame = encode(GetMsg{.arena = true, .released = std::move(released)});
+    if (s.send_all(frame.span(), seconds(2)) != IoStatus::kOk) return false;
+    FrameHeader h;
+    std::vector<std::byte> body;
+    do {
+      if (!raw_read_frame(s, h, body)) return false;
+    } while (h.type == MsgType::kHeartbeat);
+    if (h.type != MsgType::kGetReply ||
+        !decode(std::span<const std::byte>(body), reply, nullptr)) {
+      return false;
+    }
+    std::vector<std::byte> bytes(h.payload_len);
+    if (!bytes.empty() && s.recv_exact(bytes, seconds(2)) != IoStatus::kOk) return false;
+    if (tail != nullptr) *tail = std::move(bytes);
+    return true;
+  }
+};
+
+/// Puts a kArenaPayload item filled with `ts` into the server's channel.
+std::weak_ptr<Item> put_arena_item(ArenaServer& srv, Timestamp ts) {
+  auto item = std::make_shared<Item>(srv.rt.context(), ts, kArenaPayload, 100, 0,
+                                     std::vector<ItemId>{}, Nanos{0});
+  std::memset(item->mutable_data().data(), static_cast<int>(ts & 0xFF), kArenaPayload);
+  std::weak_ptr<Item> weak = item;
+  srv.ch.put(std::move(item), {});
+  return weak;
+}
+
+/// Waits up to 5 s for `done`; true once it holds.
+bool await(Runtime& rt, const std::function<bool()>& done) {
+  const Nanos until = rt.clock().now() + seconds(5);
+  while (!done() && rt.clock().now() < until) rt.clock().sleep_for(millis(1));
+  return done();
+}
+
+std::int64_t leases_of(Runtime& rt) {
+  return rt.metrics().gauge("aru_net_leases", "", {{"channel", "frames"}}).value();
+}
+
+TEST(ArenaHandoff, UnreleasedLeasesPinAtMostMaxLeasesPerSlot) {
+  // A consumer that reads its replies in place and releases nothing: the
+  // slot lends kMaxLeases replies, then the rest ride the tail; one
+  // release makes room for one more lent reply.
+  ArenaServer srv;
+  auto c = RawLessee::attach(srv.server.port(), 0x1EA5E);
+  ASSERT_TRUE(c.has_value()) << "a consumer must be offered the server's arena";
+
+  std::vector<std::weak_ptr<Item>> lent;
+  std::vector<std::uint64_t> leases;
+  for (Timestamp ts = 0; ts < static_cast<Timestamp>(kMaxLeases) + 4; ++ts) {
+    const auto item = put_arena_item(srv, ts);
+    GetReplyMsg reply;
+    std::vector<std::byte> tail;
+    ASSERT_TRUE(c->get(reply, {}, &tail));
+    ASSERT_TRUE(reply.has_item);
+    EXPECT_EQ(reply.item.ts, ts);
+    if (ts < static_cast<Timestamp>(kMaxLeases)) {
+      ASSERT_NE(reply.lease, 0u) << "ts " << ts;
+      ASSERT_NE(reply.item.arena_offset, kNoArenaOffset);
+      EXPECT_TRUE(tail.empty()) << "a lent reply has no tail";
+      std::vector<std::byte> view(reply.item.payload_bytes);
+      ASSERT_TRUE(c->arena->copy_out(reply.item.arena_offset, view));
+      EXPECT_EQ(view.front(), std::byte(ts));
+      EXPECT_EQ(view.back(), std::byte(ts));
+      lent.push_back(item);
+      leases.push_back(reply.lease);
+    } else {
+      EXPECT_EQ(reply.lease, 0u) << "past the cap a reply must not be lent";
+      EXPECT_EQ(reply.item.arena_offset, kNoArenaOffset);
+      ASSERT_EQ(tail.size(), kArenaPayload) << "past the cap a reply rides the tail";
+      EXPECT_EQ(tail.front(), std::byte(ts));
+    }
+  }
+  std::vector<std::uint64_t> distinct = leases;
+  std::ranges::sort(distinct);
+  EXPECT_EQ(std::ranges::unique(distinct).begin(), distinct.end()) << "lease ids repeat";
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+  for (const auto& w : lent) EXPECT_FALSE(w.expired()) << "a lent reply must stay pinned";
+
+  // Releasing one lease unpins its item and restores borrowing.
+  put_arena_item(srv, 100);
+  GetReplyMsg reply;
+  ASSERT_TRUE(c->get(reply, {leases.front()}));
+  EXPECT_NE(reply.lease, 0u) << "a release must make room for a lent reply";
+  EXPECT_NE(reply.item.arena_offset, kNoArenaOffset);
+  EXPECT_TRUE(await(srv.rt, [&] { return lent.front().expired(); }));
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+
+  // An idle consumer returns leases in a kRelease frame, between gets.
+  ASSERT_EQ(c->s.send_all(encode(ReleaseMsg{.released = {leases[1], leases[2]}}).span(),
+                          seconds(2)),
+            IoStatus::kOk);
+  EXPECT_TRUE(await(srv.rt, [&] { return lent[1].expired() && lent[2].expired(); }))
+      << "a release frame must unpin its items";
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases) - 2);
+}
+
+TEST(ArenaHandoff, LeasesOutliveAHangUpOfTheSameSessionOnly) {
+  ArenaServer srv;
+  constexpr std::uint64_t kSession = 0x5E55;
+  const auto first = put_arena_item(srv, 0);
+  GetReplyMsg reply;
+  std::uint64_t lease = 0;
+  {
+    auto c = RawLessee::attach(srv.server.port(), kSession);
+    ASSERT_TRUE(c.has_value());
+    ASSERT_TRUE(c->get(reply));
+    lease = reply.lease;
+    ASSERT_NE(lease, 0u);
+  }  // hang-up, holding the lease
+  put_arena_item(srv, 1);
+  put_arena_item(srv, 2);  // the channel lets go of the lent item
+
+  // The same session reconnects: the lease still pins the item...
+  auto c = RawLessee::attach(srv.server.port(), kSession);
+  ASSERT_TRUE(c.has_value());
+  srv.rt.clock().sleep_for(millis(100));  // the old connection is long reaped
+  EXPECT_FALSE(first.expired()) << "a same-session hang-up must keep the lease";
+  EXPECT_EQ(leases_of(srv.rt), 1);
+
+  // ...until its id comes back, on the new connection.
+  ASSERT_TRUE(c->get(reply, {lease}));
+  ASSERT_EQ(reply.item.ts, 2);
+  ASSERT_NE(reply.lease, 0u);
+  EXPECT_TRUE(await(srv.rt, [&] { return first.expired(); }))
+      << "a released lease must unpin its item";
+
+  // A new session on the slot means the old holder is gone: its lease ends.
+  const auto second = put_arena_item(srv, 3);
+  ASSERT_TRUE(c->get(reply));
+  ASSERT_EQ(reply.item.ts, 3);
+  ASSERT_NE(reply.lease, 0u);
+  put_arena_item(srv, 4);
+  c->s.close();
+  EXPECT_EQ(leases_of(srv.rt), 2);
+  auto fresh = RawLessee::attach(srv.server.port(), kSession + 1);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_TRUE(await(srv.rt, [&] { return second.expired(); }))
+      << "a new session must release the old session's leases";
+  EXPECT_EQ(leases_of(srv.rt), 0);
+}
+
+TEST(ArenaHandoff, HostileLesseesCannotPinMoreThanMaxLeasesPerSlot) {
+  ArenaServer srv;
+  constexpr std::uint64_t kSession = 0xBAD;
+  Timestamp ts = 0;
+  std::uint64_t some_lease = 0;
+  // Never releasing, across reconnects, while sending only unknown ids.
+  for (int conn = 0; conn < 3; ++conn) {
+    auto c = RawLessee::attach(srv.server.port(), kSession);
+    ASSERT_TRUE(c.has_value());
+    for (std::size_t i = 0; i < kMaxLeases; ++i) {
+      put_arena_item(srv, ts++);
+      GetReplyMsg reply;
+      ASSERT_TRUE(c->get(reply, {0, 0xDEAD'BEEF'0000ULL, ~std::uint64_t{0}}));
+      if (reply.lease != 0) some_lease = reply.lease;
+    }
+    EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+  }
+  ASSERT_NE(some_lease, 0u);
+
+  // A repeated id ends its lease once: one slot frees, not three.
+  auto c = RawLessee::attach(srv.server.port(), kSession);
+  ASSERT_TRUE(c.has_value());
+  put_arena_item(srv, ts++);
+  GetReplyMsg reply;
+  ASSERT_TRUE(c->get(reply, {some_lease, some_lease, some_lease}));
+  EXPECT_NE(reply.lease, 0u) << "the released slot is lent again";
+  put_arena_item(srv, ts++);
+  ASSERT_TRUE(c->get(reply, {some_lease}));
+  EXPECT_EQ(reply.lease, 0u) << "a repeated id must not free another slot";
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+
+  // An over-long released list drops the connection and frees nothing.
+  GetMsg full{.arena = true};
+  full.released.assign(kMaxLeases, some_lease);
+  FrameBuf frame = encode(full);
+  const std::size_t count_at = frame.len - 2 - 8 * kMaxLeases;
+  const auto forged = static_cast<std::uint16_t>(kMaxLeases + 1);
+  std::memcpy(frame.data.data() + count_at, &forged, sizeof(forged));
+  std::memset(frame.data.data() + frame.len, 0, 8);
+  frame.len += 8;
+  const auto body_len = static_cast<std::uint32_t>(frame.len - kHeaderBytes);
+  std::memcpy(frame.data.data() + 4, &body_len, sizeof(body_len));
+  ASSERT_EQ(c->s.send_all(frame.span(), seconds(2)), IoStatus::kOk);
+  EXPECT_TRUE(raw_hung_up(c->s)) << "an over-long released list must drop the link";
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+
+  // So does an over-long release frame, and a release on a link that holds
+  // no consumer slot.
+  {
+    auto r = RawLessee::attach(srv.server.port(), kSession);
+    ASSERT_TRUE(r.has_value());
+    std::vector<std::byte> body(2 + 8 * (kMaxLeases + 1), std::byte{0});
+    std::memcpy(body.data(), &forged, sizeof(forged));
+    FrameBuf over = encode(ReleaseMsg{});
+    over.len = kHeaderBytes;
+    const auto len = static_cast<std::uint32_t>(body.size());
+    std::memcpy(over.data.data() + 4, &len, sizeof(len));
+    std::memcpy(over.data.data() + over.len, body.data(), body.size());
+    over.len += body.size();
+    ASSERT_EQ(r->s.send_all(over.span(), seconds(2)), IoStatus::kOk);
+    EXPECT_TRUE(raw_hung_up(r->s)) << "an over-long release frame must drop the link";
+    auto p = raw_hello(srv.server.port(), producer_hello(ArenaRef{}));
+    ASSERT_TRUE(p.has_value());
+    ASSERT_EQ(p->send_all(encode(ReleaseMsg{.released = {some_lease}}).span(), seconds(2)),
+              IoStatus::kOk);
+    EXPECT_TRUE(raw_hung_up(*p)) << "a producer link holds no leases to release";
+  }
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+
+  // The server still serves, within the cap.
+  auto again = RawLessee::attach(srv.server.port(), kSession);
+  ASSERT_TRUE(again.has_value());
+  put_arena_item(srv, ts++);
+  ASSERT_TRUE(again->get(reply));
+  EXPECT_EQ(reply.lease, 0u);
+  EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
+}
+
+TEST(ArenaHandoff, ServerStopReleasesEveryLease) {
+  ArenaServer srv;
+  auto c = RawLessee::attach(srv.server.port(), 0x570);
+  ASSERT_TRUE(c.has_value());
+  std::vector<std::weak_ptr<Item>> lent;
+  for (Timestamp ts = 0; ts < 4; ++ts) {
+    lent.push_back(put_arena_item(srv, ts));
+    GetReplyMsg reply;
+    ASSERT_TRUE(c->get(reply));
+    ASSERT_NE(reply.lease, 0u);
+  }
+  put_arena_item(srv, 4);  // newer than every lent reply
+  lent.pop_back();         // the channel may still hold the newest reply
+  for (const auto& w : lent) EXPECT_FALSE(w.expired());
+  srv.server.stop();
+  for (const auto& w : lent) EXPECT_TRUE(w.expired()) << "stop must release every lease";
+  EXPECT_EQ(leases_of(srv.rt), 0);
+}
+
+TEST(ArenaHandoff, BorrowedReplyIsReadInPlaceAndChargedOnlyToTheLender) {
+  // Through the real client: a get reply is a read-only view of the
+  // server's slab, counted once — by the lender, until it is released —
+  // and it stays byte-exact while the lender recycles hundreds of slabs.
+  ArenaServer srv;
+  Runtime client;
+  RemoteChannel proxy(client, {.name = "frames",
+                               .transport = fast_transport(srv.server.port()),
+                               .consumer_key = 0});
+  std::stop_source stop;
+  srv.ch.put(frame_item(srv.rt, 0), {});
+  auto held = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+  ASSERT_NE(held, nullptr);
+  ASSERT_TRUE(has_frame_pattern(*held));
+  EXPECT_EQ(held->charged_bytes(), 0u) << "a borrowed reply charges the borrower nothing";
+  EXPECT_TRUE(std::const_pointer_cast<Item>(held)->mutable_data().empty())
+      << "a borrowed payload must never be writable";
+  EXPECT_EQ(client.memory().total_bytes(), 0);
+  EXPECT_EQ(srv.rt.memory().total_bytes(), static_cast<std::int64_t>(kFramePayload))
+      << "the lender's pinned item keeps counting";
+
+  for (Timestamp ts = 1; ts <= 300; ++ts) {
+    srv.ch.put(frame_item(srv.rt, ts), {});
+    const auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->ts(), ts);
+    if (ts % 50 == 0) {
+      EXPECT_TRUE(has_frame_pattern(*got)) << "ts " << ts;
+    }
+    EXPECT_EQ(client.memory().total_bytes(), 0);
+  }
+  EXPECT_TRUE(has_frame_pattern(*held)) << "a held view must survive slab recycling";
+  // Every dropped view went back at once over the idle link; the held one
+  // still counts on the lender, beside what the channel stores.
+  const auto lender_holds = [&](std::size_t pinned) {
+    return srv.rt.memory().total_bytes() ==
+           static_cast<std::int64_t>(kFramePayload * (srv.ch.size() + pinned));
+  };
+  EXPECT_TRUE(await(srv.rt, [&] { return lender_holds(1); }));
+  EXPECT_EQ(leases_of(srv.rt), 1);
+
+  // Dropping the last view returns its lease too.
+  held.reset();
+  EXPECT_TRUE(await(srv.rt, [&] { return lender_holds(0); }));
+  EXPECT_EQ(leases_of(srv.rt), 0);
+  srv.ch.put(frame_item(srv.rt, 301), {});
+  ASSERT_NE(proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item, nullptr);
+  srv.server.stop();
+  EXPECT_EQ(leases_of(srv.rt), 0);
+  EXPECT_EQ(client.memory().total_bytes(), 0);
+  EXPECT_EQ(srv.rt.memory().total_bytes(),
+            static_cast<std::int64_t>(kFramePayload * srv.ch.size()))
+      << "only what the channel still holds may count";
+  client.stop();
+}
+
 TEST(ArenaHandoff, FrameRoundTripThroughAChildProcessUsesTheArenas) {
   // Across a real process boundary on one host: the spd_node child maps
   // this process's arena to take the put, and this process maps the
@@ -1255,6 +1467,39 @@ TEST(ArenaHandoff, FrameRoundTripThroughAChildProcessUsesTheArenas) {
   // tx/rx still count the payload bytes, plus envelopes.
   EXPECT_GE(counter("aru_net_tx_bytes_total", "frames/put"), payloads);
   EXPECT_GE(counter("aru_net_rx_bytes_total", "frames/get"), payloads);
+  rt.stop();
+}
+
+TEST(ArenaHandoff, ViewsOfASigkilledLenderStayByteExact) {
+  // Borrowed replies view the child's arena through this process's own
+  // mapping, which outlives the child: SIGKILL must not fault them or
+  // change a byte, and dropping them afterwards releases into a link
+  // whose peer is gone, harmlessly.
+  auto node = SpdNodeProc::spawn({"port=0"});
+  ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
+  ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
+
+  Runtime rt;
+  RemoteChannel proxy(rt, {.name = "frames",
+                           .transport = fast_transport(node.port),
+                           .producer_key = 0,
+                           .consumer_key = 0});
+  std::stop_source stop;
+  std::vector<std::shared_ptr<const Item>> held;
+  for (Timestamp ts = 0; ts < 4; ++ts) {
+    ASSERT_TRUE(proxy.put(frame_item(rt, ts), stop.get_token()).stored);
+    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+    auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token());
+    ASSERT_NE(got.item, nullptr);
+    EXPECT_EQ(got.item->charged_bytes(), 0u) << "ts " << ts << " was not borrowed";
+    held.push_back(std::move(got.item));
+  }
+  EXPECT_EQ(rt.memory().total_bytes(), 0) << "the views are the child's bytes";
+  node.kill_hard();
+  for (const auto& item : held) {
+    EXPECT_TRUE(has_frame_pattern(*item)) << "ts " << item->ts();
+  }
+  held.clear();
   rt.stop();
 }
 

@@ -19,12 +19,16 @@
 #include <gtest/gtest.h>
 
 #include "net/remote_channel.hpp"
+#include "runtime/pool.hpp"
 #include "runtime/runtime.hpp"
 
 namespace stampede::net {
 namespace {
 
-constexpr std::size_t kBigPayload = std::size_t{8} << 20;  // 8 MiB
+/// Just over the pool's recycled range: a heap payload, so it crosses the
+/// wire as a payload tail. An arena slab would be lent in place (wire v6)
+/// and cross no bytes at all.
+constexpr std::size_t kBigPayload = PayloadPool::kMaxPooledBytes + 4096;
 
 TransportConfig test_transport(std::uint16_t port) {
   return {.port = port,

@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/channel.hpp"
@@ -204,6 +206,30 @@ TEST(Pool, MoveTransfersOwnership) {
   EXPECT_EQ(a.span().data(), nullptr);  // NOLINT(bugprone-use-after-move)
   b = pool.acquire(2 * kMin);           // move-assign releases the old slab
   EXPECT_EQ(pool.parked_bytes(), kMin);
+}
+
+/// Records the leases handed back to it.
+struct RecordingLender final : PayloadLender {
+  std::vector<std::uint64_t> returned;
+  void give_back(std::uint64_t lease) noexcept override { returned.push_back(lease); }
+};
+
+TEST(Pool, BorrowedBufferIsReadOnlyAndGivesItsLeaseBackOnce) {
+  const std::array<std::byte, 16> bytes{std::byte{7}};
+  auto lender = std::make_shared<RecordingLender>();
+  {
+    PayloadBuffer a = PayloadBuffer::borrow(bytes.data(), bytes.size(), lender, 42);
+    EXPECT_TRUE(a.borrowed());
+    EXPECT_FALSE(a.pooled());
+    EXPECT_TRUE(a.span().empty()) << "a borrowed view must never be writable";
+    EXPECT_EQ(std::as_const(a).span().data(), bytes.data());
+    EXPECT_EQ(std::as_const(a).span().size(), bytes.size());
+    PayloadBuffer b = std::move(a);  // the lease moves with the view
+    EXPECT_TRUE(lender->returned.empty());
+    b = PayloadBuffer::borrow(bytes.data(), 8, lender, 43);  // ends lease 42
+    EXPECT_EQ(lender->returned, std::vector<std::uint64_t>{42});
+  }
+  EXPECT_EQ(lender->returned, (std::vector<std::uint64_t>{42, 43}));
 }
 
 TEST(Pool, ParkedBytesStayOutOfTrackerTotals) {

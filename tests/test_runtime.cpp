@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "stats/postmortem.hpp"
 
@@ -133,6 +138,35 @@ TEST(Runtime, FanOutMinFollowsFastestMaxFollowsSlowest) {
   // min: pace to the fast consumer (~6 ms); max: to the slow one (~18 ms).
   EXPECT_LT(with_min.count(), millis(12).count());
   EXPECT_GT(with_max.count(), millis(13).count());
+}
+
+/// Names of this process's threads, as `top -H` shows them.
+std::vector<std::string> thread_names() {
+  std::vector<std::string> names;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(Runtime, TaskThreadsCarryTheirTaskNames) {
+  Runtime rt;
+  auto& ch = rt.add_channel({.name = "c"});
+  auto& src = rt.add_task({.name = "named_source", .body = fast_source(millis(1))});
+  auto& snk = rt.add_task({.name = "a_task_name_too_long_for_linux", .body = sink()});
+  rt.connect(src, ch);
+  rt.connect(ch, snk);
+  rt.start();
+  rt.clock().sleep_for(millis(20));
+  const auto names = thread_names();
+  rt.stop();
+  const auto has = [&](const std::string& name) {
+    return std::ranges::find(names, name) != names.end();
+  };
+  EXPECT_TRUE(has("named_source"));
+  EXPECT_TRUE(has("a_task_name_too")) << "names are cut to 15 bytes";
 }
 
 TEST(Runtime, StopUnblocksAllTasks) {

@@ -63,7 +63,11 @@ TEST(Stress, ManyProducersManyConsumersOnOneChannel) {
   done = true;
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ch->close();
-  threads.clear();  // join consumers
+  // Join without requesting stop: a consumer not yet scheduled must still
+  // drain the newest item before it sees "closed and drained" (a jthread
+  // destructor would request stop first, and it would never get).
+  for (std::jthread& t : threads) t.join();
+  threads.clear();
 
   // On a single core the scheduler decides how many distinct "latest"
   // waves each consumer observes; the hard invariants are monotonic

@@ -66,6 +66,16 @@ WireItem random_item(Xoshiro256& rng, std::size_t max_payload = 1 << 20) {
   return item;
 }
 
+/// Up to kMaxLeases lease ids (wire v6), zero and repeated ids included:
+/// the codec carries them verbatim and the server ignores what it does
+/// not hold.
+std::vector<std::uint64_t> random_leases(Xoshiro256& rng) {
+  std::vector<std::uint64_t> ids(rng.below(kMaxLeases + 1));
+  for (auto& id : ids) id = rng.below(4) == 0 ? 0 : rng.next();
+  if (ids.size() > 1 && rng.below(2) == 1) ids.back() = ids.front();
+  return ids;
+}
+
 ArenaRef random_arena(Xoshiro256& rng) {
   return {.pid = static_cast<std::int32_t>(rng.next()),
           .fd = static_cast<std::int32_t>(rng.next()),
@@ -181,7 +191,8 @@ TEST(Wire, GetRoundTripRandomized) {
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(GetMsg{.consumer_summary = Nanos{static_cast<std::int64_t>(rng.next())},
                             .guarantee = static_cast<Timestamp>(rng.next() >> 4),
-                            .arena = rng.below(2) == 1},
+                            .arena = rng.below(2) == 1,
+                            .released = random_leases(rng)},
                      MsgType::kGet);
   }
 }
@@ -196,7 +207,8 @@ TEST(Wire, GetReplyRoundTripRandomized) {
                   // Any i64, negative garbage included: the codec carries
                   // it verbatim and the consumer clamps it.
                   .waited = Nanos{static_cast<std::int64_t>(rng.next())},
-                  .stp = random_stp(rng, rng.below(kMaxStpSlots + 1))};
+                  .stp = random_stp(rng, rng.below(kMaxStpSlots + 1)),
+                  .lease = rng.below(3) == 0 ? 0 : rng.next()};
     if (m.has_item) m.item = random_item(rng);
     expect_roundtrip(m, MsgType::kGetReply);
   }
@@ -212,12 +224,107 @@ TEST(Wire, HeartbeatAndCloseRoundTrip) {
   EXPECT_EQ(h.type, MsgType::kClose);
   EXPECT_EQ(h.body_len, 0u);
   EXPECT_EQ(h.payload_len, 0u);
+}
 
-  const FrameBuf release = encode_release();
-  ASSERT_TRUE(decode_header(release.span().first(kHeaderBytes), h, &err)) << err;
-  EXPECT_EQ(h.type, MsgType::kRelease);
-  EXPECT_EQ(h.body_len, 0u);
-  EXPECT_EQ(h.payload_len, 0u);
+// -- leases (wire v6) -------------------------------------------------------
+
+TEST(Wire, LeaseFieldsRoundTripAtTheirBounds) {
+  GetMsg full{.arena = true};
+  for (std::uint64_t i = 0; i < kMaxLeases; ++i) full.released.push_back(~i);
+  expect_roundtrip(full, MsgType::kGet);
+  expect_roundtrip(GetMsg{.arena = true, .released = {0, 7, 7}}, MsgType::kGet);
+  expect_roundtrip(ReleaseMsg{.released = full.released}, MsgType::kRelease);
+  expect_roundtrip(ReleaseMsg{.released = {42}}, MsgType::kRelease);
+  expect_roundtrip(ReleaseMsg{}, MsgType::kRelease);
+
+  GetReplyMsg reply{.has_item = true, .lease = ~std::uint64_t{0}};
+  reply.item.payload_bytes = 1 << 20;
+  reply.item.arena_offset = 4096;
+  expect_roundtrip(reply, MsgType::kGetReply);
+  // The lease is the envelope's last field: a reply without one ends in
+  // eight zero bytes.
+  const FrameBuf plain = encode(GetReplyMsg{});
+  for (std::size_t i = plain.len - 8; i < plain.len; ++i) {
+    EXPECT_EQ(plain.data[i], std::byte{0});
+  }
+}
+
+TEST(Wire, OverlongReleasedListIsRejected) {
+  // The encoder refuses to send more than kMaxLeases ids...
+  GetMsg over;
+  over.released.assign(kMaxLeases + 1, 1);
+  EXPECT_THROW(encode(over), std::length_error);
+
+  ReleaseMsg over_release;
+  over_release.released.assign(kMaxLeases + 1, 1);
+  EXPECT_THROW(encode(over_release), std::length_error);
+
+  // ...and a hostile peer's over-long list fails to decode, whether the
+  // ids are all there or the count alone lies.
+  GetMsg full;
+  full.released.assign(kMaxLeases, 5);
+  const FrameBuf frame = encode(full);
+  std::vector<std::byte> body(frame.span().begin() + kHeaderBytes, frame.span().end());
+  const std::size_t count_at = body.size() - 2 - 8 * kMaxLeases;
+  const auto forged = static_cast<std::uint16_t>(kMaxLeases + 1);
+  std::memcpy(body.data() + count_at, &forged, sizeof(forged));
+  GetMsg out;
+  std::string err;
+  EXPECT_FALSE(decode(body, out, &err));
+  EXPECT_NE(err.find("kMaxLeases"), std::string::npos) << err;
+  for (int i = 0; i < 8; ++i) body.push_back(std::byte{5});
+  err.clear();
+  EXPECT_FALSE(decode(body, out, &err));
+  EXPECT_NE(err.find("kMaxLeases"), std::string::npos) << err;
+  const auto huge = std::uint16_t{0xFFFF};
+  std::memcpy(body.data() + count_at, &huge, sizeof(huge));
+  EXPECT_FALSE(decode(body, out, &err));
+
+  // A release frame's list is the whole envelope.
+  std::vector<std::byte> release(2 + 8 * (kMaxLeases + 1), std::byte{3});
+  std::memcpy(release.data(), &forged, sizeof(forged));
+  ReleaseMsg rel;
+  err.clear();
+  EXPECT_FALSE(decode(release, rel, &err));
+  EXPECT_NE(err.find("kMaxLeases"), std::string::npos) << err;
+}
+
+TEST(Wire, LeaseFieldsSurviveTruncationAndGarbage) {
+  Xoshiro256 rng(0x1EA5E);
+  for (int i = 0; i < 20; ++i) {
+    GetMsg get{.consumer_summary = millis(i), .arena = true, .released = random_leases(rng)};
+    expect_truncation_safe<GetMsg>(encode(get));
+    GetReplyMsg reply{.has_item = true, .stp = random_stp(rng, 2), .lease = rng.next() | 1};
+    reply.item = random_item(rng, 64);
+    expect_truncation_safe<GetReplyMsg>(encode(reply));
+    expect_truncation_safe<ReleaseMsg>(encode(ReleaseMsg{.released = random_leases(rng)}));
+  }
+  // Random bytes behind a valid get prefix land in the released list: any
+  // outcome but a crash is fine, and a failure says why.
+  const FrameBuf prefix = encode(GetMsg{.arena = true});
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<std::byte> body(prefix.span().begin() + kHeaderBytes,
+                                prefix.span().end() - 2);
+    const auto tail = random_bytes(rng, 8 * (kMaxLeases + 2) + 2);
+    body.insert(body.end(), tail.begin(), tail.end());
+    GetMsg out;
+    std::string err;
+    if (decode(body, out, &err)) {
+      EXPECT_LE(out.released.size(), kMaxLeases);
+    } else {
+      EXPECT_FALSE(err.empty());
+    }
+    GetMsg garbage;
+    if (!decode(random_bytes(rng, 160), garbage, &err)) {
+      EXPECT_FALSE(err.empty());
+    }
+    ReleaseMsg release;
+    if (decode(random_bytes(rng, 160), release, &err)) {
+      EXPECT_LE(release.released.size(), kMaxLeases);
+    } else {
+      EXPECT_FALSE(err.empty());
+    }
+  }
 }
 
 // -- split framing ----------------------------------------------------------
@@ -416,10 +523,10 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_FALSE(e.empty());
   };
-  static_assert(kWireVersion == 5, "v5: same-host peers hand payloads over in an arena");
+  static_assert(kWireVersion == 6, "v6: same-host get replies are lent under a lease");
   corrupt(0, 0xFF);                                      // magic
   corrupt(8, kWireVersion + 1);                          // version
-  corrupt(8, kWireVersion - 1);                          // v4 peers (no arena fields)
+  corrupt(8, kWireVersion - 1);                          // v5 peers (no lease fields)
   corrupt(8, 1);                                         // v1 peers are rejected too
   corrupt(9, 0);                                         // type below range
   corrupt(9, static_cast<std::uint8_t>(MsgType::kRelease) + 1);  // type above range
