@@ -80,7 +80,7 @@ struct ChannelFixtureState {
     ctx.gc = gc::Kind::kDeadTimestamp;
     ctx.aru = aru::Config{.mode = mode};
     ch = std::make_unique<Channel>(ctx, 0, ChannelConfig{.name = "bench"}, mode,
-                                   make_filter(""), recorder.new_shard());
+                                   make_filter(""));
     ch->register_producer(100);
     consumer = ch->register_consumer(200, 0);
   }

@@ -47,8 +47,7 @@ struct Fixture {
 /// storage layout dominates). Args: (consumers, occupancy).
 void BM_ChannelGetLatest_MultiConsumer(benchmark::State& state) {
   Fixture f;
-  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-             f.recorder.new_shard());
+  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
   const int n = static_cast<int>(state.range(0));
   const Timestamp occupancy = state.range(1);
   std::vector<int> consumers;
@@ -88,8 +87,7 @@ BENCHMARK(BM_ChannelGetLatest_MultiConsumer)
 /// the storage cost of get_next's oldest-unseen lookup at depth.
 void BM_ChannelGetNext(benchmark::State& state) {
   Fixture f;
-  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-             f.recorder.new_shard());
+  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
   const Timestamp occupancy = state.range(0);
   const int c = ch.register_consumer(200, 0);
   const int pin = ch.register_consumer(300, 0);
@@ -113,8 +111,7 @@ BENCHMARK(BM_ChannelGetNext)->Arg(1)->Arg(64)->Arg(256);
 /// holds occupancy at ~window, so the newest-window walk runs at depth.
 void BM_ChannelGetWindow(benchmark::State& state) {
   Fixture f;
-  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-             f.recorder.new_shard());
+  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
   const auto window = static_cast<std::size_t>(state.range(0));
   const int c = ch.register_consumer(200, 0);
 
@@ -143,8 +140,7 @@ void BM_ChannelGcPressure(benchmark::State& state) {
 
   for (auto _ : state) {
     state.PauseTiming();
-    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-               f.recorder.new_shard());
+    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
     const int c = ch.register_consumer(200, 0);
     ch.register_consumer(300, 0);  // laggard: never reads, pins everything
     Timestamp ts = 0;
@@ -168,8 +164,7 @@ void BM_ChannelSkipScan(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-               f.recorder.new_shard());
+    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
     const int c = ch.register_consumer(200, 0);
     for (Timestamp ts = 0; ts < n; ++ts) ch.put(f.item(ts), f.stop.get_token());
     state.ResumeTiming();
@@ -183,8 +178,7 @@ BENCHMARK(BM_ChannelSkipScan)->Arg(2)->Arg(16)->Arg(128);
 void BM_ChannelGetAt(benchmark::State& state) {
   Fixture f;
   f.ctx.gc = gc::Kind::kNone;
-  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-             f.recorder.new_shard());
+  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
   const Timestamp n = state.range(0);
   const int c = ch.register_consumer(200, 0);
   for (Timestamp ts = 0; ts < n; ++ts) ch.put(f.item(ts), f.stop.get_token());
@@ -199,8 +193,7 @@ BENCHMARK(BM_ChannelGetAt)->Arg(64)->Arg(1024);
 
 void BM_QueuePutGet(benchmark::State& state) {
   Fixture f;
-  Queue q(f.ctx, 0, QueueConfig{.name = "q"}, aru::Mode::kOff, make_filter(""),
-          f.recorder.new_shard());
+  Queue q(f.ctx, 0, QueueConfig{.name = "q"}, aru::Mode::kOff, make_filter(""));
   const int c = q.register_consumer(200, 0);
   Timestamp ts = 0;
   for (auto _ : state) {
@@ -218,8 +211,7 @@ BENCHMARK(BM_QueuePutGet);
 /// recycled path, not the allocator.
 void BM_ChannelPutGetPayload(benchmark::State& state) {
   Fixture f;
-  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-             f.recorder.new_shard());
+  Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""));
   const auto bytes = static_cast<std::size_t>(state.range(0));
   const int c = ch.register_consumer(200, 0);
   Timestamp ts = 0;

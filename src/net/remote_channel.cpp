@@ -83,18 +83,18 @@ void append_nanos(std::vector<Nanos>& v, Nanos n) { v.push_back(n); }
 /// so the trace stays balanced either way.
 ARU_ALLOCATES ARU_ANALYZE_ESCAPE("constructs the consumer-side Item replica (one shared_ptr control block per received item — the ownership handoff itself); its payload slab comes from the pool or is borrowed")
 std::shared_ptr<Item> materialize(RunContext& ctx, const WireItem& wi, PayloadBuffer payload,
-                                  NodeId producer, int cluster_node, stats::Shard* shard) {
+                                  NodeId producer, int cluster_node) {
   auto item = std::make_shared<Item>(ctx, wi.ts, std::move(payload), producer, cluster_node,
                                      std::vector<ItemId>{}, Nanos{wi.produce_cost_ns});
   const auto charged = static_cast<std::int64_t>(item->charged_bytes());
-  shard->record(stats::Event{.type = stats::EventType::kAlloc,
-                             .node = producer,
-                             .ts = wi.ts,
-                             .item = item->id(),
-                             .t = ctx.now_ns(),
-                             .a = charged,
-                             .b = cluster_node});
-  shard->record_item(stats::ItemRecord{
+  ctx.recorder->record(stats::Event{.type = stats::EventType::kAlloc,
+                                    .node = producer,
+                                    .ts = wi.ts,
+                                    .item = item->id(),
+                                    .t = ctx.now_ns(),
+                                    .a = charged,
+                                    .b = cluster_node});
+  ctx.recorder->record_item(stats::ItemRecord{
       .id = item->id(),
       .ts = wi.ts,
       .bytes = charged,
@@ -142,15 +142,12 @@ RemoteChannel::RemoteChannel(Runtime& rt, RemoteChannelConfig config)
         ctx_, node_, config_.transport,
         HelloMsg{.channel = config_.name,
                  .producer_key = config_.producer_key,
-                 .arena = local_arena(*ctx_.pool)},
-        rt.recorder().new_shard());
+                 .arena = local_arena(*ctx_.pool)});
   }
   if (config_.consumer_key >= 0) {
-    get_shard_ = rt.recorder().new_shard();
     get_link_ = std::make_unique<Transport>(
         ctx_, node_, config_.transport,
-        HelloMsg{.channel = config_.name, .consumer_key = config_.consumer_key},
-        get_shard_);
+        HelloMsg{.channel = config_.name, .consumer_key = config_.consumer_key});
   }
   if (ctx_.metrics != nullptr) {
     // Everything the callback reads is an atomic (transport flags, the
@@ -231,12 +228,12 @@ RemoteEndpoint::PutResult RemoteChannel::put(std::shared_ptr<Item> item,
   // keeps pacing at the last known downstream rate instead of either
   // stalling or free-running.
   drops_.fetch_add(1, std::memory_order_relaxed);
-  put_link_->record(stats::Event{.type = stats::EventType::kDrop,
-                                 .node = node_,
-                                 .ts = item->ts(),
-                                 .item = item->id(),
-                                 .t = ctx_.now_ns(),
-                                 .a = 1});
+  ctx_.recorder->record(stats::Event{.type = stats::EventType::kDrop,
+                                     .node = node_,
+                                     .ts = item->ts(),
+                                     .item = item->id(),
+                                     .t = ctx_.now_ns(),
+                                     .a = 1});
   return PutResult{.summary = held, .dropped = true};
 }
 
@@ -287,7 +284,7 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     const Nanos end = ctx_.clock->now();
     const Nanos waited = std::clamp(reply.waited, Nanos{0}, end - sent);
     return GetResult{.item = materialize(ctx_, reply.item, std::move(payload), node_,
-                                         config_.cluster_node, get_shard_),
+                                         config_.cluster_node),
                      .blocked = sent - t0 + waited,
                      .skipped = reply.skipped};
   }
@@ -300,7 +297,7 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
 
 ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
                              ServerConfig config)
-    : rt_(rt), ctx_(rt.context()), config_(std::move(config)) {
+    : ctx_(rt.context()), config_(std::move(config)) {
   for (const ServedChannel& sc : channels) {
     if (sc.channel == nullptr) {
       throw std::invalid_argument("ChannelServer: null channel");
@@ -319,18 +316,18 @@ ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
     s.producer_seq = std::make_unique<ProducerSeq[]>(
         static_cast<std::size_t>(sc.remote_producers));
     for (int p = 0; p < sc.remote_producers; ++p) {
-      const NodeId n = rt_.add_remote_node(
+      const NodeId n = rt.add_remote_node(
           sc.channel->name() + ":remote_producer" + std::to_string(p),
           NodeKind::kThread);
-      rt_.add_remote_edge(n, sc.channel->id());
+      rt.add_remote_edge(n, sc.channel->id());
       sc.channel->register_producer(n);
       s.producer_nodes.push_back(n);
     }
     for (int c = 0; c < sc.remote_consumers; ++c) {
-      const NodeId n = rt_.add_remote_node(
+      const NodeId n = rt.add_remote_node(
           sc.channel->name() + ":remote_consumer" + std::to_string(c),
           NodeKind::kThread);
-      rt_.add_remote_edge(sc.channel->id(), n);
+      rt.add_remote_edge(sc.channel->id(), n);
       // Consumer placed on the channel's own cluster node: the simulated
       // transfer model stays out of the way — the real network is the
       // transfer now.
@@ -518,23 +515,10 @@ void ChannelServer::stop() {
 
 void ChannelServer::reap_finished_locked() {
   std::erase_if(conns_, [&](Conn& c) {
-    if (!c.state->done.load(std::memory_order_acquire)) return false;
+    if (!c.done->load(std::memory_order_acquire)) return false;
     if (c.thread.joinable()) c.thread.join();  // finished: joins immediately
-    if (c.state->shard != nullptr) free_shards_.push_back(c.state->shard);
     return true;
   });
-}
-
-stats::Shard* ChannelServer::acquire_shard() {
-  {
-    const util::MutexLock lock(mu_);
-    if (!free_shards_.empty()) {
-      stats::Shard* shard = free_shards_.back();
-      free_shards_.pop_back();
-      return shard;
-    }
-  }
-  return rt_.recorder().new_shard();
 }
 
 void ChannelServer::accept_loop(TcpListener listener, std::stop_token st) {
@@ -545,20 +529,19 @@ void ChannelServer::accept_loop(TcpListener listener, std::stop_token st) {
     reap_finished_locked();
     if (!stream) continue;
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto state = std::make_shared<ConnState>();
+    auto done = std::make_shared<std::atomic<bool>>(false);
     conns_.push_back(Conn{
         .thread = std::jthread(
-            [this, state, s = std::make_shared<TcpStream>(std::move(*stream))](
+            [this, done, s = std::make_shared<TcpStream>(std::move(*stream))](
                 std::stop_token cst) {
-              serve_connection(std::move(*s), *state, cst);
-              state->done.store(true, std::memory_order_release);
+              serve_connection(std::move(*s), cst);
+              done->store(true, std::memory_order_release);
             }),
-        .state = state});
+        .done = done});
   }
 }
 
-void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
-                                     std::stop_token st) {
+void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
   // Attach: first frame must be a Hello naming a served channel and
   // claiming valid endpoint slots. A Hello never carries payload.
   FrameHeader header{};
@@ -627,14 +610,12 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
   name += hello.channel;
   util::set_thread_name(name);
 
-  stats::Shard* shard = acquire_shard();
-  state.shard = shard;  // published to the reaper by the done flag
-  serve_attached(stream, *served, hello, client_arena.get(), shard, st);
+  serve_attached(stream, *served, hello, client_arena.get(), st);
 }
 
 void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
                                    const HelloMsg& hello, const PeerArena* client_arena,
-                                   stats::Shard* shard, std::stop_token st) {
+                                   std::stop_token st) {
   Channel& channel = *served.channel;
   const NodeId chan_node = channel.id();
   std::int64_t last_tx = ctx_.now_ns();
@@ -657,7 +638,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
       return false;
     }
     last_tx = ctx_.now_ns();
-    shard->record(stats::Event{
+    ctx_.recorder->record(stats::Event{
         .type = stats::EventType::kNetTx,
         .node = chan_node,
         .t = last_tx,
@@ -787,7 +768,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
       if (!decode(body, put_msg, nullptr) || put_msg.seq == 0) return;
       arena_put = put_msg.item.arena_offset != kNoArenaOffset;
     }
-    shard->record(stats::Event{
+    ctx_.recorder->record(stats::Event{
         .type = stats::EventType::kNetRx,
         .node = chan_node,
         .t = ctx_.now_ns(),
@@ -812,7 +793,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         auto item = materialize(
             ctx_, put_msg.item, ctx_.pool->acquire(put_msg.item.payload_bytes),
             served.producer_nodes[static_cast<std::size_t>(hello.producer_key)],
-            channel.cluster_node(), shard);
+            channel.cluster_node());
         if (arena_put) {
           // An offset outside the mapping never reads a byte past it.
           if (!client_arena->copy_out(put_msg.item.arena_offset, item->mutable_data())) {

@@ -110,14 +110,13 @@ class RemoteChannel final : public RemoteEndpoint {
   RemoteChannelConfig config_;
   NodeId node_ = kNoNode;
 
-  /// Separate links (and trace shards) for the two directions, so a
+  /// Separate links for the two directions, so a
   /// blocking get parked on the server never head-of-line-blocks puts.
   /// The producer drives put_link_ and the consumer get_link_; the one
   /// cross-link call, a get sending the put link's staged frames, goes
   /// through the put link's locks.
   std::unique_ptr<Transport> put_link_;
   std::unique_ptr<Transport> get_link_;
-  stats::Shard* get_shard_ = nullptr;  ///< written only by the getting thread
 
   std::atomic<std::int64_t> summary_ns_{aru::kUnknownStp.count()};
   std::atomic<std::int64_t> drops_{0};
@@ -269,45 +268,33 @@ class ChannelServer {
     std::unique_ptr<LeaseTable> leases;
   };
 
-  /// State shared between a connection thread and the accept loop's
-  /// reaper. `done` is the thread's last store; once it reads true the
-  /// thread writes nothing further, so joining is instant and the shard
-  /// (if one was ever attached) is safe to hand to a new connection.
-  struct ConnState {
-    std::atomic<bool> done{false};
-    stats::Shard* shard = nullptr;  ///< set once by the connection thread
-  };
-
-  /// One connection thread plus the state the reaper inspects.
+  /// One connection thread plus the flag the accept loop's reaper
+  /// inspects. `done` is the thread's last store: once it reads true,
+  /// joining is instant.
   struct Conn {
     std::jthread thread;
-    std::shared_ptr<ConnState> state;
+    std::shared_ptr<std::atomic<bool>> done;
   };
 
   void accept_loop(TcpListener listener, std::stop_token st);
-  void serve_connection(TcpStream stream, ConnState& state, std::stop_token st);
+  void serve_connection(TcpStream stream, std::stop_token st);
 
   /// Handles one attached connection after a successful Hello.
   /// `client_arena` is the producer's arena as this connection mapped it
-  /// (null: puts must carry their payload tail). `shard` is owned by this
-  /// connection's thread. Hot-path root: this loop serves
-  /// every put ack and get reply, so the STP piggyback must not allocate.
+  /// (null: puts must carry their payload tail). Hot-path root: this
+  /// loop serves every put ack and get reply, so the STP piggyback must
+  /// not allocate.
   ARU_HOT_PATH void serve_attached(TcpStream& stream, const Served& served,
                                    const HelloMsg& hello, const PeerArena* client_arena,
-                                   stats::Shard* shard, std::stop_token st);
+                                   std::stop_token st);
 
-  /// Joins and erases finished connection threads, returning their shards
-  /// to the free pool. Runs on every accept-loop tick so reconnect churn
-  /// (clients dying and re-dialing for hours) cannot accumulate exited
-  /// threads or per-connection shards without bound.
+  /// Joins and erases finished connection threads. Runs on every
+  /// accept-loop tick so reconnect churn (clients dying and re-dialing for
+  /// hours) cannot accumulate exited threads without bound.
   void reap_finished_locked() REQUIRES(mu_);
-
-  /// Pops a recycled shard or allocates a fresh one.
-  stats::Shard* acquire_shard() EXCLUDES(mu_);
 
   const Served* find(const std::string& name) const;
 
-  Runtime& rt_;
   RunContext& ctx_;
   const ServerConfig config_;
   std::vector<Served> served_;
@@ -319,9 +306,6 @@ class ChannelServer {
   mutable util::Mutex mu_{util::LockRank::kNet, "net.server"};
   std::jthread accept_thread_ GUARDED_BY(mu_);
   std::vector<Conn> conns_ GUARDED_BY(mu_);
-  /// Shards of reaped connections, reused by later connections (the old
-  /// owner thread has exited, so single-writer discipline is preserved).
-  std::vector<stats::Shard*> free_shards_ GUARDED_BY(mu_);
   bool started_ GUARDED_BY(mu_) = false;
   bool stopped_ GUARDED_BY(mu_) = false;
 

@@ -23,14 +23,6 @@ constexpr std::array<std::int64_t, 16> kRpcLatencyBounds = {
     1'000'000,   2'000'000,   5'000'000,    10'000'000,   20'000'000, 50'000'000,
     100'000'000, 200'000'000, 500'000'000,  1'000'000'000};
 
-/// Per-thread scratch for the rpc event batch: flush() clears it after
-/// draining into the shard, so capacity persists across attempts and
-/// calls and the steady-state rpc path does not allocate for tracing.
-std::vector<stats::Event>& tl_rpc_events() {
-  static thread_local std::vector<stats::Event> batch;
-  return batch;
-}
-
 /// Pipelined put window: the maximum number of unacknowledged puts in
 /// flight on a producer link (further bounded by the credits the server
 /// advertises on coalesced acks).
@@ -86,15 +78,13 @@ std::uint64_t random_session_id() {
 
 }  // namespace
 
-Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello,
-                     stats::Shard* shard)
+Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello)
     : ctx_(ctx),
       node_(node),
       config_(std::move(config)),
       hello_(std::move(hello)),
       session_(random_session_id()),
-      releases_(hello_.consumer_key >= 0 ? std::make_shared<ReleaseList>() : nullptr),
-      shard_(shard) {
+      releases_(hello_.consumer_key >= 0 ? std::make_shared<ReleaseList>() : nullptr) {
   const bool producer = hello_.producer_key >= 0;
   if (producer) window_.resize(kPutWindow);
   if (releases_ != nullptr) releases_->attach(this);
@@ -161,7 +151,8 @@ void Transport::send_now(std::vector<std::uint64_t>& ids) noexcept {
     const FrameBuf frame = encode(msg);
     if (stream_.send_all(frame.span(), config_.io_timeout) == IoStatus::kOk) {
       ids.erase(ids.begin(), ids.begin() + n);
-      if (met_tx_ != nullptr) met_tx_->add(frame.len);
+      record_event(stats::EventType::kNetTx, static_cast<std::int64_t>(frame.len),
+                   static_cast<std::int64_t>(MsgType::kRelease));
     } else {
       disconnect_locked();  // the ids stay queued for the next get
     }
@@ -169,9 +160,8 @@ void Transport::send_now(std::vector<std::uint64_t>& ids) noexcept {
   mu_.unlock();
 }
 
-void Transport::add_event(EventBatch& events, stats::EventType type, std::int64_t a,
-                          std::int64_t b) const {
-  events.push_back(stats::Event{
+void Transport::record_event(stats::EventType type, std::int64_t a, std::int64_t b) const {
+  ctx_.recorder->record(stats::Event{
       .type = type, .node = node_, .t = ctx_.now_ns(), .a = a, .b = b});
   switch (type) {
     case stats::EventType::kNetTx:
@@ -188,20 +178,9 @@ void Transport::add_event(EventBatch& events, stats::EventType type, std::int64_
   }
 }
 
-void Transport::flush(EventBatch& events) {
-  if (events.empty()) return;
-  const util::MutexLock lock(stats_mu_);
-  for (const stats::Event& e : events) shard_->record(e);
-  events.clear();
-}
-
 void Transport::disconnect() {
-  EventBatch events;
-  {
-    const util::MutexLock lock(mu_);
-    disconnect_locked();
-  }
-  flush(events);
+  const util::MutexLock lock(mu_);
+  disconnect_locked();
 }
 
 void Transport::disconnect_locked() {
@@ -211,7 +190,7 @@ void Transport::disconnect_locked() {
   connected_.store(false, std::memory_order_relaxed);
 }
 
-bool Transport::ensure_connected_locked(EventBatch& events) {
+bool Transport::ensure_connected_locked() {
   if (stream_.valid()) return true;
 
   const std::int64_t now = ctx_.now_ns();
@@ -246,8 +225,8 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
     disconnect_locked();
     return fail();
   }
-  add_event(events, stats::EventType::kNetTx, static_cast<std::int64_t>(hello.len),
-            static_cast<std::int64_t>(MsgType::kHello));
+  record_event(stats::EventType::kNetTx, static_cast<std::int64_t>(hello.len),
+               static_cast<std::int64_t>(MsgType::kHello));
   FrameHeader header{};
   EnvelopeBody body;
   if (!read_frame_locked(header, body) || header.type != MsgType::kHelloAck ||
@@ -255,9 +234,9 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
     disconnect_locked();
     return fail();
   }
-  add_event(events, stats::EventType::kNetRx,
-            static_cast<std::int64_t>(kHeaderBytes + header.body_len),
-            static_cast<std::int64_t>(header.type));
+  record_event(stats::EventType::kNetRx,
+               static_cast<std::int64_t>(kHeaderBytes + header.body_len),
+               static_cast<std::int64_t>(header.type));
   HelloAckMsg ack;
   if (!decode(body.span(), ack, nullptr) || !ack.ok) {
     disconnect_locked();
@@ -269,7 +248,7 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
 
   if (had_session_) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
-    add_event(events, stats::EventType::kReconnect, failed_attempts_, backoff_.count());
+    record_event(stats::EventType::kReconnect, failed_attempts_, backoff_.count());
   }
   had_session_ = true;
   failed_attempts_ = 0;
@@ -279,7 +258,7 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
   // Pipelined links replay their unacked tail before anything new goes
   // out, so a reconnect preserves send order (the server's dup filter
   // makes the replay at-most-once on the channel).
-  if (in_flight_locked() > 0 && !resend_window_locked(events)) {
+  if (in_flight_locked() > 0 && !resend_window_locked()) {
     return fail();
   }
   connected_.store(true, std::memory_order_relaxed);
@@ -308,16 +287,16 @@ void Transport::apply_put_ack_locked(const PutAckMsg& ack) {
   }
 }
 
-bool Transport::drain_acks_locked(EventBatch& events) {
+bool Transport::drain_acks_locked() {
   puts_since_drain_ = 0;
   last_drain_ns_ = ctx_.now_ns();
   while (stream_.valid() && stream_.readable(Nanos{0})) {
     FrameHeader header{};
     EnvelopeBody body;
     if (!read_frame_locked(header, body)) return false;
-    add_event(events, stats::EventType::kNetRx,
-              static_cast<std::int64_t>(kHeaderBytes + header.body_len),
-              static_cast<std::int64_t>(header.type));
+    record_event(stats::EventType::kNetRx,
+                 static_cast<std::int64_t>(kHeaderBytes + header.body_len),
+                 static_cast<std::int64_t>(header.type));
     if (header.type == MsgType::kHeartbeat && header.payload_len == 0) continue;
     if (header.type != MsgType::kPutAck || header.payload_len != 0 ||
         !decode(body.span(), ack_scratch_, nullptr)) {
@@ -329,15 +308,14 @@ bool Transport::drain_acks_locked(EventBatch& events) {
   return stream_.valid();
 }
 
-bool Transport::read_ack_blocking_locked(const std::stop_token& st, EventBatch& events,
-                                         bool* stopped) {
+bool Transport::read_ack_blocking_locked(const std::stop_token& st, bool* stopped) {
   *stopped = false;
   FrameHeader header{};
   EnvelopeBody body;
   if (!read_frame_locked(header, body)) return false;
-  add_event(events, stats::EventType::kNetRx,
-            static_cast<std::int64_t>(kHeaderBytes + header.body_len),
-            static_cast<std::int64_t>(header.type));
+  record_event(stats::EventType::kNetRx,
+               static_cast<std::int64_t>(kHeaderBytes + header.body_len),
+               static_cast<std::int64_t>(header.type));
   if (header.type == MsgType::kHeartbeat && header.payload_len == 0) {
     if (stop_requested(st)) {
       // Abandoning with puts in flight: the window keeps them for a
@@ -357,7 +335,7 @@ bool Transport::read_ack_blocking_locked(const std::stop_token& st, EventBatch& 
   return true;
 }
 
-bool Transport::flush_staged_locked(FlushReason reason, EventBatch& events) {
+bool Transport::flush_staged_locked(FlushReason reason) {
   if (sendbuf_.empty()) return true;
   const std::size_t bytes = sendbuf_.size();
   const std::size_t frames = staged_frames_;
@@ -366,8 +344,8 @@ bool Transport::flush_staged_locked(FlushReason reason, EventBatch& events) {
     disconnect_locked();
     return false;
   }
-  add_event(events, stats::EventType::kNetTx, static_cast<std::int64_t>(bytes),
-            static_cast<std::int64_t>(MsgType::kPut));
+  record_event(stats::EventType::kNetTx, static_cast<std::int64_t>(bytes),
+               static_cast<std::int64_t>(MsgType::kPut));
   telemetry::Counter* reason_counter = nullptr;
   switch (reason) {
     case FlushReason::kWindow: reason_counter = met_flush_window_; break;
@@ -390,7 +368,7 @@ std::span<const std::byte> Transport::encode_slot_locked(WindowSlot& slot) {
   return arena ? std::span<const std::byte>{} : slot.payload;
 }
 
-bool Transport::resend_window_locked(EventBatch& events) {
+bool Transport::resend_window_locked() {
   for (std::uint64_t s = cum_acked_ + 1; s < next_seq_; ++s) {
     WindowSlot& slot = window_[static_cast<std::size_t>((s - 1) % window_.size())];
     // The old link's frame may name an arena this server never mapped
@@ -401,9 +379,9 @@ bool Transport::resend_window_locked(EventBatch& events) {
       disconnect_locked();
       return false;
     }
-    add_event(events, stats::EventType::kNetTx,
-              static_cast<std::int64_t>(frame_.len + slot.payload.size()),
-              static_cast<std::int64_t>(MsgType::kPut));
+    record_event(stats::EventType::kNetTx,
+                 static_cast<std::int64_t>(frame_.len + slot.payload.size()),
+                 static_cast<std::int64_t>(MsgType::kPut));
     if (slot.msg.item.arena_offset != kNoArenaOffset && met_arena_ != nullptr) {
       met_arena_->add(slot.payload.size());
     }
@@ -432,7 +410,7 @@ bool Transport::read_frame_locked(FrameHeader& header, EnvelopeBody& body) {
 }
 
 Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyMsg& reply,
-                                                PayloadBuffer& payload, EventBatch& events,
+                                                PayloadBuffer& payload,
                                                 const std::stop_token& st) {
   if (stream_.send_all(frame.span(), config_.io_timeout) != IoStatus::kOk) {
     disconnect_locked();
@@ -440,8 +418,8 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyM
   }
   FrameHeader req_header{};
   decode_header(frame.span(), req_header, nullptr);
-  add_event(events, stats::EventType::kNetTx, static_cast<std::int64_t>(frame.len),
-            static_cast<std::int64_t>(req_header.type));
+  record_event(stats::EventType::kNetTx, static_cast<std::int64_t>(frame.len),
+               static_cast<std::int64_t>(req_header.type));
 
   // Heartbeats count as liveness (they reset the per-frame io_timeout) but
   // are otherwise consumed here; anything else must be the expected reply.
@@ -458,9 +436,9 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyM
         disconnect_locked();
         return RpcStatus::kDisconnected;
       }
-      add_event(events, stats::EventType::kNetRx,
-                static_cast<std::int64_t>(kHeaderBytes + header.body_len),
-                static_cast<std::int64_t>(header.type));
+      record_event(stats::EventType::kNetRx,
+                   static_cast<std::int64_t>(kHeaderBytes + header.body_len),
+                   static_cast<std::int64_t>(header.type));
       if (stop_requested(st)) {
         // Abandoning mid-RPC: the real reply may still arrive later and
         // would desynchronize the next exchange, so drop the link.
@@ -483,10 +461,10 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyM
     }
     // Payload bytes count in rx whichever way they travelled.
     const std::size_t arena_bytes = payload.borrowed() ? payload.size() : 0;
-    add_event(events, stats::EventType::kNetRx,
-              static_cast<std::int64_t>(kHeaderBytes + header.body_len +
-                                        header.payload_len + arena_bytes),
-              static_cast<std::int64_t>(header.type));
+    record_event(stats::EventType::kNetRx,
+                 static_cast<std::int64_t>(kHeaderBytes + header.body_len +
+                                           header.payload_len + arena_bytes),
+                 static_cast<std::int64_t>(header.type));
     if (arena_bytes > 0 && met_arena_ != nullptr) met_arena_->add(arena_bytes);
     return RpcStatus::kOk;
   }
@@ -516,7 +494,6 @@ bool Transport::receive_payload_locked(const FrameHeader& header, const GetReply
 Transport::RpcStatus Transport::rpc(GetMsg& request, GetReplyMsg& reply,
                                     PayloadBuffer& payload, std::stop_token st,
                                     Nanos* link_wait) {
-  EventBatch& events = tl_rpc_events();
   const std::int64_t t0 = ctx_.now_ns();
   payload = PayloadBuffer{};
   for (;;) {
@@ -526,18 +503,17 @@ Transport::RpcStatus Transport::rpc(GetMsg& request, GetReplyMsg& reply,
     RpcStatus status = RpcStatus::kDisconnected;
     {
       const util::MutexLock lock(mu_);
-      if (ensure_connected_locked(events)) {
+      if (ensure_connected_locked()) {
         if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
         request.arena = peer_arena_ != nullptr;
         releases_->take(request.released);
-        status = exchange_locked(encode(request), reply, payload, events, st);
+        status = exchange_locked(encode(request), reply, payload, st);
         // The server may not have seen this get: offer its releases again
         // (an id already released is ignored there).
         if (status != RpcStatus::kOk) releases_->put_back(request.released);
         sent = true;
       }
     }
-    flush(events);
     // A view dies outside mu_: its lease may then be sent on this link.
     if (status != RpcStatus::kOk) payload = PayloadBuffer{};
     if (sent) {
@@ -555,7 +531,6 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
                                                std::span<const std::byte> payload,
                                                std::shared_ptr<const void> keepalive,
                                                std::stop_token st) {
-  EventBatch& events = tl_rpc_events();
   PutOutcome out;
   if (stop_requested(st)) {
     out.status = RpcStatus::kStopped;
@@ -566,7 +541,7 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
     if (remote_closed_) {
       // An earlier ack reported the channel closed: queue nothing more,
       // the caller stops producing.
-    } else if (!ensure_connected_locked(events)) {
+    } else if (!ensure_connected_locked()) {
       // No link: fail fast, the caller drops the item and keeps pacing on
       // the held summary.
       out.status = RpcStatus::kDisconnected;
@@ -575,7 +550,7 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
                 Nanos{ctx_.now_ns() - last_drain_ns_} >= kFlushInterval ||
                 (sendbuf_.empty() && in_flight_locked() > 0 &&
                  payload.size() <= kInlinePayloadMax)) &&
-               !drain_acks_locked(events)) {
+               !drain_acks_locked()) {
       // Collect already-arrived acks when the window is about to block —
       // polling the socket on every put costs a syscall the steady state
       // doesn't need (coalesced acks arrive in clumps anyway). The
@@ -596,8 +571,8 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
               (in_flight_locked() > 0 &&
                in_flight_bytes_ + payload.size() > kPutWindowBytes))) {
         bool stopped = false;
-        if (!flush_staged_locked(FlushReason::kWindow, events) ||
-            !read_ack_blocking_locked(st, events, &stopped)) {
+        if (!flush_staged_locked(FlushReason::kWindow) ||
+            !read_ack_blocking_locked(st, &stopped)) {
           out.status = stopped ? RpcStatus::kStopped : RpcStatus::kDisconnected;
           ok = false;
         }
@@ -631,9 +606,9 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
                                   config_.io_timeout) != IoStatus::kOk) {
             disconnect_locked();  // queued: the window will resend it
           } else {
-            add_event(events, stats::EventType::kNetTx,
-                      static_cast<std::int64_t>(frame_.len + slot.payload.size()),
-                      static_cast<std::int64_t>(MsgType::kPut));
+            record_event(stats::EventType::kNetTx,
+                         static_cast<std::int64_t>(frame_.len + slot.payload.size()),
+                         static_cast<std::int64_t>(MsgType::kPut));
             if (slot.msg.item.arena_offset != kNoArenaOffset && met_arena_ != nullptr) {
               met_arena_->add(payload.size());
             }
@@ -646,7 +621,7 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         } else {
           const std::size_t need = frame_.len + payload.size();
           if (sendbuf_.capacity_left() < need &&
-              !flush_staged_locked(FlushReason::kBytes, events)) {
+              !flush_staged_locked(FlushReason::kBytes)) {
             flushed_inline = true;  // link died; window keeps the put
           } else if (stream_.valid()) {
             sendbuf_.append(frame_.span());
@@ -663,13 +638,13 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         if (!flushed_inline && stream_.valid() && !sendbuf_.empty()) {
           if (in_flight_locked() >= effective_window_locked() ||
               in_flight_bytes_ >= kPutWindowBytes) {
-            flush_staged_locked(FlushReason::kWindow, events);
+            flush_staged_locked(FlushReason::kWindow);
           } else if (sendbuf_.size() >= kFlushBytes) {
-            flush_staged_locked(FlushReason::kBytes, events);
+            flush_staged_locked(FlushReason::kBytes);
           } else if (idle) {
-            flush_staged_locked(FlushReason::kIdle, events);
+            flush_staged_locked(FlushReason::kIdle);
           } else if (Nanos{ctx_.now_ns() - first_staged_ns_} >= kFlushInterval) {
-            flush_staged_locked(FlushReason::kAge, events);
+            flush_staged_locked(FlushReason::kAge);
           }
         }
         out.status = RpcStatus::kOk;
@@ -678,12 +653,10 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
     out.summary = last_ack_summary_;
     out.closed = remote_closed_;
   }
-  flush(events);
   return out;
 }
 
 bool Transport::flush_puts(std::stop_token st) {
-  EventBatch& events = tl_rpc_events();
   for (;;) {
     if (stop_requested(st)) return false;
     bool drained = false;
@@ -693,13 +666,12 @@ bool Transport::flush_puts(std::stop_token st) {
       const util::MutexLock lock(mu_);
       if (in_flight_locked() == 0) {
         drained = true;
-      } else if (!ensure_connected_locked(events)) {
+      } else if (!ensure_connected_locked()) {
         wait_for_link = true;  // backoff gate; sleep below and retry
-      } else if (flush_staged_locked(FlushReason::kExplicit, events)) {
-        read_ack_blocking_locked(st, events, &stopped);
+      } else if (flush_staged_locked(FlushReason::kExplicit)) {
+        read_ack_blocking_locked(st, &stopped);
       }
     }
-    flush(events);  // outside mu_: the shard lock ranks below kNet
     if (stopped) return false;
     if (drained) return true;
     if (wait_for_link) ctx_.clock->sleep_for(kRetrySlice);
@@ -711,16 +683,9 @@ bool Transport::send_staged() {
   // a full window on this very get's progress): that thread flushes its
   // own staging, so skip rather than wait.
   if (!mu_.try_lock()) return true;
-  EventBatch& events = tl_rpc_events();
-  const bool ok = !stream_.valid() || flush_staged_locked(FlushReason::kExplicit, events);
+  const bool ok = !stream_.valid() || flush_staged_locked(FlushReason::kExplicit);
   mu_.unlock();
-  flush(events);  // outside mu_: the shard lock ranks below kNet
   return ok;
-}
-
-void Transport::record(const stats::Event& e) {
-  const util::MutexLock lock(stats_mu_);
-  shard_->record(e);
 }
 
 std::size_t Transport::puts_in_flight() const {

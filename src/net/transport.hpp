@@ -57,11 +57,10 @@
 /// tail is resent — the server suppresses duplicates by (session, seq),
 /// preserving the channel's at-most-once semantics.
 ///
-/// Trace events (kNetTx/kNetRx/kReconnect) are composed under `mu_` and
-/// appended to the stats shard only after it is released, under a
-/// dedicated mutex of rank `kNetStats` — ranked *below* kNet so flushing
-/// while holding the transport lock is a runtime hierarchy violation,
-/// exactly mirroring the Channel kBufferStats/kBuffer discipline.
+/// Trace events (kNetTx/kNetRx/kReconnect) are recorded where they
+/// happen, under `mu_`, into the calling thread's own recorder shard. A
+/// `kRelease` frame, sent by whichever thread dropped a view, is traced
+/// like every other frame.
 #pragma once
 
 #include <atomic>
@@ -115,9 +114,7 @@ class Transport final : public ReleaseSink {
   /// \param ctx    run services (clock for timestamps and backoff sleeps).
   /// \param node   graph node the trace events are attributed to.
   /// \param hello  handshake sent on every (re)connect.
-  /// \param shard  recorder shard owned by this transport.
-  Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello,
-            stats::Shard* shard);
+  Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello);
 
   ~Transport();
 
@@ -125,9 +122,8 @@ class Transport final : public ReleaseSink {
   Transport& operator=(const Transport&) = delete;
 
   /// ReleaseSink: sends dead views' lease ids as one kRelease frame when
-  /// the link is idle (consumer links). Trace-free: it may run under a
-  /// channel lock, where the shard lock must not be taken; the bytes still
-  /// count in aru_net_tx_bytes_total.
+  /// the link is idle (consumer links), traced as a kNetTx like every
+  /// other frame. It may run under a channel lock.
   void send_now(std::vector<std::uint64_t>& ids) noexcept override EXCLUDES(mu_);
 
   /// Executes one get request/reply exchange (consumer links only).
@@ -148,7 +144,7 @@ class Transport final : public ReleaseSink {
   ///        the link. A get books it as blocked time.
   ARU_HOT_PATH RpcStatus rpc(GetMsg& request, GetReplyMsg& reply, PayloadBuffer& payload,
                              std::stop_token st, Nanos* link_wait = nullptr)
-      EXCLUDES(mu_, stats_mu_);
+      EXCLUDES(mu_);
 
   /// Outcome of a pipelined (windowed) put.
   struct PutOutcome {
@@ -173,27 +169,23 @@ class Transport final : public ReleaseSink {
   /// means the item was NOT queued (no link, fail-fast — caller drops it).
   ARU_HOT_PATH PutOutcome put_pipelined(PutMsg& msg, std::span<const std::byte> payload,
                                         std::shared_ptr<const void> keepalive,
-                                        std::stop_token st) EXCLUDES(mu_, stats_mu_);
+                                        std::stop_token st) EXCLUDES(mu_);
 
   /// Flushes staged put frames and blocks until every in-flight put is
   /// acked (or the link dies / stop fires). True when the window fully
   /// drained. For tests, benches, and orderly teardown.
-  bool flush_puts(std::stop_token st) EXCLUDES(mu_, stats_mu_);
+  bool flush_puts(std::stop_token st) EXCLUDES(mu_);
 
   /// Sends the staged put frames now, without waiting for their acks —
   /// unless another thread holds the link, which then flushes its own.
   /// False when the link died (the window keeps the puts for a resend).
-  bool send_staged() EXCLUDES(mu_, stats_mu_);
-
-  /// Appends one event to this link's trace shard under the shard lock,
-  /// so a thread other than the one putting on this link may record.
-  void record(const stats::Event& e) EXCLUDES(stats_mu_);
+  bool send_staged() EXCLUDES(mu_);
 
   /// Unacked pipelined puts currently in flight (diagnostics/tests).
   std::size_t puts_in_flight() const EXCLUDES(mu_);
 
   /// Drops the link (next rpc reconnects). Safe to call concurrently.
-  void disconnect() EXCLUDES(mu_, stats_mu_);
+  void disconnect() EXCLUDES(mu_);
 
   bool connected() const { return connected_.load(std::memory_order_relaxed); }
 
@@ -203,8 +195,6 @@ class Transport final : public ReleaseSink {
   const TransportConfig& config() const { return config_; }
 
  private:
-  using EventBatch = std::vector<stats::Event>;
-
   /// Why a staged put batch left the send buffer (flush-reason counters).
   enum class FlushReason : std::uint8_t { kWindow, kBytes, kIdle, kAge, kExplicit };
 
@@ -222,7 +212,7 @@ class Transport final : public ReleaseSink {
   };
 
   /// Establishes the link if absent and due. Returns true when connected.
-  bool ensure_connected_locked(EventBatch& events) REQUIRES(mu_);
+  bool ensure_connected_locked() REQUIRES(mu_);
 
   /// Sends the request frame, then reads frames (skipping heartbeats)
   /// until a kGetReply arrives, decodes it into `reply` and its payload
@@ -231,7 +221,7 @@ class Transport final : public ReleaseSink {
   /// (which heartbeats indefinitely) still honors shutdown; stop mid-RPC
   /// drops the link and returns kStopped.
   RpcStatus exchange_locked(const FrameBuf& frame, GetReplyMsg& reply, PayloadBuffer& payload,
-                            EventBatch& events, const std::stop_token& st) REQUIRES(mu_);
+                            const std::stop_token& st) REQUIRES(mu_);
 
   /// The payload of a decoded get reply whose header says `header`: a
   /// borrowed view of the server's arena, or a pooled buffer the tail is
@@ -270,31 +260,23 @@ class Transport final : public ReleaseSink {
 
   /// Reads already-arrived frames without waiting (readable(0)-gated) and
   /// applies acks; heartbeats are consumed. False = link died.
-  bool drain_acks_locked(EventBatch& events) REQUIRES(mu_);
+  bool drain_acks_locked() REQUIRES(mu_);
 
   /// Blocks for one frame (ack or heartbeat). Sets *stopped when a stop
   /// request interrupted the wait; false = link died or stopped.
-  bool read_ack_blocking_locked(const std::stop_token& st, EventBatch& events,
-                                bool* stopped) REQUIRES(mu_);
+  bool read_ack_blocking_locked(const std::stop_token& st, bool* stopped) REQUIRES(mu_);
 
   /// Sends the staged batch in one scatter/gather flush, recording the
   /// reason counter and the batch-size histogram. False = link died.
-  bool flush_staged_locked(FlushReason reason, EventBatch& events) REQUIRES(mu_);
+  bool flush_staged_locked(FlushReason reason) REQUIRES(mu_);
 
   /// Retransmits the unacked window tail after a fresh handshake (dup
   /// suppression on the server keeps this at-most-once). False = link died.
-  bool resend_window_locked(EventBatch& events) REQUIRES(mu_);
+  bool resend_window_locked() REQUIRES(mu_);
 
-  /// Composes one trace event into the rpc path's reused per-thread
-  /// batch (flush() clears it after draining, so capacity persists).
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("amortized: appends into the reused thread-local rpc event batch; flush() clears it after draining, so capacity persists")
-  void add_event(EventBatch& events, stats::EventType type, std::int64_t a,
-                 std::int64_t b) const;
-
-  /// Appends a composed batch to the shard. Must be called WITHOUT mu_
-  /// held (rank kNetStats < kNet makes the inverse order a validator
-  /// abort in ARU_LOCK_DEBUG builds).
-  void flush(EventBatch& events) EXCLUDES(mu_, stats_mu_);
+  /// Records one trace event of this link on the calling thread's shard
+  /// and bumps the matching live counter.
+  void record_event(stats::EventType type, std::int64_t a, std::int64_t b) const;
 
   bool stop_requested(const std::stop_token& st) const {
     return st.stop_requested() || ctx_.stopping.load(std::memory_order_relaxed);
@@ -353,9 +335,6 @@ class Transport final : public ReleaseSink {
   SendBuffer sendbuf_ GUARDED_BY(mu_);
   std::size_t staged_frames_ GUARDED_BY(mu_) = 0;
   std::int64_t first_staged_ns_ GUARDED_BY(mu_) = 0;
-
-  mutable util::Mutex stats_mu_{util::LockRank::kNetStats, "net.transport.stats"};
-  stats::Shard* const shard_ PT_GUARDED_BY(stats_mu_);
 
   std::atomic<bool> connected_{false};
   std::atomic<std::int64_t> reconnects_{0};

@@ -17,17 +17,10 @@ aru::Mode effective_mode(aru::Mode global, const aru::CompressFn& custom) {
   return aru::Mode::kCustom;
 }
 
-/// Per-thread scratch for event batches: channel ops never nest on one
-/// thread, so each op can borrow the buffer without allocating.
-std::vector<stats::Event>& tl_event_batch() {
-  static thread_local std::vector<stats::Event> batch;
-  return batch;
-}
-
 /// Per-thread scratch for items collected under mu_. Their payload
 /// release (pool lock + accounting) must wait until the channel lock is
-/// dropped, so ops clear() the scratch — destroying the items — after
-/// flush_events(); the vector's capacity persists across operations.
+/// dropped, so ops clear() the scratch — destroying the items — once mu_
+/// is released; the vector's capacity persists across operations.
 std::vector<std::shared_ptr<Item>>& tl_reclaimed() {
   static thread_local std::vector<std::shared_ptr<Item>> v;
   return v;
@@ -35,11 +28,10 @@ std::vector<std::shared_ptr<Item>>& tl_reclaimed() {
 }  // namespace
 
 Channel::Channel(RunContext& ctx, NodeId id, ChannelConfig config, aru::Mode mode,
-                 std::unique_ptr<Filter> filter, stats::Shard* shard)
+                 std::unique_ptr<Filter> filter)
     : ctx_(ctx),
       id_(id),
       config_(std::move(config)),
-      shard_(shard),
       feedback_(effective_mode(mode, config_.custom_compress), /*is_thread=*/false,
                 config_.custom_compress, std::move(filter)) {
   if (ctx_.metrics != nullptr) {
@@ -88,9 +80,9 @@ void Channel::check_consumer_locked(int consumer_idx, const char* op) const {
   }
 }
 
-void Channel::add_event(EventBatch& events, stats::EventType type, const Item& item,
-                        std::int64_t now, NodeId node, std::int64_t a, std::int64_t b) {
-  events.push_back(stats::Event{
+void Channel::record(stats::EventType type, const Item& item, std::int64_t now, NodeId node,
+                     std::int64_t a, std::int64_t b) const {
+  ctx_.recorder->record(stats::Event{
       .type = type,
       .node = node,
       .ts = item.ts(),
@@ -99,15 +91,6 @@ void Channel::add_event(EventBatch& events, stats::EventType type, const Item& i
       .a = a,
       .b = b,
   });
-}
-
-void Channel::flush_events(EventBatch& events) {
-  if (events.empty()) return;
-  {
-    const util::MutexLock lock(stats_mu_);
-    for (const stats::Event& e : events) shard_->record(e);
-  }
-  events.clear();
 }
 
 void Channel::update_gauges_locked() {
@@ -145,7 +128,7 @@ std::size_t Channel::find_locked(Timestamp ts) const {
   return entries_.size();
 }
 
-std::size_t Channel::collect_locked(std::int64_t now, EventBatch& events,
+std::size_t Channel::collect_locked(std::int64_t now,
                                     std::vector<std::shared_ptr<Item>>& reclaimed) {
   if (ctx_.gc == gc::Kind::kNone) return 0;
   // The frontier (min consumer guarantee) caps what may be reclaimed in
@@ -170,7 +153,7 @@ std::size_t Channel::collect_locked(std::int64_t now, EventBatch& events,
     if (it->consumed_mask == 0) {
       // Reclaimed without ever being consumed: this is the wasted item the
       // paper's instrumentation marks.
-      add_event(events, stats::EventType::kDrop, *it->item, now, id_);
+      record(stats::EventType::kDrop, *it->item, now, id_);
       if (met_drops_ != nullptr) met_drops_->add();
     }
     // Defer the payload release (and its accounting) until mu_ is dropped.
@@ -196,8 +179,6 @@ std::optional<Channel::PutResult> Channel::try_put(std::shared_ptr<Item> item, N
 std::optional<Channel::PutResult> Channel::put_impl(std::shared_ptr<Item> item,
                                                     std::stop_token st,
                                                     std::optional<Nanos> wait) {
-  EventBatch& events = tl_event_batch();
-  events.clear();
   auto& reclaimed = tl_reclaimed();
   PutResult result;
   {
@@ -239,10 +220,10 @@ std::optional<Channel::PutResult> Channel::put_impl(std::shared_ptr<Item> item,
     const bool dead = ctx_.gc == gc::Kind::kDeadTimestamp && !consumer_states_.empty() &&
                       ts < frontier;
     if (dead) {
-      add_event(events, stats::EventType::kDrop, *item, now, id_, /*a=*/1);
+      record(stats::EventType::kDrop, *item, now, id_, /*a=*/1);
       if (met_drops_ != nullptr) met_drops_->add();
     } else {
-      add_event(events, stats::EventType::kPut, *item, now, id_);
+      record(stats::EventType::kPut, *item, now, id_);
       if (met_puts_ != nullptr) met_puts_->add();
       if (entries_.empty() || entries_.back().ts < ts) {
         // Monotonic producer fast path.
@@ -267,19 +248,16 @@ std::optional<Channel::PutResult> Channel::put_impl(std::shared_ptr<Item> item,
     result.stored = !dead;
     result.overhead = ctx_.pressure.scan_cost(entries_.size());
     result.channel_summary = feedback_.summary();
-    const std::size_t erased = collect_locked(now, events, reclaimed);
+    const std::size_t erased = collect_locked(now, reclaimed);
     if (result.stored || erased > 0) notify_waiters_locked();
     update_gauges_locked();
   }
-  flush_events(events);
   reclaimed.clear();  // releases the payloads (pool + accounting) outside mu_
   return result;
 }
 
 Channel::GetResult Channel::get_latest(int consumer_idx, Nanos consumer_summary,
                                        Timestamp extra_guarantee, std::stop_token st) {
-  EventBatch& events = tl_event_batch();
-  events.clear();
   auto& reclaimed = tl_reclaimed();
   GetResult result;
   {
@@ -330,7 +308,7 @@ Channel::GetResult Channel::get_latest(int consumer_idx, Nanos consumer_summary,
       Entry& e = entries_[i];
       if ((e.skipped_mask & my_bit) == 0 && (e.consumed_mask & my_bit) == 0) {
         e.skipped_mask |= my_bit;
-        add_event(events, stats::EventType::kSkip, *e.item, now, me.thread);
+        record(stats::EventType::kSkip, *e.item, now, me.thread);
         ++result.skipped;
         // A lagging consumer can mark entries already below the frontier
         // collectible without moving the frontier itself.
@@ -341,7 +319,7 @@ Channel::GetResult Channel::get_latest(int consumer_idx, Nanos consumer_summary,
     Entry& chosen = entries_.back();  // target is the newest entry
     chosen.consumed_mask |= my_bit;
     result.item = chosen.item;
-    add_event(events, stats::EventType::kConsume, *result.item, now, me.thread);
+    record(stats::EventType::kConsume, *result.item, now, me.thread);
     if (met_gets_ != nullptr) met_gets_->add();
     if (chosen.ts < pre_frontier) gc_pending_ = true;
 
@@ -353,20 +331,17 @@ Channel::GetResult Channel::get_latest(int consumer_idx, Nanos consumer_summary,
                                                    result.item->bytes());
     result.overhead = ctx_.pressure.scan_cost(entries_.size());
 
-    const std::size_t erased = collect_locked(now, events, reclaimed);
+    const std::size_t erased = collect_locked(now, reclaimed);
     // A bounded channel may have freed space for blocked producers.
     if (config_.capacity > 0 && erased > 0) notify_waiters_locked();
     update_gauges_locked();
   }
-  flush_events(events);
   reclaimed.clear();  // releases the payloads (pool + accounting) outside mu_
   return result;
 }
 
 Channel::GetResult Channel::get_next(int consumer_idx, Nanos consumer_summary,
                                      Timestamp extra_guarantee, std::stop_token st) {
-  EventBatch& events = tl_event_batch();
-  events.clear();
   auto& reclaimed = tl_reclaimed();
   GetResult result;
   {
@@ -404,7 +379,7 @@ Channel::GetResult Channel::get_next(int consumer_idx, Nanos consumer_summary,
     const Timestamp target = chosen.ts;
     chosen.consumed_mask |= my_bit;
     result.item = chosen.item;
-    add_event(events, stats::EventType::kConsume, *result.item, now, me.thread);
+    record(stats::EventType::kConsume, *result.item, now, me.thread);
     if (met_gets_ != nullptr) met_gets_->add();
     if (target < frontiers_.frontier()) gc_pending_ = true;
 
@@ -413,105 +388,92 @@ Channel::GetResult Channel::get_next(int consumer_idx, Nanos consumer_summary,
     result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
                                                    result.item->bytes());
     result.overhead = ctx_.pressure.scan_cost(entries_.size());
-    const std::size_t erased = collect_locked(now, events, reclaimed);
+    const std::size_t erased = collect_locked(now, reclaimed);
     if (config_.capacity > 0 && erased > 0) notify_waiters_locked();
     update_gauges_locked();
   }
-  flush_events(events);
   reclaimed.clear();  // releases the payloads (pool + accounting) outside mu_
   return result;
 }
 
 Channel::GetResult Channel::get_at(int consumer_idx, Timestamp ts, Nanos consumer_summary) {
-  EventBatch& events = tl_event_batch();
-  events.clear();
   GetResult result;
-  {
-    const util::MutexLock lock(mu_);
-    check_consumer_locked(consumer_idx, "Channel::get_at");
-    const ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
-    const std::uint64_t my_bit = 1ULL << consumer_idx;
+  const util::MutexLock lock(mu_);
+  check_consumer_locked(consumer_idx, "Channel::get_at");
+  const ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
+  const std::uint64_t my_bit = 1ULL << consumer_idx;
 
-    if (ctx_.aru.enabled() && aru::known(consumer_summary)) {
-      feedback_.update_backward(consumer_idx, consumer_summary);
-    }
-    const std::size_t idx = find_locked(ts);
-    if (idx >= entries_.size()) return result;
-
-    const std::int64_t now = ctx_.now_ns();
-    Entry& e = entries_[idx];
-    e.consumed_mask |= my_bit;
-    result.item = e.item;
-    add_event(events, stats::EventType::kConsume, *result.item, now, me.thread);
-    if (met_gets_ != nullptr) met_gets_->add();
-    // Random-access consumption can complete an entry below the frontier.
-    if (e.ts < frontiers_.frontier()) gc_pending_ = true;
-    result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
-                                                   result.item->bytes());
-    result.overhead = ctx_.pressure.scan_cost(entries_.size());
-    // Random access does not move the cursor or raise any guarantee.
+  if (ctx_.aru.enabled() && aru::known(consumer_summary)) {
+    feedback_.update_backward(consumer_idx, consumer_summary);
   }
-  flush_events(events);
+  const std::size_t idx = find_locked(ts);
+  if (idx >= entries_.size()) return result;
+
+  const std::int64_t now = ctx_.now_ns();
+  Entry& e = entries_[idx];
+  e.consumed_mask |= my_bit;
+  result.item = e.item;
+  record(stats::EventType::kConsume, *result.item, now, me.thread);
+  if (met_gets_ != nullptr) met_gets_->add();
+  // Random-access consumption can complete an entry below the frontier.
+  if (e.ts < frontiers_.frontier()) gc_pending_ = true;
+  result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
+                                                 result.item->bytes());
+  result.overhead = ctx_.pressure.scan_cost(entries_.size());
+  // Random access does not move the cursor or raise any guarantee.
   return result;
 }
 
 Channel::GetResult Channel::get_nearest(int consumer_idx, Timestamp ts, Timestamp tolerance,
                                         Nanos consumer_summary) {
   if (tolerance < 0) throw std::invalid_argument("Channel::get_nearest: negative tolerance");
-  EventBatch& events = tl_event_batch();
-  events.clear();
   GetResult result;
-  {
-    const util::MutexLock lock(mu_);
-    check_consumer_locked(consumer_idx, "Channel::get_nearest");
-    const ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
-    const std::uint64_t my_bit = 1ULL << consumer_idx;
+  const util::MutexLock lock(mu_);
+  check_consumer_locked(consumer_idx, "Channel::get_nearest");
+  const ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
+  const std::uint64_t my_bit = 1ULL << consumer_idx;
 
-    if (ctx_.aru.enabled() && aru::known(consumer_summary)) {
-      feedback_.update_backward(consumer_idx, consumer_summary);
-    }
-    if (entries_.empty()) return result;
-
-    // Candidates: the first entry at/after ts, and its predecessor.
-    std::size_t best = entries_.size();
-    Timestamp best_dist = 0;
-    const std::size_t after = lower_bound_locked(ts);
-    auto consider = [&](std::size_t idx) {
-      if (idx >= entries_.size()) return;
-      const Timestamp ets = entries_[idx].ts;
-      const Timestamp dist = ets >= ts ? ets - ts : ts - ets;
-      if (dist > tolerance) return;
-      // Prefer smaller distance; on ties prefer the newer timestamp.
-      if (best >= entries_.size() || dist < best_dist ||
-          (dist == best_dist && ets > entries_[best].ts)) {
-        best = idx;
-        best_dist = dist;
-      }
-    };
-    consider(after);
-    if (after > 0) consider(after - 1);
-    if (best >= entries_.size()) return result;
-
-    const std::int64_t now = ctx_.now_ns();
-    Entry& e = entries_[best];
-    e.consumed_mask |= my_bit;
-    result.item = e.item;
-    add_event(events, stats::EventType::kConsume, *result.item, now, me.thread);
-    if (met_gets_ != nullptr) met_gets_->add();
-    if (e.ts < frontiers_.frontier()) gc_pending_ = true;
-    result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
-                                                   result.item->bytes());
-    result.overhead = ctx_.pressure.scan_cost(entries_.size());
+  if (ctx_.aru.enabled() && aru::known(consumer_summary)) {
+    feedback_.update_backward(consumer_idx, consumer_summary);
   }
-  flush_events(events);
+  if (entries_.empty()) return result;
+
+  // Candidates: the first entry at/after ts, and its predecessor.
+  std::size_t best = entries_.size();
+  Timestamp best_dist = 0;
+  const std::size_t after = lower_bound_locked(ts);
+  auto consider = [&](std::size_t idx) {
+    if (idx >= entries_.size()) return;
+    const Timestamp ets = entries_[idx].ts;
+    const Timestamp dist = ets >= ts ? ets - ts : ts - ets;
+    if (dist > tolerance) return;
+    // Prefer smaller distance; on ties prefer the newer timestamp.
+    if (best >= entries_.size() || dist < best_dist ||
+        (dist == best_dist && ets > entries_[best].ts)) {
+      best = idx;
+      best_dist = dist;
+    }
+  };
+  consider(after);
+  if (after > 0) consider(after - 1);
+  if (best >= entries_.size()) return result;
+
+  const std::int64_t now = ctx_.now_ns();
+  Entry& e = entries_[best];
+  e.consumed_mask |= my_bit;
+  result.item = e.item;
+  record(stats::EventType::kConsume, *result.item, now, me.thread);
+  if (met_gets_ != nullptr) met_gets_->add();
+  if (e.ts < frontiers_.frontier()) gc_pending_ = true;
+  result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
+                                                 result.item->bytes());
+  result.overhead = ctx_.pressure.scan_cost(entries_.size());
   return result;
 }
 
 Channel::WindowResult Channel::get_window(int consumer_idx, std::size_t window,
                                           Nanos consumer_summary, std::stop_token st) {
   if (window == 0) throw std::invalid_argument("Channel::get_window: window must be > 0");
-  EventBatch& events = tl_event_batch();
-  events.clear();
   auto& reclaimed = tl_reclaimed();
   WindowResult result;
   {
@@ -563,13 +525,13 @@ Channel::WindowResult Channel::get_window(int consumer_idx, std::size_t window,
       if (e.ts >= target) break;
       if ((e.skipped_mask & my_bit) == 0 && (e.consumed_mask & my_bit) == 0) {
         e.skipped_mask |= my_bit;
-        add_event(events, stats::EventType::kSkip, *e.item, now, me.thread);
+        record(stats::EventType::kSkip, *e.item, now, me.thread);
         if (e.ts < pre_frontier) gc_pending_ = true;
       }
     }
     Entry& chosen = entries_.back();
     chosen.consumed_mask |= my_bit;
-    add_event(events, stats::EventType::kConsume, *chosen.item, now, me.thread);
+    record(stats::EventType::kConsume, *chosen.item, now, me.thread);
     if (met_gets_ != nullptr) met_gets_->add();
     if (chosen.ts < pre_frontier) gc_pending_ = true;
 
@@ -581,18 +543,15 @@ Channel::WindowResult Channel::get_window(int consumer_idx, std::size_t window,
     result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
                                                    chosen.item->bytes());
     result.overhead = ctx_.pressure.scan_cost(entries_.size());
-    const std::size_t erased = collect_locked(now, events, reclaimed);
+    const std::size_t erased = collect_locked(now, reclaimed);
     if (config_.capacity > 0 && erased > 0) notify_waiters_locked();
     update_gauges_locked();
   }
-  flush_events(events);
   reclaimed.clear();  // releases the payloads (pool + accounting) outside mu_
   return result;
 }
 
 void Channel::raise_guarantee(int consumer_idx, Timestamp g) {
-  EventBatch& events = tl_event_batch();
-  events.clear();
   auto& reclaimed = tl_reclaimed();
   {
     const util::MutexLock lock(mu_);
@@ -608,16 +567,15 @@ void Channel::raise_guarantee(int consumer_idx, Timestamp g) {
       Entry& e = entries_[i];
       if ((e.skipped_mask & my_bit) == 0 && (e.consumed_mask & my_bit) == 0) {
         e.skipped_mask |= my_bit;
-        add_event(events, stats::EventType::kSkip, *e.item, now,
-                  consumer_states_[static_cast<std::size_t>(consumer_idx)].thread);
+        record(stats::EventType::kSkip, *e.item, now,
+               consumer_states_[static_cast<std::size_t>(consumer_idx)].thread);
         if (e.ts < frontier) gc_pending_ = true;
       }
     }
-    const std::size_t erased = collect_locked(now, events, reclaimed);
+    const std::size_t erased = collect_locked(now, reclaimed);
     if (config_.capacity > 0 && erased > 0) notify_waiters_locked();
     update_gauges_locked();
   }
-  flush_events(events);
   reclaimed.clear();  // releases the payloads (pool + accounting) outside mu_
 }
 

@@ -26,10 +26,10 @@
 /// scans) binary-search. Garbage collection is incremental: only the
 /// prefix below the frontier is visited, and an unchanged frontier
 /// early-exits without touching storage at all (see `collect_locked`).
-/// Trace events are composed under the channel lock but appended to the
-/// stats shard after it is released (a dedicated mutex preserves the
-/// shard's single-writer discipline), and blocked threads are woken only
-/// when someone is actually waiting (`waiters_` count).
+/// Trace events are recorded under the channel lock into the calling
+/// thread's own recorder shard (no lock of their own), and blocked
+/// threads are woken only when someone is actually waiting (`waiters_`
+/// count).
 ///
 /// Thread-safety: all public operations are safe to call concurrently.
 #pragma once
@@ -80,7 +80,7 @@ class Channel {
   static constexpr int kMaxConsumers = 64;
 
   Channel(RunContext& ctx, NodeId id, ChannelConfig config, aru::Mode mode,
-          std::unique_ptr<Filter> filter, stats::Shard* shard);
+          std::unique_ptr<Filter> filter);
 
   // -- graph wiring (single-threaded construction phase) --------------------
 
@@ -252,9 +252,6 @@ class Channel {
     Timestamp cursor = kNoTimestamp;  // last timestamp delivered
   };
 
-  /// Events composed under mu_ and appended to the shard after release.
-  using EventBatch = std::vector<stats::Event>;
-
   /// Shared body of put()/try_put(). A full bounded channel is waited out
   /// on cv_: without limit when `wait` is nullopt (put), else for at most
   /// `*wait` before returning nullopt (try_put).
@@ -268,7 +265,7 @@ class Channel {
   /// visited. Reclaimed items are moved into `reclaimed` so their payloads
   /// are released after mu_ is dropped.
   ARU_ALLOCATES ARU_ANALYZE_ESCAPE("appends into the per-thread reclaimed scratch whose capacity persists across operations; the deferred payload release runs after mu_ is dropped")
-  std::size_t collect_locked(std::int64_t now, EventBatch& events,
+  std::size_t collect_locked(std::int64_t now,
                              std::vector<std::shared_ptr<Item>>& reclaimed) REQUIRES(mu_);
 
   /// True if every registered consumer has consumed or skipped the entry.
@@ -284,15 +281,9 @@ class Channel {
   /// consumer.
   void check_consumer_locked(int consumer_idx, const char* op) const REQUIRES(mu_);
 
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("amortized append to a reused thread-local event batch; capacity stabilizes after warmup")
-  static void add_event(EventBatch& events, stats::EventType type, const Item& item,
-                        std::int64_t now, NodeId node, std::int64_t a = 0,
-                        std::int64_t b = 0);
-
-  /// Appends a composed batch to the stats shard. Must be called WITHOUT
-  /// mu_ held (lock rank kBufferStats < kBuffer enforces this at runtime
-  /// in ARU_LOCK_DEBUG builds); stats_mu_ keeps the shard single-writer.
-  void flush_events(EventBatch& events) EXCLUDES(mu_, stats_mu_);
+  /// Records one trace event about `item` on the calling thread's shard.
+  void record(stats::EventType type, const Item& item, std::int64_t now, NodeId node,
+              std::int64_t a = 0, std::int64_t b = 0) const;
 
   /// Wakes blocked threads only when some exist (skips the notify syscall
   /// entirely for the common uncontended case).
@@ -306,7 +297,6 @@ class Channel {
   RunContext& ctx_;
   NodeId id_;
   ChannelConfig config_;
-  stats::Shard* const shard_ PT_GUARDED_BY(stats_mu_);
 
   mutable util::Mutex mu_{util::LockRank::kBuffer, "channel.mu"};
   std::condition_variable_any cv_;
@@ -328,8 +318,6 @@ class Channel {
   /// the frontier moving (random-access consume, explicit guarantee skip
   /// marking, out-of-order insert below the frontier).
   bool gc_pending_ GUARDED_BY(mu_) = false;
-  /// Serializes shard appends now that they happen outside mu_.
-  mutable util::Mutex stats_mu_{util::LockRank::kBufferStats, "channel.stats_mu"};
 
   /// Live telemetry series, registered once at construction (null when
   /// ctx_.metrics is). Increments are relaxed atomics — safe under mu_.

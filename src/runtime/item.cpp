@@ -33,7 +33,7 @@ Item::Item(RunContext& ctx, Timestamp ts, PayloadBuffer payload, NodeId producer
 Item::~Item() {
   const std::int64_t bytes = static_cast<std::int64_t>(charged_bytes());
   ctx_.tracker->on_free(cluster_node_, bytes);
-  ctx_.recorder->record_any_thread(stats::Event{
+  ctx_.recorder->record(stats::Event{
       .type = stats::EventType::kFree,
       .node = producer_,
       .ts = ts_,

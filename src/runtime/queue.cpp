@@ -12,11 +12,10 @@ aru::Mode effective_mode(aru::Mode global, const aru::CompressFn& custom) {
 }  // namespace
 
 Queue::Queue(RunContext& ctx, NodeId id, QueueConfig config, aru::Mode mode,
-             std::unique_ptr<Filter> filter, stats::Shard* shard)
+             std::unique_ptr<Filter> filter)
     : ctx_(ctx),
       id_(id),
       config_(std::move(config)),
-      shard_(shard),
       feedback_(effective_mode(mode, config_.custom_compress), /*is_thread=*/false,
                 config_.custom_compress, std::move(filter)) {}
 
@@ -50,11 +49,11 @@ Queue::PutResult Queue::put(std::shared_ptr<Item> item, std::stop_token st) {
   }
 
   const std::int64_t now = ctx_.now_ns();
-  shard_->record(stats::Event{.type = stats::EventType::kPut,
-                              .node = id_,
-                              .ts = item->ts(),
-                              .item = item->id(),
-                              .t = now});
+  ctx_.recorder->record(stats::Event{.type = stats::EventType::kPut,
+                                     .node = id_,
+                                     .ts = item->ts(),
+                                     .item = item->id(),
+                                     .t = now});
   items_.push_back(std::move(item));
   result.stored = true;
   result.overhead = ctx_.pressure.scan_cost(items_.size());
@@ -88,11 +87,11 @@ Queue::GetResult Queue::get(int consumer_idx, Nanos consumer_summary, std::stop_
   items_.pop_front();
 
   const std::int64_t now = ctx_.now_ns();
-  shard_->record(stats::Event{.type = stats::EventType::kConsume,
-                              .node = me.thread,
-                              .ts = result.item->ts(),
-                              .item = result.item->id(),
-                              .t = now});
+  ctx_.recorder->record(stats::Event{.type = stats::EventType::kConsume,
+                                     .node = me.thread,
+                                     .ts = result.item->ts(),
+                                     .item = result.item->id(),
+                                     .t = now});
   result.transfer = ctx_.topology->transfer_time(config_.cluster_node, me.cluster_node,
                                                  result.item->bytes());
   result.overhead = ctx_.pressure.scan_cost(items_.size());

@@ -19,7 +19,6 @@
 #include "core/feedback.hpp"
 #include "runtime/context.hpp"
 #include "runtime/item.hpp"
-#include "stats/recorder.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -37,7 +36,7 @@ struct QueueConfig {
 class Queue {
  public:
   Queue(RunContext& ctx, NodeId id, QueueConfig config, aru::Mode mode,
-        std::unique_ptr<Filter> filter, stats::Shard* shard);
+        std::unique_ptr<Filter> filter);
 
   void register_producer(NodeId thread);
   int register_consumer(NodeId thread, int cluster_node);
@@ -79,10 +78,6 @@ class Queue {
   RunContext& ctx_;
   NodeId id_;
   QueueConfig config_;
-  /// Unlike Channel, queue events are recorded under mu_ (queue traffic is
-  /// control-plane scale; no out-of-lock flush needed yet).
-  stats::Shard* const shard_ PT_GUARDED_BY(mu_);
-
   mutable util::Mutex mu_{util::LockRank::kBuffer, "queue.mu"};
   std::condition_variable_any cv_;
   std::deque<std::shared_ptr<Item>> items_ GUARDED_BY(mu_);

@@ -99,8 +99,7 @@ Channel& Runtime::add_channel(ChannelConfig config) {
                            .cluster_node = config.cluster_node});
   recorder_.set_node_name(id, config.name);
   channels_.push_back(std::make_unique<Channel>(run_, id, std::move(config),
-                                                config_.aru.mode, std::move(filter),
-                                                recorder_.new_shard()));
+                                                config_.aru.mode, std::move(filter)));
   return *channels_.back();
 }
 
@@ -117,7 +116,7 @@ Queue& Runtime::add_queue(QueueConfig config) {
                            .cluster_node = config.cluster_node});
   recorder_.set_node_name(id, config.name);
   queues_.push_back(std::make_unique<Queue>(run_, id, std::move(config), config_.aru.mode,
-                                            std::move(filter), recorder_.new_shard()));
+                                            std::move(filter)));
   return *queues_.back();
 }
 
@@ -136,8 +135,7 @@ TaskContext& Runtime::add_task(TaskConfig config) {
   recorder_.set_node_name(id, config.name);
   const std::uint64_t seed = SplitMix64(config_.seed ^ (0x5151BEEFULL + id)).next();
   tasks_.push_back(std::make_unique<TaskContext>(run_, id, std::move(config),
-                                                 config_.aru.mode, std::move(filter),
-                                                 recorder_.new_shard(), seed));
+                                                 config_.aru.mode, std::move(filter), seed));
   return *tasks_.back();
 }
 
@@ -226,13 +224,12 @@ void Runtime::start() {
   }
 
   if (config_.monitor_period.count() > 0) {
-    stats::Shard* shard = recorder_.new_shard();
-    threads_.emplace_back([this, shard](std::stop_token st) {
+    threads_.emplace_back([this](std::stop_token st) {
       util::set_thread_name("monitor");
       while (!st.stop_requested() && !run_.stopping.load(std::memory_order_relaxed)) {
         const std::int64_t now = run_.now_ns();
         for (const auto& ch : channels_) {
-          shard->record(stats::Event{
+          recorder_.record(stats::Event{
               .type = stats::EventType::kGauge,
               .node = ch->id(),
               .t = now,
@@ -241,7 +238,7 @@ void Runtime::start() {
           });
         }
         for (const auto& q : queues_) {
-          shard->record(stats::Event{
+          recorder_.record(stats::Event{
               .type = stats::EventType::kGauge,
               .node = q->id(),
               .t = now,
@@ -249,11 +246,11 @@ void Runtime::start() {
               .b = tracker_.node_bytes(q->cluster_node()),
           });
         }
-        shard->record(stats::Event{.type = stats::EventType::kGauge,
-                                   .node = kNoNode,
-                                   .t = now,
-                                   .a = tracker_.total_bytes(),
-                                   .b = tracker_.peak_bytes()});
+        recorder_.record(stats::Event{.type = stats::EventType::kGauge,
+                                      .node = kNoNode,
+                                      .t = now,
+                                      .a = tracker_.total_bytes(),
+                                      .b = tracker_.peak_bytes()});
         run_.clock->sleep_for(config_.monitor_period);
       }
     });

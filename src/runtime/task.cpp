@@ -19,12 +19,10 @@ aru::Mode effective_task_mode(aru::Mode global, const aru::CompressFn& custom) {
 }  // namespace
 
 TaskContext::TaskContext(RunContext& run, NodeId id, TaskConfig config, aru::Mode mode,
-                         std::unique_ptr<Filter> filter, stats::Shard* shard,
-                         std::uint64_t seed)
+                         std::unique_ptr<Filter> filter, std::uint64_t seed)
     : run_(run),
       id_(id),
       config_(std::move(config)),
-      shard_(shard),
       rng_(seed),
       feedback_(effective_task_mode(mode, config_.custom_compress), /*is_thread=*/true,
                 config_.custom_compress, std::move(filter)) {
@@ -74,7 +72,7 @@ void TaskContext::add_output(RemoteEndpoint& remote) {
 
 void TaskContext::record(stats::EventType type, std::int64_t a, std::int64_t b,
                          ItemId item, Timestamp ts) {
-  shard_->record(stats::Event{
+  run_.recorder->record(stats::Event{
       .type = type, .node = id_, .ts = ts, .item = item, .t = run_.now_ns(), .a = a, .b = b});
 }
 
@@ -347,7 +345,7 @@ bool TaskContext::put(std::size_t idx, std::shared_ptr<Item> item) {
     const Nanos produce_cost = unattributed_compute_;
     unattributed_compute_ = Nanos{0};
     item->set_produce_cost(produce_cost);
-    shard_->record_item(stats::ItemRecord{
+    run_.recorder->record_item(stats::ItemRecord{
         .id = item->id(),
         .ts = item->ts(),
         .bytes = static_cast<std::int64_t>(item->bytes()),

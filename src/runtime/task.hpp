@@ -54,7 +54,7 @@ struct TaskConfig {
 class TaskContext {
  public:
   TaskContext(RunContext& run, NodeId id, TaskConfig config, aru::Mode mode,
-              std::unique_ptr<Filter> filter, stats::Shard* shard, std::uint64_t seed);
+              std::unique_ptr<Filter> filter, std::uint64_t seed);
 
   TaskContext(const TaskContext&) = delete;
   TaskContext& operator=(const TaskContext&) = delete;
@@ -208,7 +208,6 @@ class TaskContext {
   RunContext& run_;
   NodeId id_;
   TaskConfig config_;
-  stats::Shard* shard_;
   Xoshiro256 rng_;
 
   std::vector<InputPort> inputs_;

@@ -31,10 +31,67 @@ const char* to_string(EventType type) {
   return "?";
 }
 
-Shard* Recorder::new_shard() {
-  const util::MutexLock lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  return shards_.back().get();
+namespace {
+
+/// Recorder ids start at 1 (0 marks an empty cache slot) and never repeat.
+std::atomic<std::uint64_t> g_next_recorder_id{0};
+
+/// Tokens name threads for shard ownership. Unlike std::thread::id, a
+/// token is never reused after its thread exits, so a shard is never
+/// handed to another thread.
+std::atomic<std::uint64_t> g_next_thread_token{0};
+
+std::uint64_t this_thread_token() {
+  static thread_local const std::uint64_t token =
+      g_next_thread_token.fetch_add(1, std::memory_order_relaxed) + 1;
+  return token;
+}
+
+}  // namespace
+
+Recorder::Recorder() : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed) + 1) {}
+
+Recorder::~Recorder() {
+  detail::Shard* s = shards_.load(std::memory_order_acquire);
+  while (s != nullptr) {
+    detail::Shard* next = s->next;
+    delete s;
+    s = next;
+  }
+}
+
+detail::Shard& Recorder::attach() {
+  auto& slots = detail::tl_shards;
+  detail::Shard* found = nullptr;
+  std::size_t at = slots.size() - 1;  // the slot a new entry evicts
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].recorder == id_) {
+      found = slots[i].shard;
+      at = i;
+      break;
+    }
+  }
+  if (found == nullptr) {
+    // Evicted from the cache earlier: the registry still holds it.
+    const std::uint64_t token = this_thread_token();
+    for (detail::Shard* s = shards_.load(std::memory_order_acquire); s != nullptr;
+         s = s->next) {
+      if (s->owner == token) {
+        found = s;
+        break;
+      }
+    }
+    if (found == nullptr) {
+      found = new detail::Shard(token);
+      found->next = shards_.load(std::memory_order_relaxed);
+      while (!shards_.compare_exchange_weak(found->next, found, std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+      }
+    }
+  }
+  for (std::size_t i = at; i > 0; --i) slots[i] = slots[i - 1];
+  slots[0] = detail::ShardSlot{.recorder = id_, .shard = found};
+  return *found;
 }
 
 void Recorder::set_node_name(NodeRef node, std::string name) {
@@ -46,33 +103,31 @@ void Recorder::set_node_name(NodeRef node, std::string name) {
   node_names_[static_cast<std::size_t>(node)] = std::move(name);
 }
 
-void Recorder::record_any_thread(const Event& e) {
-  const util::MutexLock lock(mu_);
-  any_thread_shard_.record(e);
-}
-
 Trace Recorder::merge(std::int64_t t_begin, std::int64_t t_end) const {
-  const util::MutexLock lock(mu_);
   Trace trace;
   trace.t_begin = t_begin;
   trace.t_end = t_end;
-  trace.node_names = node_names_;
+  {
+    const util::MutexLock lock(mu_);
+    trace.node_names = node_names_;
+  }
 
-  std::size_t total_events = any_thread_shard_.events_.size();
-  std::size_t total_items = any_thread_shard_.items_.size();
-  for (const auto& s : shards_) {
-    total_events += s->events_.size();
-    total_items += s->items_.size();
+  // The registry is newest first; merge in registration order.
+  std::vector<const detail::Shard*> shards;
+  std::size_t total_events = 0;
+  std::size_t total_items = 0;
+  for (const detail::Shard* s = shards_.load(std::memory_order_acquire); s != nullptr;
+       s = s->next) {
+    shards.push_back(s);
+    total_events += s->events.size();
+    total_items += s->items.size();
   }
   trace.events.reserve(total_events);
   trace.items.reserve(total_items);
-
-  auto take = [&](const Shard& s) {
-    trace.events.insert(trace.events.end(), s.events_.begin(), s.events_.end());
-    trace.items.insert(trace.items.end(), s.items_.begin(), s.items_.end());
-  };
-  for (const auto& s : shards_) take(*s);
-  take(any_thread_shard_);
+  for (auto it = shards.rbegin(); it != shards.rend(); ++it) {
+    (*it)->events.append_to(trace.events);
+    (*it)->items.append_to(trace.items);
+  }
 
   std::stable_sort(trace.events.begin(), trace.events.end(),
                    [](const Event& a, const Event& b) { return a.t < b.t; });

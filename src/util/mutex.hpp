@@ -20,20 +20,17 @@
 ///
 /// The hierarchy (see docs/ARCHITECTURE.md "Concurrency & validation"):
 ///
-///   kLifecycle (Runtime) < kBufferStats (Channel::stats_mu_)
-///     < kNetStats (net transport stats flush) < kTelemetry
-///     (telemetry::Registry / Exporter) < kNet (net::Transport /
-///     server registry) < kControl (control::Supervisor fleet state)
-///     < kBuffer (Channel::mu_ / Queue::mu_)
-///     < kPool (PayloadPool free lists) < kRecorder (stats::Recorder)
-///     < kLeaf (log sink, misc. leaves)
+///   kLifecycle (Runtime) < kTelemetry (telemetry::Registry / Exporter)
+///     < kNet (net::Transport / server registry) < kControl
+///     (control::Supervisor fleet state) < kBuffer (Channel::mu_ /
+///     Queue::mu_) < kPool (PayloadPool free lists) < kLeaf (log sink,
+///     recorder node names, misc. leaves)
 ///
-/// `kBufferStats` ranking *below* `kBuffer` encodes the out-of-lock flush
-/// rule: trace batches must be appended to the shard only after the
-/// channel's data-plane lock is released, so acquiring `stats_mu_` while
-/// holding `mu_` is a hierarchy violation. `kRecorder` ranks above
-/// `kBuffer` because an Item's destructor (which records a free event)
-/// may run under a channel lock on the same-timestamp overwrite path.
+/// The trace plane holds no lock of its own: every thread records into
+/// its own stats::Recorder shard, so a trace event is appended in place,
+/// under a data-plane lock or not. `kPool` ranks above `kBuffer` because
+/// an Item's destructor (which recycles its payload) may run under a
+/// channel lock on the same-timestamp overwrite path.
 #pragma once
 
 #include <mutex>
@@ -46,8 +43,6 @@ namespace stampede::util {
 /// acquire strictly increasing ranks. Gaps leave room for new layers.
 enum class LockRank : int {
   kLifecycle = 10,    ///< Runtime start/stop/join state.
-  kBufferStats = 20,  ///< Channel stats flush — never under kBuffer.
-  kNetStats = 22,     ///< Net transport stats flush — never under kNet.
   kTelemetry = 24,    ///< telemetry::Registry / Exporter. Below kBuffer:
                       ///< /status snapshot callbacks read channel
                       ///< occupancy (Channel::mu_) under the registry
@@ -64,10 +59,9 @@ enum class LockRank : int {
   kPool = 35,         ///< PayloadPool frame-slab free lists. Above
                       ///< kBuffer: an Item's destructor (which recycles a
                       ///< frame-scale payload) may run under a channel lock
-                      ///< on the same-timestamp overwrite path, exactly
-                      ///< like kRecorder.
-  kRecorder = 40,     ///< Recorder registry (item frees land here).
-  kLeaf = 100,        ///< Leaves: log sink, test-only locks.
+                      ///< on the same-timestamp overwrite path.
+  kLeaf = 100,        ///< Leaves: log sink, recorder node names, test-only
+                      ///< locks.
 };
 
 /// Annotated standard mutex with optional runtime rank/ownership checks.

@@ -19,7 +19,7 @@
 ///  * `ACQUIRE` / `RELEASE` / `TRY_ACQUIRE` — a function takes or drops
 ///    the capability.
 ///  * `EXCLUDES(mu)` — a function must NOT be called with `mu` held
-///    (used for the out-of-lock stats-flush discipline).
+///    (e.g. the net transport's entry points, which take its lock).
 ///  * `ASSERT_CAPABILITY(mu)` — a runtime assertion that `mu` is held;
 ///    tells the analysis the capability is available from that point on
 ///    (used inside condition-variable predicates, which the analysis

@@ -125,8 +125,7 @@ TEST(Channel, MaxCompressPicksSlowestConsumer) {
   Env env;
   env.ctx.aru.mode = aru::Mode::kMax;
   auto ch = std::make_unique<Channel>(env.ctx, env.next_node++, ChannelConfig{.name = "ch"},
-                                      aru::Mode::kMax, make_filter(""),
-                                      env.recorder.new_shard());
+                                      aru::Mode::kMax, make_filter(""));
   const int c0 = ch->register_consumer(200, 0);
   const int c1 = ch->register_consumer(201, 0);
   ch->put(env.make_item(0), never_stop());
@@ -139,8 +138,7 @@ TEST(Channel, AruOffIgnoresFeedback) {
   Env env;
   env.ctx.aru.mode = aru::Mode::kOff;
   auto ch = std::make_unique<Channel>(env.ctx, env.next_node++, ChannelConfig{.name = "ch"},
-                                      aru::Mode::kOff, make_filter(""),
-                                      env.recorder.new_shard());
+                                      aru::Mode::kOff, make_filter(""));
   const int c = ch->register_consumer(200, 0);
   ch->put(env.make_item(0), never_stop());
   ch->get_latest(c, millis(25), kNoTimestamp, never_stop());

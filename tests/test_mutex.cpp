@@ -78,10 +78,10 @@ using MutexDeathTest = ::testing::Test;
 TEST(MutexDeathTest, DescendingRankAborts) {
   EXPECT_DEATH(
       {
-        Mutex high(LockRank::kRecorder, "test.recorder");
+        Mutex high(LockRank::kPool, "test.pool");
         Mutex low(LockRank::kBuffer, "test.buffer");
         const MutexLock l0(high);
-        const MutexLock l1(low);  // rank 30 under rank 40: violation
+        const MutexLock l1(low);  // rank 30 under rank 35: violation
       },
       "lock-order violation");
 }

@@ -1435,6 +1435,41 @@ TEST(ArenaHandoff, BorrowedReplyIsReadInPlaceAndChargedOnlyToTheLender) {
   client.stop();
 }
 
+TEST(ArenaHandoff, ReleaseFramesAreTracedLikeEveryOtherFrame) {
+  // A view dropped while its link is idle returns its lease in a kRelease
+  // frame sent by the dropping thread. The trace must carry those bytes
+  // as kNetTx, so the link's traced tx equals its live tx counter.
+  ArenaServer srv;
+  Runtime client;
+  RemoteChannel proxy(client, {.name = "frames",
+                               .transport = fast_transport(srv.server.port()),
+                               .consumer_key = 0});
+  std::stop_source stop;
+  for (Timestamp ts = 0; ts < 20; ++ts) {
+    srv.ch.put(frame_item(srv.rt, ts), {});
+    const auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+    ASSERT_NE(got, nullptr);
+    ASSERT_TRUE(got->data().size() == kFramePayload && got->charged_bytes() == 0)
+        << "ts " << ts << " must arrive as a lent view";
+  }  // each view dies at the end of its iteration, with the link idle
+  EXPECT_TRUE(await(srv.rt, [&] { return leases_of(srv.rt) == 0; }));
+  srv.server.stop();
+  client.stop();
+
+  const stats::Trace trace = client.take_trace();
+  std::uint64_t traced = 0;
+  int release_frames = 0;
+  for (const stats::Event& e : trace.events) {
+    if (e.type != stats::EventType::kNetTx || e.node != proxy.id()) continue;
+    traced += static_cast<std::uint64_t>(e.a);
+    if (e.b == static_cast<std::int64_t>(MsgType::kRelease)) ++release_frames;
+  }
+  EXPECT_GT(release_frames, 0) << "dropped views must go back in kRelease frames";
+  EXPECT_EQ(traced,
+            client.metrics().counter("aru_net_tx_bytes_total", "", {{"link", "frames/get"}})
+                .value());
+}
+
 TEST(ArenaHandoff, FrameRoundTripThroughAChildProcessUsesTheArenas) {
   // Across a real process boundary on one host: the spd_node child maps
   // this process's arena to take the put, and this process maps the

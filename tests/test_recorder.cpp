@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 namespace stampede::stats {
 namespace {
@@ -13,12 +16,13 @@ Event ev(EventType type, std::int64_t t, ItemId item = 0) {
 
 TEST(Recorder, MergeSortsAcrossShards) {
   Recorder r;
-  Shard* a = r.new_shard();
-  Shard* b = r.new_shard();
-  a->record(ev(EventType::kAlloc, 30));
-  b->record(ev(EventType::kAlloc, 10));
-  a->record(ev(EventType::kFree, 50));
-  b->record(ev(EventType::kPut, 20));
+  r.record(ev(EventType::kAlloc, 30));
+  std::thread other([&r] {
+    r.record(ev(EventType::kAlloc, 10));
+    r.record(ev(EventType::kPut, 20));
+  });
+  other.join();
+  r.record(ev(EventType::kFree, 50));
 
   const Trace t = r.merge(0, 100);
   ASSERT_EQ(t.events.size(), 4u);
@@ -32,23 +36,107 @@ TEST(Recorder, MergeSortsAcrossShards) {
 
 TEST(Recorder, StableOrderForEqualTimes) {
   Recorder r;
-  Shard* a = r.new_shard();
-  a->record(Event{.type = EventType::kAlloc, .item = 1, .t = 5});
-  a->record(Event{.type = EventType::kFree, .item = 1, .t = 5});
+  r.record(Event{.type = EventType::kAlloc, .item = 1, .t = 5});
+  r.record(Event{.type = EventType::kFree, .item = 1, .t = 5});
   const Trace t = r.merge(0, 10);
   EXPECT_EQ(t.events[0].type, EventType::kAlloc);
   EXPECT_EQ(t.events[1].type, EventType::kFree);
 }
 
+TEST(Recorder, StableOrderSurvivesChunkBoundaries) {
+  // More events than one chunk holds, all at one instant: the merge must
+  // hand them back in recording order.
+  Recorder r;
+  constexpr ItemId kEvents = 10'000;
+  for (ItemId i = 1; i <= kEvents; ++i) r.record(ev(EventType::kPut, 7, i));
+  const Trace t = r.merge(0, 10);
+  ASSERT_EQ(t.events.size(), kEvents);
+  for (ItemId i = 1; i <= kEvents; ++i) ASSERT_EQ(t.events[i - 1].item, i);
+}
+
 TEST(Recorder, ItemRecordsAreSortedById) {
   Recorder r;
-  Shard* a = r.new_shard();
-  a->record_item(ItemRecord{.id = 7});
-  a->record_item(ItemRecord{.id = 3});
+  r.record_item(ItemRecord{.id = 7});
+  r.record_item(ItemRecord{.id = 3});
   const Trace t = r.merge(0, 1);
   ASSERT_EQ(t.items.size(), 2u);
   EXPECT_EQ(t.items[0].id, 3u);
   EXPECT_EQ(t.items[1].id, 7u);
+}
+
+TEST(Recorder, EveryThreadsEventsArriveExactlyOnce) {
+  // Threads record different amounts (some across chunk boundaries), the
+  // short ones exit while the long ones still record, and every event of
+  // every thread must be in the merge exactly once, in its thread's order.
+  Recorder r;
+  constexpr int kThreads = 8;
+  constexpr ItemId kStride = 1'000'000;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&r, w] {
+      const auto n = static_cast<ItemId>(50 + w * 1500);
+      for (ItemId i = 0; i < n; ++i) {
+        r.record(Event{.type = EventType::kPut,
+                       .node = w,
+                       .item = static_cast<ItemId>(w) * kStride + i,
+                       .t = static_cast<std::int64_t>(i)});
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const Trace t = r.merge(0, 1);
+  std::vector<ItemId> next(kThreads, 0);
+  for (const Event& e : t.events) {
+    const auto w = static_cast<std::size_t>(e.node);
+    ASSERT_LT(w, next.size());
+    // Ids of one thread arrive in recording order, so a duplicate or a
+    // gap shows up as an out-of-sequence id.
+    ASSERT_EQ(e.item, static_cast<ItemId>(w) * kStride + next[w]);
+    ++next[w];
+  }
+  for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(next[static_cast<std::size_t>(w)], static_cast<ItemId>(50 + w * 1500));
+  }
+}
+
+TEST(Recorder, ThreadAlternatingRecordersKeepsTheirEventsApart) {
+  // More recorders than a thread's shard cache holds: evicted shards are
+  // found again, never duplicated, and never mixed up.
+  constexpr std::size_t kRecorders = 6;
+  constexpr ItemId kRounds = 500;
+  std::vector<std::unique_ptr<Recorder>> rs;
+  for (std::size_t i = 0; i < kRecorders; ++i) rs.push_back(std::make_unique<Recorder>());
+  for (ItemId round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < kRecorders; ++i) {
+      rs[i]->record(ev(EventType::kPut, static_cast<std::int64_t>(round), i * 10'000 + round));
+    }
+  }
+  for (std::size_t i = 0; i < kRecorders; ++i) {
+    const Trace t = rs[i]->merge(0, 1);
+    ASSERT_EQ(t.events.size(), kRounds) << "recorder " << i;
+    for (ItemId round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(t.events[round].item, i * 10'000 + round);
+    }
+  }
+}
+
+TEST(Recorder, RebuiltRecorderGetsAFreshShard) {
+  // Same thread, same address: the second recorder must not inherit the
+  // first one's (freed) shard through the thread's cache.
+  std::optional<Recorder> r;
+  r.emplace();
+  r->record(ev(EventType::kAlloc, 1, 11));
+  r->record_item(ItemRecord{.id = 11});
+  const Recorder* first = &*r;
+  r.reset();
+  r.emplace();
+  ASSERT_EQ(&*r, first);
+  r->record(ev(EventType::kAlloc, 2, 22));
+  const Trace t = r->merge(0, 10);
+  ASSERT_EQ(t.events.size(), 1u);
+  EXPECT_EQ(t.events[0].item, 22u);
+  EXPECT_TRUE(t.items.empty());
 }
 
 TEST(Recorder, ItemIdsAreUniqueAcrossThreads) {
@@ -90,7 +178,7 @@ TEST(Recorder, NodeNamesLandInTrace) {
 
 TEST(Recorder, AnyThreadEventsAreMerged) {
   Recorder r;
-  r.record_any_thread(ev(EventType::kFree, 42, 9));
+  std::thread([&r] { r.record(ev(EventType::kFree, 42, 9)); }).join();
   const Trace t = r.merge(0, 100);
   ASSERT_EQ(t.events.size(), 1u);
   EXPECT_EQ(t.events[0].item, 9u);

@@ -37,15 +37,15 @@ struct Env {
     ctx.aru = aru::Config{.mode = aru::Mode::kMin};
   }
 
-  /// Builds a channel node with a fresh recorder shard.
+  /// Builds a channel node recording into this env's recorder.
   std::unique_ptr<Channel> make_channel(ChannelConfig config = {.name = "ch"}) {
     return std::make_unique<Channel>(ctx, next_node++, std::move(config), ctx.aru.mode,
-                                     make_filter(""), recorder.new_shard());
+                                     make_filter(""));
   }
 
   std::unique_ptr<Queue> make_queue(QueueConfig config = {.name = "q"}) {
     return std::make_unique<Queue>(ctx, next_node++, std::move(config), ctx.aru.mode,
-                                   make_filter(""), recorder.new_shard());
+                                   make_filter(""));
   }
 
   /// Builds an item owned by producer node 1000 on cluster node 0.
