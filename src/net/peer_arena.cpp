@@ -1,6 +1,5 @@
 #include "net/peer_arena.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -51,14 +50,9 @@ ArenaRef local_arena(const PayloadPool& pool) {
 
 ReleaseList::ReleaseList() {
   // Room for a full slot's leases twice over (a reconnect to a respawned
-  // peer can leave a full set behind), so a push seldom allocates.
+  // peer can leave a full set behind), so queuing an id seldom allocates.
   const util::MutexLock lock(mu_);
   ids_.reserve(2 * kMaxLeases);
-}
-
-void ReleaseList::push(std::uint64_t lease) {
-  const util::MutexLock lock(mu_);
-  ids_.push_back(lease);
 }
 
 void ReleaseList::returned(std::uint64_t lease) {
@@ -67,21 +61,14 @@ void ReleaseList::returned(std::uint64_t lease) {
   if (sink_ != nullptr) sink_->send_now(ids_);
 }
 
+void ReleaseList::flush() {
+  const util::MutexLock lock(mu_);
+  if (sink_ != nullptr && !ids_.empty()) sink_->send_now(ids_);
+}
+
 void ReleaseList::attach(ReleaseSink* sink) {
   const util::MutexLock lock(mu_);
   sink_ = sink;
-}
-
-void ReleaseList::take(std::vector<std::uint64_t>& out) {
-  const util::MutexLock lock(mu_);
-  const std::size_t n = std::min(ids_.size(), kMaxLeases);
-  out.assign(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(n));
-  ids_.erase(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
-void ReleaseList::put_back(const std::vector<std::uint64_t>& ids) {
-  const util::MutexLock lock(mu_);
-  ids_.insert(ids_.begin(), ids.begin(), ids.end());
 }
 
 std::shared_ptr<PeerArena> PeerArena::map(const ArenaRef& ref,

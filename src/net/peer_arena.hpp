@@ -12,7 +12,7 @@
 /// lease. The view holds the mapping, so the mapping outlives the link
 /// (and a reconnect maps anew); when the view dies its lease id goes on
 /// the link's `ReleaseList` and back to the server in a `kRelease` frame,
-/// or with the link's next Get when the link is busy.
+/// at once, whether or not the link's own get is waiting for its reply.
 ///
 /// Trust model: the wire stays unauthenticated; the mapping is what is
 /// checked. `map` opens `/proc/<pid>/fd/<fd>` read-only and maps it only
@@ -43,14 +43,16 @@ namespace stampede::net {
 /// This process's arena as a peer needs it (token 0: the pool has none).
 ArenaRef local_arena(const PayloadPool& pool);
 
-/// Sends lease ids back to the lender without waiting: a consumer link
-/// that is idle writes them as one `kRelease` frame (wire v6).
+/// The write side of a consumer link, as its release list drives it (wire
+/// v6/v7). The link writes every frame under a short write lock that is
+/// never held while it waits for a reply.
 class ReleaseSink {
  public:
-  /// Moves up to kMaxLeases ids out of the front of `ids` and sends them,
-  /// unless the link is busy (inside a get: they ride the next one) or
-  /// down. Runs on the thread where a view died, under the release list's
-  /// lock, so it must not wait for the link.
+  /// Sends the ids in `ids` in kRelease frames and erases what went out,
+  /// unless another thread holds the write lock (it flushes the list once
+  /// it lets go) or the link is down (the ids go out after the next
+  /// Hello). Runs under the release list's lock, so it never waits for the
+  /// write lock.
   virtual void send_now(std::vector<std::uint64_t>& ids) noexcept = 0;
 
  protected:
@@ -60,37 +62,28 @@ class ReleaseSink {
 /// Lease ids of borrowed views that have died, on their way back to the
 /// lender (wire v6). A consumer link owns one for its whole life, across
 /// reconnects, and shares it with every view it lends out. A dying view
-/// queues its id and lets the link send it at once when the link is idle;
-/// whatever stays queued rides the link's next Get. A view that outlives
-/// the link queues into a list nobody drains, which is harmless. Views die
-/// on whatever thread drops the last item reference, possibly under a
-/// channel lock, hence the leaf rank.
+/// queues its id and sends it at once, even while the link's own get waits
+/// for its reply, unless another thread is writing to the link; that
+/// writer flushes the list after it lets go of the write lock, so no id
+/// waits for a later get. A view that outlives the link queues into a list
+/// nobody sends, which is harmless. Views die on whatever thread drops the
+/// last item reference, possibly under a channel lock, hence the leaf rank.
 class ReleaseList {
  public:
   ReleaseList();
 
-  /// Queues a lease for the next Get without a view behind it.
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("capacity reserved for two slots' worth of leases at construction; grows only if views pile up with no get to carry them")
-  void push(std::uint64_t lease) EXCLUDES(mu_);
-
-  /// A view holding `lease` died: queues it, and hands the queue to the
-  /// attached sink, which may send it at once.
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("capacity reserved for two slots' worth of leases at construction; grows only if views pile up with no get to carry them")
+  /// A view holding `lease` died, or a reply's lease never became a view:
+  /// queues it and hands the queue to the attached link to send.
+  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("capacity reserved for two slots' worth of leases at construction; grows only if views pile up while the link is down")
   void returned(std::uint64_t lease) EXCLUDES(mu_);
+
+  /// Hands whatever is queued to the attached link to send. A writer calls
+  /// this once it has let go of the write lock: an id queued while it held
+  /// the lock goes out now.
+  void flush() EXCLUDES(mu_);
 
   /// Attaches (or, with null, detaches) the link that sends queued ids.
   void attach(ReleaseSink* sink) EXCLUDES(mu_);
-
-  /// Moves up to kMaxLeases ids, oldest first, into `out` (replacing its
-  /// contents).
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("fills the caller's reused Get message; at most kMaxLeases ids, so its capacity amortizes to zero allocations")
-  void take(std::vector<std::uint64_t>& out) EXCLUDES(mu_);
-
-  /// Returns ids a Get carried that may not have reached the server; the
-  /// server ignores ids it has already released.
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("failed-get path only: re-queues at most kMaxLeases ids into the reserved capacity")
-  void put_back(const std::vector<std::uint64_t>& ids) EXCLUDES(mu_);
-
 
  private:
   util::Mutex mu_{util::LockRank::kLeaf, "net.releases"};
@@ -102,7 +95,7 @@ class PeerArena final : public PayloadLender {
  public:
   /// Maps the advertised arena when every check in the file comment
   /// passes; null (with the failed check in `*why`) otherwise. Views lent
-  /// from the mapping push their lease ids onto `releases` when they die.
+  /// from the mapping return their lease ids to `releases` when they die.
   ARU_ALLOCATES ARU_ANALYZE_ESCAPE("attach path only: runs once per handshake, never per item")
   static std::shared_ptr<PeerArena> map(const ArenaRef& ref,
                                         std::shared_ptr<ReleaseList> releases = nullptr,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <stop_token>
 #include <utility>
 
 #include "net/peer_arena.hpp"
@@ -12,13 +13,14 @@
 #include "runtime/pool.hpp"
 #include "util/log.hpp"
 #include "util/thread_name.hpp"
+#include "util/wakeup.hpp"
 
 namespace stampede::net {
 namespace {
 
-/// Slice for the server's waits — "anything to read?", a parked get, a
-/// backpressured put; short enough that stop requests, peer hangups and
-/// heartbeat deadlines are honored promptly between slices.
+/// Slice for a backpressured put's wait on a full channel; short enough
+/// that stop requests, peer hangups and heartbeat deadlines are honored
+/// promptly between slices.
 constexpr Nanos kServeSlice = millis(20);
 /// Accept-loop poll slice.
 constexpr Nanos kAcceptSlice = millis(50);
@@ -715,6 +717,23 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     return cap > size ? static_cast<std::uint32_t>(cap - size) : 0;
   };
 
+  // The parked get of a consumer link (at most one): its channel signals
+  // `wakeup` once it can be answered, and so does a stop request.
+  util::Wakeup wakeup;
+  const std::stop_callback wake_on_stop(st, [&wakeup] { wakeup.signal(); });
+  const auto slot = static_cast<std::size_t>(std::max(hello.consumer_key, 0));
+  const int idx = hello.consumer_key >= 0 ? served.consumer_idx[slot] : -1;
+  struct Disarm {
+    Channel& channel;
+    int idx;
+    const util::Wakeup& wakeup;
+    ~Disarm() {
+      if (idx >= 0) channel.disarm_ready(idx, wakeup);
+    }
+  } const disarm{channel, idx, wakeup};
+  bool parked = false;
+  Nanos park_start{0};
+
   auto emit_put_ack = [&]() -> bool {
     if (!ack_pending) return true;
     put_ack.closed = channel.closed();
@@ -733,16 +752,64 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     return send_frame(encode(put_ack), {}, MsgType::kPutAck);
   };
 
+  // Answers the parked get; the channel is ready, so this never blocks.
+  // The time parked goes back in the reply: it is the consumer's blocked
+  // time, the rest of its RPC is the transfer.
+  auto serve_get = [&]() -> bool {
+    parked = false;
+    auto res = channel.get_latest(idx, get_msg.consumer_summary, get_msg.guarantee, st);
+    get_reply.waited = ctx_.clock->now() - park_start;
+    get_reply.has_item = res.item != nullptr;
+    get_reply.closed = channel.closed();
+    get_reply.skipped = res.skipped;
+    get_reply.summary = channel.summary();
+    channel.backward_stp_into(get_reply.stp);
+    std::span<const std::byte> payload;
+    std::size_t arena_bytes = 0;
+    get_reply.lease = 0;
+    if (res.item) {
+      to_wire(*res.item, get_reply.item);
+      // A consumer that mapped our arena reads an arena slab in place,
+      // under a lease that pins it; everything else — and a reply past
+      // the slot's lease cap — rides the tail.
+      const std::uint64_t offset = get_msg.arena
+                                       ? ctx_.pool->arena_offset(res.item->data().data())
+                                       : PayloadPool::kNotInArena;
+      if (offset != PayloadPool::kNotInArena) {
+        get_reply.lease = served.leases->lend(slot, hello.session, res.item);
+      }
+      if (get_reply.lease != 0) {
+        get_reply.item.arena_offset = offset;
+        arena_bytes = res.item->bytes();
+      } else {
+        payload = res.item->data();
+      }
+    } else {
+      clear_wire_item(get_reply.item);  // the frame encodes it either way
+    }
+    // The shared_ptr in `res` keeps a tail's slab alive (and un-recycled)
+    // for the duration of the scatter-gather send even if the channel
+    // overwrites the slot concurrently; a lent slab stays pinned until the
+    // consumer releases it.
+    return send_frame(encode(get_reply), payload, MsgType::kGetReply, arena_bytes);
+  };
+
   while (!st.stop_requested()) {
     if (in.buffered() < kHeaderBytes) {
       // Between frames. If nothing more is in the kernel buffer the burst
-      // is over: settle it with one coalesced ack, then wait for data.
+      // is over: settle it with one coalesced ack, then wait in one poll
+      // for data (or a hang-up), the parked get's channel, or a stop,
+      // until the next heartbeat is due.
       if (!stream.readable(Nanos{0})) {
         if (!emit_put_ack()) return;
-        if (!stream.readable(kServeSlice)) {
-          if (stream.peer_hup() || !heartbeat_if_due()) return;
-          continue;
+        const Nanos due = config_.heartbeat_interval - Nanos{ctx_.now_ns() - last_tx};
+        if (!stream.readable(std::max(due, Nanos{0}), wakeup.fd())) {
+          if (!heartbeat_if_due()) return;
+        } else if (parked && wakeup.clear() && channel.arm_ready(idx, wakeup) &&
+                   !serve_get()) {
+          return;
         }
+        continue;
       }
       if (in.fill(stream, config_.io_timeout) != IoStatus::kOk) return;
       continue;
@@ -836,69 +903,28 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         break;
       }
       case MsgType::kGet: {
-        if (hello.consumer_key < 0) return;
+        // A consumer has one get in flight: a second one while the first
+        // is parked is a protocol violation.
+        if (hello.consumer_key < 0 || parked) return;
         if (!decode(body, get_msg, nullptr)) return;
         in.consume(frame_bytes);
-        const auto slot = static_cast<std::size_t>(hello.consumer_key);
-        served.leases->release(slot, get_msg.released);
         // A connection holding both keys must see its puts settled before
         // the reply (reads-own-writes across one link).
         if (!emit_put_ack()) return;
-        const int idx = served.consumer_idx[slot];
-        // Park in slices (not in the channel's blocking get) so heartbeats
-        // keep flowing and a vanished peer is noticed while we wait; a put
-        // wakes the wait at once. The time parked goes back in the reply:
-        // it is the consumer's blocked time, the rest of its RPC is the
-        // transfer.
-        const Nanos wait_start = ctx_.clock->now();
-        while (!channel.wait_ready(idx, kServeSlice)) {
-          if (st.stop_requested() || stream.peer_hup() || !heartbeat_if_due()) return;
-        }
-        auto res = channel.get_latest(idx, get_msg.consumer_summary, get_msg.guarantee, st);
-        get_reply.waited = ctx_.clock->now() - wait_start;
-        get_reply.has_item = res.item != nullptr;
-        get_reply.closed = channel.closed();
-        get_reply.skipped = res.skipped;
-        get_reply.summary = channel.summary();
-        channel.backward_stp_into(get_reply.stp);
-        std::span<const std::byte> payload;
-        std::size_t arena_bytes = 0;
-        get_reply.lease = 0;
-        if (res.item) {
-          to_wire(*res.item, get_reply.item);
-          // A consumer that mapped our arena reads an arena slab in place,
-          // under a lease that pins it; everything else — and a reply past
-          // the slot's lease cap — rides the tail.
-          const std::uint64_t offset =
-              get_msg.arena ? ctx_.pool->arena_offset(res.item->data().data())
-                            : PayloadPool::kNotInArena;
-          if (offset != PayloadPool::kNotInArena) {
-            get_reply.lease = served.leases->lend(slot, hello.session, res.item);
-          }
-          if (get_reply.lease != 0) {
-            get_reply.item.arena_offset = offset;
-            arena_bytes = res.item->bytes();
-          } else {
-            payload = res.item->data();
-          }
-        } else {
-          clear_wire_item(get_reply.item);  // the frame encodes it either way
-        }
-        // The shared_ptr in `res` keeps a tail's slab alive (and
-        // un-recycled) for the duration of the scatter-gather send even if
-        // the channel overwrites the slot concurrently; a lent slab stays
-        // pinned until the consumer releases it.
-        if (!send_frame(encode(get_reply), payload, MsgType::kGetReply, arena_bytes)) {
-          return;
-        }
+        // Park: answered at once when the channel is ready, else when it
+        // signals the wakeup. Meanwhile this loop keeps reading, so
+        // releases are handled and a hang-up ends the park at once.
+        parked = true;
+        park_start = ctx_.clock->now();
+        if (channel.arm_ready(idx, wakeup) && !serve_get()) return;
         break;
       }
       case MsgType::kRelease:
-        // Leases returned by an idle consumer as its views die (wire v6).
+        // Leases returned as the consumer's views die (wire v6), also while
+        // its get is parked.
         if (hello.consumer_key < 0 || !decode(body, release_msg, nullptr)) return;
         in.consume(frame_bytes);
-        served.leases->release(static_cast<std::size_t>(hello.consumer_key),
-                               release_msg.released);
+        served.leases->release(slot, release_msg.released);
         break;
       case MsgType::kClose:
         emit_put_ack();  // settle the tail of the burst before goodbye

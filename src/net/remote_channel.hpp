@@ -21,6 +21,13 @@
 /// its Hello. Reconnecting with the same key resumes the same consumer
 /// cursor and feedback slot.
 ///
+/// A server connection thread never blocks in the channel. A get that
+/// cannot be answered yet parks as state of its connection, and the
+/// thread waits in one poll on its socket and a wakeup that the channel
+/// signals when the get's consumer becomes ready (or closes). So it keeps
+/// reading during a park: a consumer's `kRelease` frames end their leases
+/// at once, and a hang-up ends the park at once.
+///
 /// Failure semantics: see RemoteEndpoint (runtime/remote.hpp). The proxy
 /// holds the last summary-STP received over the wire in an atomic, so a
 /// producer paced by ARU keeps its period through an outage instead of
@@ -201,11 +208,11 @@ class ChannelServer {
   /// Get replies lent to the remote consumers of one served channel (wire
   /// v6), kept per consumer slot: each lease pins its item — and so its
   /// arena slab, which the consumer reads in place — until the lease id
-  /// comes back in a Get on any connection of the slot, a Hello with a new
-  /// session attaches the slot, or the server stops. A hang-up keeps the
-  /// leases, so a consumer that reconnects never has a view it still holds
-  /// recycled underneath it. Ended leases drop their items outside the
-  /// slot lock.
+  /// comes back in a kRelease frame on any connection of the slot, a Hello
+  /// with a new session attaches the slot, or the server stops. A hang-up
+  /// keeps the leases, so a consumer that reconnects never has a view it
+  /// still holds recycled underneath it. Ended leases drop their items
+  /// outside the slot lock.
   class LeaseTable {
    public:
     LeaseTable(std::size_t slots, telemetry::Gauge* gauge);
@@ -281,9 +288,10 @@ class ChannelServer {
 
   /// Handles one attached connection after a successful Hello.
   /// `client_arena` is the producer's arena as this connection mapped it
-  /// (null: puts must carry their payload tail). Hot-path root: this
-  /// loop serves every put ack and get reply, so the STP piggyback must
-  /// not allocate.
+  /// (null: puts must carry their payload tail). A get parks as state of
+  /// the connection while the loop goes on reading (file comment).
+  /// Hot-path root: this loop serves every put ack and get reply, so the
+  /// STP piggyback must not allocate.
   ARU_HOT_PATH void serve_attached(TcpStream& stream, const Served& served,
                                    const HelloMsg& hello, const PeerArena* client_arena,
                                    std::stop_token st);

@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -383,14 +384,22 @@ bool TcpStream::peer_hup() const {
   return false;
 }
 
-bool TcpStream::readable(Nanos timeout) const {
+bool TcpStream::readable(Nanos timeout, int wake_fd) const {
   if (!sock_.valid()) return false;
-  pollfd pfd{sock_.fd(), POLLIN, 0};
+  std::array<pollfd, 2> fds = {pollfd{sock_.fd(), POLLIN, 0}, pollfd{wake_fd, POLLIN, 0}};
+  const nfds_t nfds = wake_fd >= 0 ? 2 : 1;
   int n = 0;
   do {
-    n = ::poll(&pfd, 1, poll_millis(timeout));
+    n = ::poll(fds.data(), nfds, poll_millis(timeout));
   } while (n < 0 && errno == EINTR);
-  return n > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+  return n > 0 && std::any_of(fds.begin(), fds.begin() + nfds, [](const pollfd& p) {
+           return (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+         });
+}
+
+TcpStream TcpStream::duplicate() const {
+  if (!sock_.valid()) return {};
+  return TcpStream(Socket(::fcntl(sock_.fd(), F_DUPFD_CLOEXEC, 0)));
 }
 
 std::optional<TcpListener> TcpListener::listen(std::uint16_t port, std::string* err) {

@@ -139,9 +139,15 @@ class TcpStream {
   bool peer_hup() const;
 
   /// Waits up to `timeout` for the stream to become readable (data or
-  /// EOF). False on timeout.
+  /// EOF) or, when `wake_fd` is not -1, for that descriptor to become
+  /// readable: one poll on both. False on timeout.
   ARU_MAY_BLOCK ARU_ANALYZE_ESCAPE("deadline-bounded readiness poll") bool readable(
-      Nanos timeout) const;
+      Nanos timeout, int wake_fd = -1) const;
+
+  /// A second handle on this connection (a duplicated descriptor), so one
+  /// thread can write while another reads and neither ever uses a handle
+  /// the other may close. Invalid when this one is, or on failure.
+  TcpStream duplicate() const;
 
  private:
   Socket sock_;

@@ -140,24 +140,26 @@ Transport::~Transport() {
 }
 
 void Transport::send_now(std::vector<std::uint64_t>& ids) noexcept {
-  // Inside a get the link is busy: the ids ride the next one. Otherwise
-  // the frame goes out at once; it is a few dozen bytes on a link whose
-  // send buffer holds at most a Get, so the send does not wait.
-  if (ids.empty() || !mu_.try_lock()) return;
-  if (stream_.valid()) {
+  // A writer holding the lock flushes the list once it lets go. A frame is
+  // a few dozen bytes on a link whose send buffer holds at most a Get and
+  // a few releases, so the send does not wait.
+  if (ids.empty() || !wmu_.try_lock()) return;
+  while (!ids.empty() && wstream_.valid()) {
     static thread_local ReleaseMsg msg;
     const auto n = static_cast<std::ptrdiff_t>(std::min(ids.size(), kMaxLeases));
     msg.released.assign(ids.begin(), ids.begin() + n);
     const FrameBuf frame = encode(msg);
-    if (stream_.send_all(frame.span(), config_.io_timeout) == IoStatus::kOk) {
-      ids.erase(ids.begin(), ids.begin() + n);
-      record_event(stats::EventType::kNetTx, static_cast<std::int64_t>(frame.len),
-                   static_cast<std::int64_t>(MsgType::kRelease));
-    } else {
-      disconnect_locked();  // the ids stay queued for the next get
+    if (wstream_.send_all(frame.span(), config_.io_timeout) != IoStatus::kOk) {
+      // The stream may hold part of a frame now: write nothing more to it.
+      // The reader sees the link die; the ids go out after the next Hello.
+      wstream_.close();
+      break;
     }
+    ids.erase(ids.begin(), ids.begin() + n);
+    record_event(stats::EventType::kNetTx, static_cast<std::int64_t>(frame.len),
+                 static_cast<std::int64_t>(MsgType::kRelease));
   }
-  mu_.unlock();
+  wmu_.unlock();
 }
 
 void Transport::record_event(stats::EventType type, std::int64_t a, std::int64_t b) const {
@@ -185,6 +187,10 @@ void Transport::disconnect() {
 
 void Transport::disconnect_locked() {
   stream_.close();
+  {
+    const util::MutexLock write(wmu_);
+    wstream_.close();
+  }
   peer_arena_.reset();
   peer_mapped_ours_ = false;
   connected_.store(false, std::memory_order_relaxed);
@@ -208,6 +214,10 @@ bool Transport::ensure_connected_locked() {
   auto stream = TcpStream::connect(config_.host, config_.port, config_.connect_timeout);
   if (!stream) return fail();
   stream_ = std::move(*stream);
+  if (releases_ != nullptr) {
+    const util::MutexLock write(wmu_);
+    wstream_ = stream_.duplicate();
+  }
 
   // A new socket: whatever was staged for the old one is void. The window
   // (not the staging buffer) is the source of truth for retransmission.
@@ -221,7 +231,7 @@ bool Transport::ensure_connected_locked() {
   hello_msg.session = session_;
   hello_msg.start_seq = cum_acked_ + 1;
   const FrameBuf hello = encode(hello_msg);
-  if (stream_.send_all(hello.span(), config_.io_timeout) != IoStatus::kOk) {
+  if (!write_frame_locked(hello)) {
     disconnect_locked();
     return fail();
   }
@@ -263,6 +273,19 @@ bool Transport::ensure_connected_locked() {
   }
   connected_.store(true, std::memory_order_relaxed);
   return true;
+}
+
+bool Transport::write_frame_locked(const FrameBuf& frame) {
+  if (releases_ == nullptr) {
+    return stream_.send_all(frame.span(), config_.io_timeout) == IoStatus::kOk;
+  }
+  bool ok = false;
+  {
+    const util::MutexLock write(wmu_);
+    ok = wstream_.send_all(frame.span(), config_.io_timeout) == IoStatus::kOk;
+  }
+  releases_->flush();  // ids queued while this frame held the write lock
+  return ok;
 }
 
 std::size_t Transport::effective_window_locked() const {
@@ -412,7 +435,7 @@ bool Transport::read_frame_locked(FrameHeader& header, EnvelopeBody& body) {
 Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyMsg& reply,
                                                 PayloadBuffer& payload,
                                                 const std::stop_token& st) {
-  if (stream_.send_all(frame.span(), config_.io_timeout) != IoStatus::kOk) {
+  if (!write_frame_locked(frame)) {
     disconnect_locked();
     return RpcStatus::kDisconnected;
   }
@@ -453,8 +476,8 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyM
     }
     const bool ok = receive_payload_locked(header, reply, payload);
     // A lease that did not become a view (a tail reply, or one this link
-    // refused) goes straight back with the next get.
-    if (reply.lease != 0 && !payload.borrowed()) releases_->push(reply.lease);
+    // refused) goes straight back.
+    if (reply.lease != 0 && !payload.borrowed()) releases_->returned(reply.lease);
     if (!ok) {
       disconnect_locked();  // rpc drops what was received, after unlocking
       return RpcStatus::kDisconnected;
@@ -506,15 +529,11 @@ Transport::RpcStatus Transport::rpc(GetMsg& request, GetReplyMsg& reply,
       if (ensure_connected_locked()) {
         if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
         request.arena = peer_arena_ != nullptr;
-        releases_->take(request.released);
         status = exchange_locked(encode(request), reply, payload, st);
-        // The server may not have seen this get: offer its releases again
-        // (an id already released is ignored there).
-        if (status != RpcStatus::kOk) releases_->put_back(request.released);
         sent = true;
       }
     }
-    // A view dies outside mu_: its lease may then be sent on this link.
+    // A failed get hands back nothing; a view it got returns its lease.
     if (status != RpcStatus::kOk) payload = PayloadBuffer{};
     if (sent) {
       if (status == RpcStatus::kOk && met_rpc_ != nullptr) {

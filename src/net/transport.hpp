@@ -7,9 +7,12 @@
 /// RPC — connect (with Hello/HelloAck handshake) if needed, send the
 /// request frame, read frames until the expected reply type (heartbeats
 /// are consumed as liveness) — runs on the calling task thread under one
-/// `util::Mutex` of rank `kNet`. That keeps the whole net client inside
-/// the lock-order validator and the -Wthread-safety analysis, and means a
-/// stopped runtime has no orphan I/O threads to chase.
+/// `util::Mutex` of rank `kNet`, the link lock. A consumer link also
+/// writes each frame (Hello, Get, kRelease) under a short write lock,
+/// through its own duplicate of the socket, and never holds that lock
+/// while it reads. That keeps the whole net client inside the lock-order
+/// validator and the -Wthread-safety analysis, and means a stopped runtime
+/// has no orphan I/O threads to chase.
 ///
 /// Gets go through `rpc`: the request is encoded for the current link
 /// into a stack FrameBuf (header + envelope, no payload). The transport
@@ -27,12 +30,14 @@
 /// and re-maps, and the window tail is re-encoded for the new link. A
 /// borrowed view holds its mapping, so the old mapping lives until its
 /// last view dies. The views' lease ids come back through the link's
-/// `ReleaseList`, which outlives connections: a view that dies while the
-/// link is idle has its id sent at once in a `kRelease` frame (from the
-/// thread that dropped it); one that dies during a get waits for the next
-/// Get, on whatever connection. Returning leases promptly matters: with
-/// Get-borne releases alone, a lease outlived its view by about a fetch
-/// cycle, and tracker-net's footprint rose by a third.
+/// `ReleaseList`, which outlives connections, in `kRelease` frames, the
+/// only way a lease goes back (wire v7). The thread that drops a view
+/// sends its id at once, even while the link's get waits for its reply,
+/// unless another thread holds the write lock: every writer flushes the
+/// list once it lets go, so no id waits for a later get. Ids queued while
+/// the link is down go out right after the next Hello. Returning leases
+/// promptly matters: a lease that outlives its view pins a server slab,
+/// and with Get-borne releases tracker-net's footprint rose by a third.
 ///
 /// Reconnect policy: after a failed connect attempt the next attempt is
 /// gated by an exponential backoff doubling from `backoff_initial` to at
@@ -121,15 +126,15 @@ class Transport final : public ReleaseSink {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// ReleaseSink: sends dead views' lease ids as one kRelease frame when
-  /// the link is idle (consumer links), traced as a kNetTx like every
-  /// other frame. It may run under a channel lock.
-  void send_now(std::vector<std::uint64_t>& ids) noexcept override EXCLUDES(mu_);
+  /// ReleaseSink: sends dead views' lease ids in kRelease frames unless
+  /// another thread holds the write lock (consumer links), each traced as
+  /// a kNetTx like every other frame. It may run under a channel lock, so
+  /// it only try-locks.
+  void send_now(std::vector<std::uint64_t>& ids) noexcept override EXCLUDES(wmu_);
 
   /// Executes one get request/reply exchange (consumer links only).
-  /// `request.arena` and `request.released` are set here, per link:
-  /// whether this link mapped the server's arena, and the leases of views
-  /// that died since the last get. Blocks (through backoff/reconnect
+  /// `request.arena` is set here, per link: whether this link mapped the
+  /// server's arena. Blocks (through backoff/reconnect
   /// cycles) until a link exists before sending. Once the request is sent
   /// the outcome is final: a link death mid-RPC returns kDisconnected and
   /// the caller decides whether to re-issue the (lost) request. On kOk,
@@ -214,6 +219,11 @@ class Transport final : public ReleaseSink {
   /// Establishes the link if absent and due. Returns true when connected.
   bool ensure_connected_locked() REQUIRES(mu_);
 
+  /// Sends a Hello or Get frame. A consumer link sends it on its write
+  /// handle under the write lock, then flushes the release list. False =
+  /// link died.
+  bool write_frame_locked(const FrameBuf& frame) REQUIRES(mu_) EXCLUDES(wmu_);
+
   /// Sends the request frame, then reads frames (skipping heartbeats)
   /// until a kGetReply arrives, decodes it into `reply` and its payload
   /// (if any) into `payload`. Disconnects on any failure. The stop token is re-checked after every
@@ -293,6 +303,12 @@ class Transport final : public ReleaseSink {
 
   mutable util::Mutex mu_{util::LockRank::kNet, "net.transport"};
   TcpStream stream_ GUARDED_BY(mu_);
+  /// A consumer link's write handle: a duplicate of stream_'s socket that
+  /// carries its Hello, Get and kRelease frames. The write lock is held
+  /// only while a frame is written: under mu_ by the link's own frames, or
+  /// alone by a dying view. Nothing is locked under it (a leaf).
+  util::Mutex wmu_{util::LockRank::kLeaf, "net.transport.write"};
+  TcpStream wstream_ GUARDED_BY(wmu_);
   /// Backoff state: consecutive failed attempts since the link was lost,
   /// the current backoff, and the earliest instant of the next attempt.
   std::int64_t failed_attempts_ GUARDED_BY(mu_) = 0;
@@ -305,7 +321,7 @@ class Transport final : public ReleaseSink {
   /// arena. Reset on disconnect.
   std::shared_ptr<PeerArena> peer_arena_ GUARDED_BY(mu_);
   bool peer_mapped_ours_ GUARDED_BY(mu_) = false;
-  /// Leases of dead views, for the next Get (consumer links; wire v6).
+  /// Leases of dead views on their way back (consumer links; wire v6).
   const std::shared_ptr<ReleaseList> releases_;
 
 

@@ -346,7 +346,6 @@ FrameBuf encode(const GetMsg& m) {
     w.i64(m.consumer_summary.count());
     w.i64(m.guarantee);
     w.u8(m.arena ? 1 : 0);
-    w.leases(m.released);
   });
 }
 
@@ -452,8 +451,7 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, GetMsg& out, std::string* err) {
   Reader r(body);
   std::int64_t summary_ns = 0;
-  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.boolean(out.arena) &&
-      r.leases(out.released)) {
+  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.boolean(out.arena)) {
     out.consumer_summary = Nanos{summary_ns};
   }
   return finish(r, err);

@@ -87,6 +87,10 @@
 /// empty `kRelease` ("the last reply was copied") is gone; the type now
 /// carries ids.
 ///
+/// Version 7 makes `kRelease` the only way a lease goes back: `Get.released`
+/// is gone. A consumer sends the frame as soon as a view dies, even while
+/// its own get is parked on the server, which reads it during the park.
+///
 /// Decoding is defensive: every length is bounds-checked against both the
 /// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
 /// kMaxNameBytes, kMaxEnvelopeBytes), and a truncated or corrupt buffer
@@ -109,7 +113,7 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 6;
+inline constexpr std::uint8_t kWireVersion = 7;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
@@ -118,7 +122,7 @@ inline constexpr std::size_t kMaxAttrs = 64;
 inline constexpr std::size_t kMaxNameBytes = 256;
 inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 26;  // 64 MiB
 /// Items one consumer slot may hold on lease (wire v6), and so the most
-/// ids one `Get.released` may carry. A reader holds a handful of items per
+/// ids one `kRelease` frame may carry. A reader holds a handful of items per
 /// channel, so a slot at the cap is leaking views, not using them.
 inline constexpr std::size_t kMaxLeases = 16;
 /// Upper bound on an envelope. Every message's fixed fields plus maxed-out
@@ -228,8 +232,6 @@ struct GetMsg {
   Nanos consumer_summary{0};            ///< piggy-backed consumer summary-STP
   Timestamp guarantee = kNoTimestamp;   ///< DGC extra guarantee (kNoTimestamp = none)
   bool arena = false;  ///< the consumer mapped the server's arena on this link (v5)
-  /// Leases whose views died since the last get (v6; at most kMaxLeases).
-  std::vector<std::uint64_t> released;
 
   bool operator==(const GetMsg&) const = default;
 };
@@ -252,8 +254,8 @@ struct GetReplyMsg {
   bool operator==(const GetReplyMsg&) const = default;
 };
 
-/// Leases returned outside a get (wire v6): a consumer link that is idle
-/// when a view dies sends its id at once rather than with the next get.
+/// Leases of dead views, returned as the views die (wire v6; the only way
+/// back since v7).
 struct ReleaseMsg {
   std::vector<std::uint64_t> released;  ///< at most kMaxLeases ids
 

@@ -250,6 +250,7 @@ std::optional<Channel::PutResult> Channel::put_impl(std::shared_ptr<Item> item,
     result.channel_summary = feedback_.summary();
     const std::size_t erased = collect_locked(now, reclaimed);
     if (result.stored || erased > 0) notify_waiters_locked();
+    if (result.stored) signal_ready_locked();
     update_gauges_locked();
   }
   reclaimed.clear();  // releases the payloads (pool + accounting) outside mu_
@@ -584,19 +585,32 @@ Timestamp Channel::latest_ts() const {
   return entries_.empty() ? kNoTimestamp : entries_.back().ts;
 }
 
-bool Channel::wait_ready(int consumer_idx, Nanos timeout) {
-  util::UniqueLock lock(mu_);
-  check_consumer_locked(consumer_idx, "wait_ready");
-  const ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
-  auto ready = [&] {
-    mu_.assert_held();  // the wait re-acquires mu_ before evaluating
-    return closed_ || (!entries_.empty() && entries_.back().ts > me.cursor);
-  };
-  if (ready()) return true;
-  ++waiters_;
-  const bool ok = cv_.wait_for(lock, timeout, ready);
-  --waiters_;
-  return ok;
+bool Channel::ready_locked(const ConsumerState& c) const {
+  return closed_ || (!entries_.empty() && entries_.back().ts > c.cursor);
+}
+
+void Channel::signal_ready_locked() {
+  for (ConsumerState& c : consumer_states_) {
+    if (c.wakeup == nullptr || !ready_locked(c)) continue;
+    c.wakeup->signal();
+    c.wakeup = nullptr;
+  }
+}
+
+bool Channel::arm_ready(int consumer_idx, util::Wakeup& wakeup) {
+  const util::MutexLock lock(mu_);
+  check_consumer_locked(consumer_idx, "Channel::arm_ready");
+  ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
+  const bool ready = ready_locked(me);
+  me.wakeup = ready ? nullptr : &wakeup;
+  return ready;
+}
+
+void Channel::disarm_ready(int consumer_idx, const util::Wakeup& wakeup) {
+  const util::MutexLock lock(mu_);
+  check_consumer_locked(consumer_idx, "Channel::disarm_ready");
+  ConsumerState& me = consumer_states_[static_cast<std::size_t>(consumer_idx)];
+  if (me.wakeup == &wakeup) me.wakeup = nullptr;
 }
 
 bool Channel::closed() const {
@@ -608,6 +622,7 @@ void Channel::close() {
   const util::MutexLock lock(mu_);
   closed_ = true;
   cv_.notify_all();
+  signal_ready_locked();
 }
 
 std::size_t Channel::size() const {

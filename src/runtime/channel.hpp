@@ -29,7 +29,9 @@
 /// Trace events are recorded under the channel lock into the calling
 /// thread's own recorder shard (no lock of their own), and blocked
 /// threads are woken only when someone is actually waiting (`waiters_`
-/// count).
+/// count). A consumer that waits outside the channel — the net server
+/// parks a remote get beside its socket — arms a `util::Wakeup` instead
+/// (`arm_ready`), which the put that makes it ready, or close, signals.
 ///
 /// Thread-safety: all public operations are safe to call concurrently.
 #pragma once
@@ -50,6 +52,7 @@
 #include "util/mutex.hpp"
 #include "util/static_annotations.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/wakeup.hpp"
 
 namespace stampede::telemetry {
 class Counter;
@@ -196,13 +199,17 @@ class Channel {
   /// (kNoTimestamp when empty).
   Timestamp latest_ts() const;
 
-  /// Waits up to `timeout` until get_latest for this consumer would return
-  /// without blocking: an unseen item is stored or the channel is closed
-  /// (a blocking get would return the drained remainder or null). True
-  /// when that holds, false on timeout. Parks on the channel's condition
-  /// variable, so a put wakes it at once; the net server skeleton waits in
-  /// slices of this to keep heartbeating while a remote get is parked.
-  bool wait_ready(int consumer_idx, Nanos timeout);
+  /// Readiness signal for a consumer that waits outside the channel (the
+  /// net server parks a remote get beside its socket). True when
+  /// get_latest for this consumer would return without blocking: an unseen
+  /// item is stored or the channel is closed. Otherwise arms `wakeup`, and
+  /// the put that makes the consumer ready, or close(), signals it once. A
+  /// consumer has at most one armed wakeup; arming another replaces it.
+  bool arm_ready(int consumer_idx, util::Wakeup& wakeup);
+
+  /// Disarms `wakeup` if it is still armed for `consumer_idx`. Its owner
+  /// calls this before destroying it.
+  void disarm_ready(int consumer_idx, const util::Wakeup& wakeup);
 
   /// True once close() was called.
   bool closed() const;
@@ -250,6 +257,7 @@ class Channel {
     NodeId thread = kNoNode;
     int cluster_node = 0;
     Timestamp cursor = kNoTimestamp;  // last timestamp delivered
+    util::Wakeup* wakeup = nullptr;   // armed by arm_ready
   };
 
   /// Shared body of put()/try_put(). A full bounded channel is waited out
@@ -284,6 +292,13 @@ class Channel {
   /// Records one trace event about `item` on the calling thread's shard.
   void record(stats::EventType type, const Item& item, std::int64_t now, NodeId node,
               std::int64_t a = 0, std::int64_t b = 0) const;
+
+  /// True when get_latest for consumer `c` would not block.
+  bool ready_locked(const ConsumerState& c) const REQUIRES(mu_);
+
+  /// Signals and disarms the armed wakeups of consumers that are now
+  /// ready.
+  void signal_ready_locked() REQUIRES(mu_);
 
   /// Wakes blocked threads only when some exist (skips the notify syscall
   /// entirely for the common uncontended case).

@@ -60,8 +60,9 @@ enum class LockRank : int {
                       ///< kBuffer: an Item's destructor (which recycles a
                       ///< frame-scale payload) may run under a channel lock
                       ///< on the same-timestamp overwrite path.
-  kLeaf = 100,        ///< Leaves: log sink, recorder node names, test-only
-                      ///< locks.
+  kLeaf = 100,        ///< Leaves: log sink, recorder node names, the
+                      ///< net release list and a transport's write lock,
+                      ///< test-only locks.
 };
 
 /// Annotated standard mutex with optional runtime rank/ownership checks.

@@ -5,8 +5,9 @@
 /// The waiter-count optimization must never change observable behavior:
 /// a put wakes blocked getters, a get that reclaims space on a bounded
 /// channel wakes blocked putters (all of them when several are parked),
-/// and close() releases everyone. The bounded waits the net server parks
-/// in (wait_ready, try_put with a wait) wake on the same notifications.
+/// and close() releases everyone. The net server's waits outside the
+/// channel — a parked get's readiness signal, a bounded try_put — wake on
+/// the same puts and closes.
 /// These tests use the real clock (cv waits need real time) but assert
 /// only semantics, never timing.
 #include <gtest/gtest.h>
@@ -17,8 +18,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include <poll.h>
+
 #include "runtime/channel.hpp"
 #include "test_support.hpp"
+#include "util/wakeup.hpp"
 
 namespace stampede {
 namespace {
@@ -160,55 +164,78 @@ TEST(ChannelWakeup, CloseWakesBlockedPutter) {
   EXPECT_EQ(1u, ch->size()) << "the pre-close item stays for draining";
 }
 
-// -- bounded waits: the net server parks in slices of these ------------------
+// -- waits outside the channel: the net server's parked get and put ---------
 
-TEST(ChannelWakeup, WaitReadyReturnsTrueOnPut) {
+/// Waits up to `timeout` for `wakeup` to be signalled.
+bool signalled(const util::Wakeup& wakeup, Nanos timeout) {
+  pollfd pfd{wakeup.fd(), POLLIN, 0};
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(timeout);
+  return ::poll(&pfd, 1, static_cast<int>(ms.count())) == 1;
+}
+
+TEST(ChannelWakeup, ReadySignalFiresOnPut) {
   Env env;
   env.ctx.clock = &RealClock::instance();
   auto ch = env.make_channel();
   ch->register_producer(100);
   const int c = ch->register_consumer(200, 0);
 
-  std::atomic<bool> ready{false};
-  std::thread waiter([&] { ready = ch->wait_ready(c, seconds(30)); });
+  util::Wakeup wakeup;
+  ASSERT_FALSE(ch->arm_ready(c, wakeup)) << "nothing stored: not ready, armed";
+  std::atomic<bool> fired{false};
+  std::thread waiter([&] { fired = signalled(wakeup, seconds(30)); });
   let_peer_block();
   ASSERT_TRUE(ch->put(env.make_item(3), never_stop()).stored);
-  waiter.join();  // a put must wake it long before the 30 s timeout
-  EXPECT_TRUE(ready.load());
+  waiter.join();  // a put must signal it long before the 30 s timeout
+  EXPECT_TRUE(fired.load());
+  EXPECT_TRUE(wakeup.clear());
   // Ready means a get would not block: the item is still there to fetch.
+  EXPECT_TRUE(ch->arm_ready(c, wakeup));
   const auto got = ch->get_latest(c, aru::kUnknownStp, kNoTimestamp, never_stop());
   ASSERT_TRUE(got.item);
   EXPECT_EQ(3, got.item->ts());
 }
 
-TEST(ChannelWakeup, WaitReadyReturnsTrueOnClose) {
+TEST(ChannelWakeup, ReadySignalFiresOnClose) {
   Env env;
   env.ctx.clock = &RealClock::instance();
   auto ch = env.make_channel();
   const int c = ch->register_consumer(200, 0);
 
-  std::atomic<bool> ready{false};
-  std::thread waiter([&] { ready = ch->wait_ready(c, seconds(30)); });
+  util::Wakeup wakeup;
+  ASSERT_FALSE(ch->arm_ready(c, wakeup));
+  std::atomic<bool> fired{false};
+  std::thread waiter([&] { fired = signalled(wakeup, seconds(30)); });
   let_peer_block();
   ch->close();
   waiter.join();
-  EXPECT_TRUE(ready.load());
+  EXPECT_TRUE(fired.load());
+  EXPECT_TRUE(ch->arm_ready(c, wakeup)) << "a closed channel is ready: the get returns null";
 }
 
-TEST(ChannelWakeup, WaitReadyTimesOutWithoutAnUnseenItem) {
+TEST(ChannelWakeup, ReadyOnlyWithAnUnseenItem) {
   Env env;
   env.ctx.clock = &RealClock::instance();
   auto ch = env.make_channel();
   ch->register_producer(100);
   const int c = ch->register_consumer(200, 0);
-  EXPECT_FALSE(ch->wait_ready(c, millis(20)));
+  util::Wakeup wakeup;
+  EXPECT_FALSE(ch->arm_ready(c, wakeup));
+  EXPECT_FALSE(signalled(wakeup, millis(20)));
 
-  // An item this consumer already fetched does not make it ready again.
+  // A stored unseen item is ready at once (and signals the armed wakeup).
   ASSERT_TRUE(ch->put(env.make_item(0), never_stop()).stored);
-  EXPECT_TRUE(ch->wait_ready(c, Nanos{0}));
+  EXPECT_TRUE(wakeup.clear());
+  EXPECT_TRUE(ch->arm_ready(c, wakeup));
+
+  // An item this consumer already fetched does not make it ready again,
+  // and a disarmed wakeup stays quiet.
   ASSERT_TRUE(ch->get_latest(c, aru::kUnknownStp, kNoTimestamp, never_stop()).item);
-  EXPECT_FALSE(ch->wait_ready(c, millis(20)));
-  EXPECT_THROW(ch->wait_ready(7, Nanos{0}), std::out_of_range);
+  EXPECT_FALSE(ch->arm_ready(c, wakeup));
+  ch->disarm_ready(c, wakeup);
+  ASSERT_TRUE(ch->put(env.make_item(1), never_stop()).stored);
+  EXPECT_FALSE(signalled(wakeup, millis(20)));
+  EXPECT_THROW(ch->arm_ready(7, wakeup), std::out_of_range);
 }
 
 TEST(ChannelWakeup, BoundedTryPutWakesWhenAGetFreesASlot) {

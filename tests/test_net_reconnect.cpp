@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -38,6 +39,7 @@
 #include "net/remote_channel.hpp"
 #include "runtime/pool.hpp"
 #include "runtime/runtime.hpp"
+#include "util/mutex.hpp"
 
 extern char** environ;
 
@@ -1136,12 +1138,23 @@ struct RawLessee {
     return RawLessee{std::move(*s), std::move(arena)};
   }
 
-  /// Sends a Get carrying `released` and reads the reply; a payload tail
-  /// lands in `*tail`. False when the link died.
+  /// Returns `released` in a kRelease frame (when there are any), then
+  /// sends a Get and reads the reply; a payload tail lands in `*tail`.
+  /// False when the link died.
   bool get(GetReplyMsg& reply, std::vector<std::uint64_t> released = {},
            std::vector<std::byte>* tail = nullptr) {
-    const FrameBuf frame = encode(GetMsg{.arena = true, .released = std::move(released)});
-    if (s.send_all(frame.span(), seconds(2)) != IoStatus::kOk) return false;
+    if (!released.empty() && !send(encode(ReleaseMsg{.released = std::move(released)}))) {
+      return false;
+    }
+    return send(encode(GetMsg{.arena = true})) && read_reply(reply, tail);
+  }
+
+  bool send(const FrameBuf& frame) {
+    return s.send_all(frame.span(), seconds(2)) == IoStatus::kOk;
+  }
+
+  /// Reads frames up to the next get reply (heartbeats are skipped).
+  bool read_reply(GetReplyMsg& reply, std::vector<std::byte>* tail = nullptr) {
     FrameHeader h;
     std::vector<std::byte> body;
     do {
@@ -1158,6 +1171,20 @@ struct RawLessee {
   }
 };
 
+/// A kRelease frame whose list claims kMaxLeases + 1 ids, all present.
+FrameBuf overlong_release() {
+  const auto forged = static_cast<std::uint16_t>(kMaxLeases + 1);
+  std::vector<std::byte> body(2 + 8 * (kMaxLeases + 1), std::byte{0});
+  std::memcpy(body.data(), &forged, sizeof(forged));
+  FrameBuf over = encode(ReleaseMsg{});
+  over.len = kHeaderBytes;
+  const auto len = static_cast<std::uint32_t>(body.size());
+  std::memcpy(over.data.data() + 4, &len, sizeof(len));
+  std::memcpy(over.data.data() + over.len, body.data(), body.size());
+  over.len += body.size();
+  return over;
+}
+
 /// Puts a kArenaPayload item filled with `ts` into the server's channel.
 std::weak_ptr<Item> put_arena_item(ArenaServer& srv, Timestamp ts) {
   auto item = std::make_shared<Item>(srv.rt.context(), ts, kArenaPayload, 100, 0,
@@ -1168,9 +1195,9 @@ std::weak_ptr<Item> put_arena_item(ArenaServer& srv, Timestamp ts) {
   return weak;
 }
 
-/// Waits up to 5 s for `done`; true once it holds.
-bool await(Runtime& rt, const std::function<bool()>& done) {
-  const Nanos until = rt.clock().now() + seconds(5);
+/// Waits up to `timeout` for `done`; true once it holds.
+bool await(Runtime& rt, const std::function<bool()>& done, Nanos timeout = seconds(5)) {
+  const Nanos until = rt.clock().now() + timeout;
   while (!done() && rt.clock().now() < until) rt.clock().sleep_for(millis(1));
   return done();
 }
@@ -1313,19 +1340,17 @@ TEST(ArenaHandoff, HostileLesseesCannotPinMoreThanMaxLeasesPerSlot) {
   EXPECT_EQ(reply.lease, 0u) << "a repeated id must not free another slot";
   EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
 
-  // An over-long released list drops the connection and frees nothing.
-  GetMsg full{.arena = true};
-  full.released.assign(kMaxLeases, some_lease);
-  FrameBuf frame = encode(full);
-  const std::size_t count_at = frame.len - 2 - 8 * kMaxLeases;
-  const auto forged = static_cast<std::uint16_t>(kMaxLeases + 1);
-  std::memcpy(frame.data.data() + count_at, &forged, sizeof(forged));
-  std::memset(frame.data.data() + frame.len, 0, 8);
-  frame.len += 8;
+  // A Get that still carries a v6 released list drops the connection and
+  // frees nothing.
+  FrameBuf frame = encode(GetMsg{.arena = true});
+  const std::uint16_t one = 1;
+  std::memcpy(frame.data.data() + frame.len, &one, sizeof(one));
+  std::memcpy(frame.data.data() + frame.len + 2, &some_lease, sizeof(some_lease));
+  frame.len += 10;
   const auto body_len = static_cast<std::uint32_t>(frame.len - kHeaderBytes);
   std::memcpy(frame.data.data() + 4, &body_len, sizeof(body_len));
-  ASSERT_EQ(c->s.send_all(frame.span(), seconds(2)), IoStatus::kOk);
-  EXPECT_TRUE(raw_hung_up(c->s)) << "an over-long released list must drop the link";
+  ASSERT_TRUE(c->send(frame));
+  EXPECT_TRUE(raw_hung_up(c->s)) << "a get with a released list must drop the link";
   EXPECT_EQ(leases_of(srv.rt), static_cast<std::int64_t>(kMaxLeases));
 
   // So does an over-long release frame, and a release on a link that holds
@@ -1333,15 +1358,7 @@ TEST(ArenaHandoff, HostileLesseesCannotPinMoreThanMaxLeasesPerSlot) {
   {
     auto r = RawLessee::attach(srv.server.port(), kSession);
     ASSERT_TRUE(r.has_value());
-    std::vector<std::byte> body(2 + 8 * (kMaxLeases + 1), std::byte{0});
-    std::memcpy(body.data(), &forged, sizeof(forged));
-    FrameBuf over = encode(ReleaseMsg{});
-    over.len = kHeaderBytes;
-    const auto len = static_cast<std::uint32_t>(body.size());
-    std::memcpy(over.data.data() + 4, &len, sizeof(len));
-    std::memcpy(over.data.data() + over.len, body.data(), body.size());
-    over.len += body.size();
-    ASSERT_EQ(r->s.send_all(over.span(), seconds(2)), IoStatus::kOk);
+    ASSERT_TRUE(r->send(overlong_release()));
     EXPECT_TRUE(raw_hung_up(r->s)) << "an over-long release frame must drop the link";
     auto p = raw_hello(srv.server.port(), producer_hello(ArenaRef{}));
     ASSERT_TRUE(p.has_value());
@@ -1468,6 +1485,212 @@ TEST(ArenaHandoff, ReleaseFramesAreTracedLikeEveryOtherFrame) {
   EXPECT_EQ(traced,
             client.metrics().counter("aru_net_tx_bytes_total", "", {{"link", "frames/get"}})
                 .value());
+}
+
+TEST(ArenaHandoff, ViewDroppedWhileTheNextGetIsParkedReturnsAtOnce) {
+  // A real consumer's next get is parked on the server (nothing newer is
+  // stored) when the view of its previous reply dies. The lease must go
+  // back at once, not with a later get: the server reads the kRelease
+  // frame during the park.
+  ArenaServer srv;
+  Runtime client;
+  RemoteChannel proxy(client, {.name = "frames",
+                               .transport = fast_transport(srv.server.port()),
+                               .consumer_key = 0});
+  std::stop_source stop;
+  const auto lent = put_arena_item(srv, 0);
+  auto view = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+  ASSERT_NE(view, nullptr);
+  ASSERT_EQ(view->charged_bytes(), 0u) << "the reply must arrive as a lent view";
+  ASSERT_EQ(leases_of(srv.rt), 1);
+
+  telemetry::Counter& tx =
+      client.metrics().counter("aru_net_tx_bytes_total", "", {{"link", "frames/get"}});
+  const std::uint64_t tx_before = tx.value();
+  std::atomic<bool> returned{false};
+  std::thread reader([&] {
+    proxy.get_latest(millis(1), kNoTimestamp, stop.get_token());
+    returned = true;
+  });
+  ASSERT_TRUE(await(client, [&] { return tx.value() > tx_before; })) << "the get went out";
+
+  view.reset();
+  EXPECT_TRUE(await(srv.rt, [&] { return leases_of(srv.rt) == 0 && lent.expired(); },
+                    millis(200)))
+      << "a view dropped during a parked get must end its lease at once";
+  EXPECT_FALSE(returned.load()) << "the get must still be parked";
+
+  put_arena_item(srv, 1);  // ends the park
+  reader.join();
+  EXPECT_TRUE(returned.load());
+  srv.server.stop();
+  client.stop();
+}
+
+TEST(ArenaHandoff, ViewsDyingOnManyThreadsDuringGetsStrandNoLease) {
+  // Views die on several threads while the link runs gets back to back,
+  // so their try-locks often meet a held write lock. Whoever holds it must
+  // send what queued behind it: once the last view is dead, every lease
+  // ends while the link's next get is parked, before any later get.
+  ArenaServer srv;
+  Runtime client;
+  RemoteChannel proxy(client, {.name = "frames",
+                               .transport = fast_transport(srv.server.port()),
+                               .consumer_key = 0});
+  std::stop_source stop;
+
+  std::atomic<Timestamp> next_ts{0};
+  std::atomic<bool> producing{true};
+  std::thread producer([&] {
+    while (producing.load()) {
+      put_arena_item(srv, next_ts++);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  // Each dropper takes whatever views were handed to it and drops them
+  // all at once, outside its lock.
+  struct Hand {
+    util::Mutex mu;
+    std::vector<std::shared_ptr<const Item>> views GUARDED_BY(mu);
+  };
+  constexpr int kDroppers = 4;
+  std::array<Hand, kDroppers> hands;
+  std::atomic<bool> handing{true};
+  std::vector<std::thread> droppers;
+  for (Hand& hand : hands) {
+    droppers.emplace_back([&hand, &handing] {
+      for (;;) {
+        const bool last = !handing.load();
+        std::vector<std::shared_ptr<const Item>> mine;
+        {
+          const util::MutexLock lock(hand.mu);
+          mine.swap(hand.views);
+        }
+        mine.clear();
+        if (last) return;
+        std::this_thread::yield();
+      }
+    });
+  }
+  const auto hand_over = [&](std::shared_ptr<const Item> view, int i) {
+    Hand& hand = hands[static_cast<std::size_t>(i % kDroppers)];
+    const util::MutexLock lock(hand.mu);
+    hand.views.push_back(std::move(view));
+  };
+
+  constexpr int kGets = 300;
+  for (int i = 0; i < kGets; ++i) {
+    auto view = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+    ASSERT_NE(view, nullptr);
+    hand_over(std::move(view), i);
+  }
+  producing = false;
+  producer.join();
+  put_arena_item(srv, next_ts++);  // unseen: the next get returns at once
+  hand_over(proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item, kGets);
+
+  // The next get parks; the last views die meanwhile.
+  std::atomic<bool> returned{false};
+  std::thread reader([&] {
+    proxy.get_latest(millis(1), kNoTimestamp, stop.get_token());
+    returned = true;
+  });
+  handing = false;
+  for (std::thread& t : droppers) t.join();
+  EXPECT_TRUE(await(srv.rt, [&] { return leases_of(srv.rt) == 0; }, seconds(2)))
+      << leases_of(srv.rt) << " leases stranded after every view died";
+  EXPECT_FALSE(returned.load()) << "no later get may have carried them";
+
+  put_arena_item(srv, next_ts++);
+  reader.join();
+  EXPECT_TRUE(await(srv.rt, [&] { return leases_of(srv.rt) == 0; }));
+  srv.server.stop();
+  client.stop();
+}
+
+TEST(ArenaHandoff, HostileFramesDuringAParkedGetAreHandledAsBetweenGets) {
+  // Whatever a consumer sends while its get is parked is judged as it
+  // would be between gets: a protocol violation drops the connection, an
+  // unknown or repeated lease id is ignored. Either way a same-session
+  // reconnect keeps its leases and is served.
+  constexpr std::uint64_t kSession = 0x9A4C;
+  struct Case {
+    const char* what;
+    std::function<FrameBuf(std::uint64_t lease)> frame;
+    bool drops;
+    std::int64_t leases_after;
+  };
+  const FrameBuf garbled = [] {
+    FrameBuf f = encode(HeartbeatMsg{.t_ns = 1});
+    f.data[0] = std::byte{0xFF};  // bad magic
+    return f;
+  }();
+  const std::vector<Case> cases = {
+      {"a second get", [](std::uint64_t) { return encode(GetMsg{.arena = true}); }, true, 2},
+      {"a put on a consumer-only link", [](std::uint64_t) { return raw_put_frame(1, 50); },
+       true, 2},
+      {"unknown lease ids",
+       [](std::uint64_t) {
+         return encode(ReleaseMsg{.released = {0, 0xDEAD'BEEF'0000ULL, ~std::uint64_t{0}}});
+       },
+       false, 2},
+      {"a repeated lease id",
+       [](std::uint64_t lease) { return encode(ReleaseMsg{.released = {lease, lease, lease}}); },
+       false, 1},
+      {"more than kMaxLeases ids", [](std::uint64_t) { return overlong_release(); }, true, 2},
+      {"a garbled header", [&](std::uint64_t) { return garbled; }, true, 2},
+      {"a hang-up", nullptr, true, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ArenaServer srv;
+    auto lessee = RawLessee::attach(srv.server.port(), kSession);
+    ASSERT_TRUE(lessee.has_value());
+    std::vector<std::weak_ptr<Item>> lent;
+    std::uint64_t first_lease = 0;
+    for (Timestamp ts = 0; ts < 2; ++ts) {
+      lent.push_back(put_arena_item(srv, ts));
+      GetReplyMsg reply;
+      ASSERT_TRUE(lessee->get(reply));
+      ASSERT_NE(reply.lease, 0u);
+      if (ts == 0) first_lease = reply.lease;
+    }
+    ASSERT_EQ(leases_of(srv.rt), 2);
+
+    GetReplyMsg reply;
+    ASSERT_TRUE(lessee->send(encode(GetMsg{.arena = true})));  // parks: nothing newer
+    if (c.frame) {
+      ASSERT_TRUE(lessee->send(c.frame(first_lease)));
+    } else {
+      lessee->s.close();
+    }
+    if (c.drops) {
+      if (lessee->s.valid()) {
+        EXPECT_TRUE(raw_hung_up(lessee->s));
+      }
+    } else {
+      put_arena_item(srv, 3);  // the parked get is still there to answer
+      ASSERT_TRUE(lessee->read_reply(reply));
+      EXPECT_TRUE(reply.has_item);
+      EXPECT_EQ(reply.item.ts, 3);
+      if (reply.lease != 0) {
+        ASSERT_TRUE(lessee->send(encode(ReleaseMsg{.released = {reply.lease}})));
+      }
+    }
+    EXPECT_TRUE(await(srv.rt, [&] { return leases_of(srv.rt) == c.leases_after; }));
+    lessee->s.close();
+
+    auto again = RawLessee::attach(srv.server.port(), kSession);
+    ASSERT_TRUE(again.has_value());
+    srv.rt.clock().sleep_for(millis(50));
+    EXPECT_EQ(leases_of(srv.rt), c.leases_after) << "a same-session reconnect keeps leases";
+    EXPECT_FALSE(lent[1].expired());
+    put_arena_item(srv, 10);
+    ASSERT_TRUE(again->get(reply)) << "a clean client must be served";
+    EXPECT_TRUE(reply.has_item);
+    EXPECT_EQ(reply.item.ts, 10);
+  }
 }
 
 TEST(ArenaHandoff, FrameRoundTripThroughAChildProcessUsesTheArenas) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -191,8 +192,7 @@ TEST(Wire, GetRoundTripRandomized) {
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(GetMsg{.consumer_summary = Nanos{static_cast<std::int64_t>(rng.next())},
                             .guarantee = static_cast<Timestamp>(rng.next() >> 4),
-                            .arena = rng.below(2) == 1,
-                            .released = random_leases(rng)},
+                            .arena = rng.below(2) == 1},
                      MsgType::kGet);
   }
 }
@@ -229,11 +229,10 @@ TEST(Wire, HeartbeatAndCloseRoundTrip) {
 // -- leases (wire v6) -------------------------------------------------------
 
 TEST(Wire, LeaseFieldsRoundTripAtTheirBounds) {
-  GetMsg full{.arena = true};
+  ReleaseMsg full;
   for (std::uint64_t i = 0; i < kMaxLeases; ++i) full.released.push_back(~i);
-  expect_roundtrip(full, MsgType::kGet);
-  expect_roundtrip(GetMsg{.arena = true, .released = {0, 7, 7}}, MsgType::kGet);
-  expect_roundtrip(ReleaseMsg{.released = full.released}, MsgType::kRelease);
+  expect_roundtrip(full, MsgType::kRelease);
+  expect_roundtrip(ReleaseMsg{.released = {0, 7, 7}}, MsgType::kRelease);
   expect_roundtrip(ReleaseMsg{.released = {42}}, MsgType::kRelease);
   expect_roundtrip(ReleaseMsg{}, MsgType::kRelease);
 
@@ -251,24 +250,20 @@ TEST(Wire, LeaseFieldsRoundTripAtTheirBounds) {
 
 TEST(Wire, OverlongReleasedListIsRejected) {
   // The encoder refuses to send more than kMaxLeases ids...
-  GetMsg over;
+  ReleaseMsg over;
   over.released.assign(kMaxLeases + 1, 1);
   EXPECT_THROW(encode(over), std::length_error);
 
-  ReleaseMsg over_release;
-  over_release.released.assign(kMaxLeases + 1, 1);
-  EXPECT_THROW(encode(over_release), std::length_error);
-
   // ...and a hostile peer's over-long list fails to decode, whether the
   // ids are all there or the count alone lies.
-  GetMsg full;
+  ReleaseMsg full;
   full.released.assign(kMaxLeases, 5);
   const FrameBuf frame = encode(full);
   std::vector<std::byte> body(frame.span().begin() + kHeaderBytes, frame.span().end());
-  const std::size_t count_at = body.size() - 2 - 8 * kMaxLeases;
+  const std::size_t count_at = 0;
   const auto forged = static_cast<std::uint16_t>(kMaxLeases + 1);
   std::memcpy(body.data() + count_at, &forged, sizeof(forged));
-  GetMsg out;
+  ReleaseMsg out;
   std::string err;
   EXPECT_FALSE(decode(body, out, &err));
   EXPECT_NE(err.find("kMaxLeases"), std::string::npos) << err;
@@ -280,34 +275,35 @@ TEST(Wire, OverlongReleasedListIsRejected) {
   std::memcpy(body.data() + count_at, &huge, sizeof(huge));
   EXPECT_FALSE(decode(body, out, &err));
 
-  // A release frame's list is the whole envelope.
-  std::vector<std::byte> release(2 + 8 * (kMaxLeases + 1), std::byte{3});
-  std::memcpy(release.data(), &forged, sizeof(forged));
-  ReleaseMsg rel;
+  // A get carries no list since v7: a v6-style one is trailing garbage.
+  const FrameBuf get = encode(GetMsg{.arena = true});
+  std::vector<std::byte> v6_get(get.span().begin() + kHeaderBytes, get.span().end());
+  const std::array<std::byte, 10> one_id = {std::byte{1}, std::byte{0}, std::byte{9}};
+  v6_get.insert(v6_get.end(), one_id.begin(), one_id.end());
+  GetMsg get_out;
   err.clear();
-  EXPECT_FALSE(decode(release, rel, &err));
-  EXPECT_NE(err.find("kMaxLeases"), std::string::npos) << err;
+  EXPECT_FALSE(decode(v6_get, get_out, &err));
+  EXPECT_FALSE(err.empty());
 }
 
 TEST(Wire, LeaseFieldsSurviveTruncationAndGarbage) {
   Xoshiro256 rng(0x1EA5E);
   for (int i = 0; i < 20; ++i) {
-    GetMsg get{.consumer_summary = millis(i), .arena = true, .released = random_leases(rng)};
-    expect_truncation_safe<GetMsg>(encode(get));
     GetReplyMsg reply{.has_item = true, .stp = random_stp(rng, 2), .lease = rng.next() | 1};
     reply.item = random_item(rng, 64);
     expect_truncation_safe<GetReplyMsg>(encode(reply));
     expect_truncation_safe<ReleaseMsg>(encode(ReleaseMsg{.released = random_leases(rng)}));
   }
-  // Random bytes behind a valid get prefix land in the released list: any
-  // outcome but a crash is fine, and a failure says why.
-  const FrameBuf prefix = encode(GetMsg{.arena = true});
+  // Random bytes, and random lists behind a random count: any outcome but
+  // a crash is fine, and a failure says why.
   for (int i = 0; i < 2000; ++i) {
-    std::vector<std::byte> body(prefix.span().begin() + kHeaderBytes,
-                                prefix.span().end() - 2);
-    const auto tail = random_bytes(rng, 8 * (kMaxLeases + 2) + 2);
+    std::vector<std::byte> body(2);
+    const auto count = static_cast<std::uint16_t>(rng.below(kMaxLeases + 3));
+    std::memcpy(body.data(), &count, sizeof(count));
+    std::vector<std::byte> tail(8 * std::size_t{count} + rng.below(2));
+    for (auto& b : tail) b = static_cast<std::byte>(rng.below(256));
     body.insert(body.end(), tail.begin(), tail.end());
-    GetMsg out;
+    ReleaseMsg out;
     std::string err;
     if (decode(body, out, &err)) {
       EXPECT_LE(out.released.size(), kMaxLeases);
@@ -523,10 +519,10 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_FALSE(e.empty());
   };
-  static_assert(kWireVersion == 6, "v6: same-host get replies are lent under a lease");
+  static_assert(kWireVersion == 7, "v7: leases go back in kRelease frames only");
   corrupt(0, 0xFF);                                      // magic
   corrupt(8, kWireVersion + 1);                          // version
-  corrupt(8, kWireVersion - 1);                          // v5 peers (no lease fields)
+  corrupt(8, kWireVersion - 1);                          // v6 peers (Get.released)
   corrupt(8, 1);                                         // v1 peers are rejected too
   corrupt(9, 0);                                         // type below range
   corrupt(9, static_cast<std::uint8_t>(MsgType::kRelease) + 1);  // type above range
