@@ -55,7 +55,7 @@ ReleaseList::ReleaseList() {
   ids_.reserve(2 * kMaxLeases);
 }
 
-void ReleaseList::returned(std::uint64_t lease) {
+void ReleaseList::returned(std::uint64_t lease) noexcept {
   const util::MutexLock lock(mu_);
   ids_.push_back(lease);
   if (sink_ != nullptr) sink_->send_now(ids_);
@@ -72,7 +72,7 @@ void ReleaseList::attach(ReleaseSink* sink) {
 }
 
 std::shared_ptr<PeerArena> PeerArena::map(const ArenaRef& ref,
-                                          std::shared_ptr<ReleaseList> releases,
+                                          std::shared_ptr<LeaseReturn> returns,
                                           std::string* why) {
   if (ref.token == 0 || ref.pid <= 0 || ref.fd < 0 || ref.size == 0) {
     return fail(why, "no arena advertised");
@@ -104,17 +104,15 @@ std::shared_ptr<PeerArena> PeerArena::map(const ArenaRef& ref,
   void* base = ::mmap(nullptr, ref.size, PROT_READ, MAP_SHARED, file.fd, 0);
   if (base == MAP_FAILED) return fail(why, "cannot map the arena");
   return std::shared_ptr<PeerArena>(
-      new PeerArena(static_cast<const std::byte*>(base), ref.size, std::move(releases)));
+      new PeerArena(static_cast<const std::byte*>(base), ref, std::move(returns)));
 }
 
 PeerArena::~PeerArena() {
-  ::munmap(const_cast<std::byte*>(base_), size_);
+  ::munmap(const_cast<std::byte*>(base_), ref_.size);
 }
 
-bool PeerArena::copy_out(std::uint64_t offset, std::span<std::byte> dest) const {
-  if (!contains(offset, dest.size())) return false;
-  std::memcpy(dest.data(), base_ + offset, dest.size());
-  return true;
+const PeerArena* PeerArena::lent_from(const PayloadBuffer& buf) {
+  return dynamic_cast<const PeerArena*>(buf.lender());
 }
 
 PayloadBuffer PeerArena::view(const std::shared_ptr<PeerArena>& arena, std::uint64_t offset,
@@ -124,7 +122,7 @@ PayloadBuffer PeerArena::view(const std::shared_ptr<PeerArena>& arena, std::uint
 }
 
 void PeerArena::give_back(std::uint64_t lease) noexcept {
-  if (releases_ != nullptr) releases_->returned(lease);
+  if (returns_ != nullptr) returns_->returned(lease);
 }
 
 }  // namespace stampede::net

@@ -1,34 +1,42 @@
 /// \file peer_arena.hpp
 /// \brief Read-only mapping of a same-host peer's payload arena (wire v5),
-///        and the borrowed views a consumer reads get replies through (v6).
+///        and the borrowed views a receiver reads lent payloads through
+///        (gets since v6, puts since v8).
 ///
 /// A runtime that sends payloads keeps its recycled slabs in a sealed
 /// memfd (runtime/pool.hpp) and advertises it in the handshake as an
-/// `ArenaRef`. The receiving side maps it here. A put naming an arena
-/// offset then costs the server one `memcpy` out of the mapping instead of
-/// a kernel send copy, a kernel receive copy and a TCP stream; a get reply
-/// costs the consumer nothing: it becomes a borrowed `PayloadBuffer` that
-/// views the server's slab in place while the server pins it under a
-/// lease. The view holds the mapping, so the mapping outlives the link
-/// (and a reconnect maps anew); when the view dies its lease id goes on
-/// the link's `ReleaseList` and back to the server in a `kRelease` frame,
-/// at once, whether or not the link's own get is waiting for its reply.
+/// `ArenaRef`. The receiving side maps it here. A payload that names an
+/// arena offset then costs the receiver nothing: it becomes a borrowed
+/// `PayloadBuffer` that views the sender's slab in place while the sender
+/// pins it under a lease. The view holds the mapping, so the mapping
+/// outlives the link (and a reconnect maps anew); when the view dies its
+/// lease goes to the mapping's `LeaseReturn`. On a consumer link that is
+/// the link's `ReleaseList`, which sends the id back in a `kRelease` frame
+/// at once; on a server's put link it is the producer session's set of
+/// held puts, which every put ack restates.
+///
+/// A server lends on what it borrowed (wire v8): an item that views a
+/// producer's slab goes to a consumer as an offset into the producer's
+/// arena, named by its token, and the consumer maps that arena from the
+/// `ArenaRef` the server offers. `lent_from` and `ref` give the server
+/// what it needs to name the slab.
 ///
 /// Trust model: the wire stays unauthenticated; the mapping is what is
 /// checked. `map` opens `/proc/<pid>/fd/<fd>` read-only and maps it only
 /// if the file it opened is a memfd named `aru-arena-<token>`, owned by
 /// this process's euid, sealed against shrinking and growing (so the peer
 /// cannot truncate it under our reads and fault us with SIGBUS), and at
-/// least the advertised size. The mapping is read-only: a peer can hand us
-/// wrong bytes, as it could over TCP, but never make us write its memory.
-/// A memfd mapping outlives its owner, so a peer that dies mid-copy
-/// leaves the bytes readable.
+/// least the advertised size. The same checks hold for a third process's
+/// arena that a server offers: a server can name only memfd arenas of our
+/// own euid, whose owners could ptrace us anyway. The mapping is
+/// read-only: a peer can hand us wrong bytes, as it could over TCP, but
+/// never make us write its memory. A memfd mapping outlives its owner, so
+/// a peer that dies leaves every view of its bytes readable and unchanged.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +50,15 @@ namespace stampede::net {
 
 /// This process's arena as a peer needs it (token 0: the pool has none).
 ArenaRef local_arena(const PayloadPool& pool);
+
+/// Where a dying view's lease goes: the mapping it was lent from hands the
+/// id here, on whatever thread drops the view, possibly under a channel
+/// lock, so an implementation takes nothing ranked below a leaf.
+class LeaseReturn {
+ public:
+  virtual ~LeaseReturn() = default;
+  virtual void returned(std::uint64_t lease) noexcept = 0;
+};
 
 /// The write side of a consumer link, as its release list drives it (wire
 /// v6/v7). The link writes every frame under a short write lock that is
@@ -68,14 +85,14 @@ class ReleaseSink {
 /// waits for a later get. A view that outlives the link queues into a list
 /// nobody sends, which is harmless. Views die on whatever thread drops the
 /// last item reference, possibly under a channel lock, hence the leaf rank.
-class ReleaseList {
+class ReleaseList final : public LeaseReturn {
  public:
   ReleaseList();
 
   /// A view holding `lease` died, or a reply's lease never became a view:
   /// queues it and hands the queue to the attached link to send.
   ARU_ALLOCATES ARU_ANALYZE_ESCAPE("capacity reserved for two slots' worth of leases at construction; grows only if views pile up while the link is down")
-  void returned(std::uint64_t lease) EXCLUDES(mu_);
+  void returned(std::uint64_t lease) noexcept override EXCLUDES(mu_);
 
   /// Hands whatever is queued to the attached link to send. A writer calls
   /// this once it has let go of the write lock: an id queued while it held
@@ -95,10 +112,10 @@ class PeerArena final : public PayloadLender {
  public:
   /// Maps the advertised arena when every check in the file comment
   /// passes; null (with the failed check in `*why`) otherwise. Views lent
-  /// from the mapping return their lease ids to `releases` when they die.
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("attach path only: runs once per handshake, never per item")
+  /// from the mapping return their lease ids to `returns` when they die.
+  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("runs once per arena a link learns of (a handshake or a server's offer), never per item")
   static std::shared_ptr<PeerArena> map(const ArenaRef& ref,
-                                        std::shared_ptr<ReleaseList> releases = nullptr,
+                                        std::shared_ptr<LeaseReturn> returns = nullptr,
                                         std::string* why = nullptr);
 
   /// A borrowed, read-only view of `bytes` bytes at `offset` of `arena`,
@@ -112,26 +129,33 @@ class PeerArena final : public PayloadLender {
   PeerArena(const PeerArena&) = delete;
   PeerArena& operator=(const PeerArena&) = delete;
 
-  /// Copies `dest.size()` bytes starting at `offset` of the arena into
-  /// `dest` (the server's put path). False, with nothing copied, when the
-  /// range leaves the arena.
-  ARU_HOT_PATH bool copy_out(std::uint64_t offset, std::span<std::byte> dest) const;
+  /// The mapping a borrowed buffer views, or null when it views none.
+  ARU_HOT_PATH static const PeerArena* lent_from(const PayloadBuffer& buf);
 
-  std::uint64_t size() const { return size_; }
+  /// The arena as its owner advertised it: what a server offers a consumer
+  /// that should read the borrowed bytes in place too.
+  const ArenaRef& ref() const { return ref_; }
+
+  /// Offset of `p`, a byte of a view of this mapping, in the arena.
+  std::uint64_t offset_of(const std::byte* p) const {
+    return static_cast<std::uint64_t>(p - base_);
+  }
+
+  std::uint64_t size() const { return ref_.size; }
 
   void give_back(std::uint64_t lease) noexcept override;
 
  private:
-  PeerArena(const std::byte* base, std::uint64_t size, std::shared_ptr<ReleaseList> releases)
-      : base_(base), size_(size), releases_(std::move(releases)) {}
+  PeerArena(const std::byte* base, const ArenaRef& ref, std::shared_ptr<LeaseReturn> returns)
+      : base_(base), ref_(ref), returns_(std::move(returns)) {}
 
   bool contains(std::uint64_t offset, std::size_t bytes) const {
-    return offset <= size_ && bytes <= size_ - offset;
+    return offset <= ref_.size && bytes <= ref_.size - offset;
   }
 
   const std::byte* base_;
-  std::uint64_t size_;
-  const std::shared_ptr<ReleaseList> releases_;  ///< null: lends nothing
+  const ArenaRef ref_;
+  const std::shared_ptr<LeaseReturn> returns_;  ///< null: views return nothing
 };
 
 }  // namespace stampede::net

@@ -58,6 +58,7 @@ void to_wire(const Item& item, WireItem& wi) {
   wi.attrs.push_back({kTagClusterNode, item.cluster_node()});
   wi.payload_bytes = static_cast<std::uint32_t>(item.bytes());
   wi.arena_offset = kNoArenaOffset;
+  wi.arena_token = 0;
 }
 
 /// Resets a reused WireItem to the encoded-when-absent shape without
@@ -69,6 +70,7 @@ void clear_wire_item(WireItem& wi) {
   wi.attrs.clear();
   wi.payload_bytes = 0;
   wi.arena_offset = kNoArenaOffset;
+  wi.arena_token = 0;
 }
 
 /// Appends into a reused message vector: after the first message on each
@@ -80,9 +82,8 @@ void append_nanos(std::vector<Nanos>& v, Nanos n) { v.push_back(n); }
 /// payload, accounting the allocation in the trace exactly like
 /// TaskContext::make_item (the Item constructor itself handles the memory
 /// tracker). A borrowed payload charges nothing: its lender counts it. On
-/// the put path the payload is a fresh pooled buffer the caller then
-/// fills — and if that fails, dropping the item records a matching kFree,
-/// so the trace stays balanced either way.
+/// the put path the payload is a pooled buffer the tail was received into,
+/// or a view of the producer's arena slab (wire v8).
 ARU_ALLOCATES ARU_ANALYZE_ESCAPE("constructs the consumer-side Item replica (one shared_ptr control block per received item — the ownership handoff itself); its payload slab comes from the pool or is borrowed")
 std::shared_ptr<Item> materialize(RunContext& ctx, const WireItem& wi, PayloadBuffer payload,
                                   NodeId producer, int cluster_node) {
@@ -299,7 +300,7 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
 
 ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
                              ServerConfig config)
-    : ctx_(rt.context()), config_(std::move(config)) {
+    : ctx_(rt.context()), config_(std::move(config)), instance_(random_wire_id()) {
   for (const ServedChannel& sc : channels) {
     if (sc.channel == nullptr) {
       throw std::invalid_argument("ChannelServer: null channel");
@@ -315,7 +316,7 @@ ChannelServer::ChannelServer(Runtime& rt, std::vector<ServedChannel> channels,
     Served s{.channel = sc.channel};
     s.slot_attaches = std::make_unique<std::atomic<std::int64_t>[]>(
         static_cast<std::size_t>(sc.remote_producers + sc.remote_consumers));
-    s.producer_seq = std::make_unique<ProducerSeq[]>(
+    s.producer_slots = std::make_unique<ProducerSlot[]>(
         static_cast<std::size_t>(sc.remote_producers));
     for (int p = 0; p < sc.remote_producers; ++p) {
       const NodeId n = rt.add_remote_node(
@@ -471,6 +472,41 @@ void ChannelServer::LeaseTable::release_all() {
   }
 }
 
+bool ChannelServer::PutLeases::hold(std::uint64_t seq) {
+  const util::MutexLock lock(mu_);
+  const auto free = std::ranges::find(seqs_, std::uint64_t{0});
+  if (free == seqs_.end()) return false;
+  *free = seq;
+  return true;
+}
+
+void ChannelServer::PutLeases::returned(std::uint64_t seq) noexcept {
+  const util::MutexLock lock(mu_);
+  const auto it = std::ranges::find(seqs_, seq);
+  if (seq != 0 && it != seqs_.end()) *it = 0;
+}
+
+ARU_ALLOCATES ARU_ANALYZE_ESCAPE("fills the connection's reused ack with at most kMaxLeases seqs; capacity persists across acks")
+void ChannelServer::PutLeases::list(std::vector<std::uint64_t>& out) const {
+  out.clear();
+  const util::MutexLock lock(mu_);
+  for (const std::uint64_t seq : seqs_) {
+    if (seq != 0) out.push_back(seq);
+  }
+}
+
+std::shared_ptr<ChannelServer::PutLeases> ChannelServer::attach_producer(
+    ProducerSlot& slot, const HelloMsg& hello) {
+  const util::MutexLock lock(slot.mu);
+  if (slot.session != hello.session || slot.leases == nullptr) {
+    slot.session = hello.session;
+    slot.last_seq.store(hello.start_seq == 0 ? 0 : hello.start_seq - 1,
+                        std::memory_order_release);
+    slot.leases = std::make_shared<PutLeases>();
+  }
+  return slot.leases;
+}
+
 const ChannelServer::Served* ChannelServer::find(const std::string& name) const {
   for (const Served& s : served_) {
     if (s.channel->name() == name) return &s;
@@ -567,6 +603,7 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
     ack.message = "consumer_key out of range";
   } else {
     ack.ok = true;
+    ack.instance = instance_;
     // Advertise the channel's current slack so a pipelined producer can
     // open its window immediately instead of trickling until the first
     // coalesced ack refreshes the credit view.
@@ -576,14 +613,17 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
                   : cap > size          ? static_cast<std::uint32_t>(cap - size)
                                         : 0;
   }
-  // Same-host handoff (wire v5): map a producer's arena if it checks out,
-  // and offer a consumer ours. Either side without one gets the tail.
-  std::shared_ptr<PeerArena> client_arena;
+  // Same-host handoff (wire v5/v8): map a producer's arena if it checks
+  // out, its views returning their seqs to the session's put leases, and
+  // offer a consumer ours. Either side without one gets the tail.
+  LinkArenas arenas;
   if (ack.ok && hello.producer_key >= 0) {
-    client_arena = PeerArena::map(hello.arena);
-    ack.peer_mapped = client_arena != nullptr;
+    arenas.puts = attach_producer(
+        served->producer_slots[static_cast<std::size_t>(hello.producer_key)], hello);
+    arenas.client = PeerArena::map(hello.arena, arenas.puts);
+    ack.peer_mapped = arenas.client != nullptr;
   }
-  if (ack.ok && hello.consumer_key >= 0) ack.arena = local_arena(*ctx_.pool);
+  if (ack.ok && hello.consumer_key >= 0) ack.arena = arenas.own = local_arena(*ctx_.pool);
   if (stream.send_all(encode(ack).span(), config_.io_timeout) != IoStatus::kOk) return;
   if (!ack.ok) {
     STAMPEDE_LOG(kWarn) << "net.server: rejected hello: " << ack.message;
@@ -612,11 +652,11 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
   name += hello.channel;
   util::set_thread_name(name);
 
-  serve_attached(stream, *served, hello, client_arena.get(), st);
+  serve_attached(stream, *served, hello, arenas, st);
 }
 
 void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
-                                   const HelloMsg& hello, const PeerArena* client_arena,
+                                   const HelloMsg& hello, const LinkArenas& arenas,
                                    std::stop_token st) {
   Channel& channel = *served.channel;
   const NodeId chan_node = channel.id();
@@ -676,19 +716,13 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     return true;
   };
 
-  // Duplicate-suppression watermark for this producer slot. A fresh
-  // session (new transport instance) resets it to start_seq - 1; a
-  // reconnect of the same session keeps it, so replayed window tails are
-  // settled-but-skipped.
-  ProducerSeq* pseq =
+  // Duplicate-suppression watermark of this producer slot, reset by
+  // attach_producer for a new session: a reconnect of the same session
+  // keeps it, so replayed window tails are settled-but-skipped.
+  ProducerSlot* pseq =
       hello.producer_key >= 0
-          ? &served.producer_seq[static_cast<std::size_t>(hello.producer_key)]
+          ? &served.producer_slots[static_cast<std::size_t>(hello.producer_key)]
           : nullptr;
-  if (pseq != nullptr && pseq->session.load(std::memory_order_relaxed) != hello.session) {
-    pseq->session.store(hello.session, std::memory_order_relaxed);
-    pseq->last_seq.store(hello.start_seq == 0 ? 0 : hello.start_seq - 1,
-                         std::memory_order_relaxed);
-  }
 
   // Coalesced-ack state: one PutAckMsg settles every put processed since
   // the last ack (cumulative seq + credits + summary-STP). Emitted when a
@@ -738,9 +772,11 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     if (!ack_pending) return true;
     put_ack.closed = channel.closed();
     put_ack.summary = last_summary;
-    put_ack.cum_seq = pseq != nullptr ? pseq->last_seq.load(std::memory_order_relaxed) : 0;
+    // Acquire: every view of a seq up to cum_seq is in the held list.
+    put_ack.cum_seq = pseq != nullptr ? pseq->last_seq.load(std::memory_order_acquire) : 0;
     put_ack.credits = credits_of();
     channel.backward_stp_into(put_ack.stp);
+    if (arenas.puts != nullptr) arenas.puts->list(put_ack.held);
     if (!served.producer_stp.empty()) {
       served.producer_stp[static_cast<std::size_t>(hello.producer_key)]->set(
           put_ack.summary.count());
@@ -767,19 +803,35 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     std::span<const std::byte> payload;
     std::size_t arena_bytes = 0;
     get_reply.lease = 0;
+    get_reply.offer = {};
     if (res.item) {
       to_wire(*res.item, get_reply.item);
-      // A consumer that mapped our arena reads an arena slab in place,
-      // under a lease that pins it; everything else — and a reply past
-      // the slot's lease cap — rides the tail.
-      const std::uint64_t offset = get_msg.arena
-                                       ? ctx_.pool->arena_offset(res.item->data().data())
-                                       : PayloadPool::kNotInArena;
-      if (offset != PayloadPool::kNotInArena) {
-        get_reply.lease = served.leases->lend(slot, hello.session, res.item);
+      // The slab's arena: the producer's the item borrows (wire v8), else
+      // ours when the slab is in it.
+      const std::byte* const data = res.item->data().data();
+      const ArenaRef* home = nullptr;
+      std::uint64_t offset = kNoArenaOffset;
+      if (const PeerArena* lender = PeerArena::lent_from(res.item->payload())) {
+        home = &lender->ref();
+        offset = lender->offset_of(data);
+      } else if (arenas.own.token != 0) {
+        home = &arenas.own;
+        offset = ctx_.pool->arena_offset(data);
+      }
+      // A consumer that mapped the arena reads the slab in place, under a
+      // lease that pins the item; one that did not gets the tail and the
+      // arena on offer. Everything else — and a reply past the slot's lease
+      // cap — rides the tail.
+      if (home != nullptr && offset != kNoArenaOffset) {
+        if (std::ranges::find(get_msg.arenas, home->token) != get_msg.arenas.end()) {
+          get_reply.lease = served.leases->lend(slot, hello.session, res.item);
+        } else {
+          get_reply.offer = *home;
+        }
       }
       if (get_reply.lease != 0) {
         get_reply.item.arena_offset = offset;
+        get_reply.item.arena_token = home->token;
         arena_bytes = res.item->bytes();
       } else {
         payload = res.item->data();
@@ -848,37 +900,44 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
       case MsgType::kPut: {
         // More violations: an envelope whose payload length disagrees with
         // the frame's, or an arena offset on a frame that also carries a
-        // tail or on a link whose arena we did not map.
+        // tail, on a link whose arena we did not map, or naming another
+        // arena than the one we mapped.
         in.consume(frame_bytes);  // payload tail (if any) is next in the buffer
-        if (arena_put ? header.payload_len != 0 || client_arena == nullptr
+        if (arena_put ? header.payload_len != 0 || arenas.client == nullptr ||
+                            put_msg.item.arena_token != arenas.client->ref().token
                       : put_msg.item.payload_bytes != header.payload_len) {
-          return;
-        }
-        // Materialize first, then land the payload directly in the pooled
-        // slab: one copy out of the producer's arena, or the tail received
-        // in place — the frame-sized staging vector is gone.
-        auto item = materialize(
-            ctx_, put_msg.item, ctx_.pool->acquire(put_msg.item.payload_bytes),
-            served.producer_nodes[static_cast<std::size_t>(hello.producer_key)],
-            channel.cluster_node());
-        if (arena_put) {
-          // An offset outside the mapping never reads a byte past it.
-          if (!client_arena->copy_out(put_msg.item.arena_offset, item->mutable_data())) {
-            return;
-          }
-        } else if (header.payload_len > 0 && !read_payload(item->mutable_data())) {
           return;
         }
         const bool duplicate =
             put_msg.seq <= pseq->last_seq.load(std::memory_order_relaxed);
+        // The payload: a tail received in place into a pooled slab, or —
+        // wire v8 — a view of the producer's slab, lent until the view dies
+        // and the next ack stops listing its seq. An offset outside the
+        // mapping, or a producer past its lending cap, drops the link.
+        PayloadBuffer payload;
+        if (!arena_put) {
+          payload = ctx_.pool->acquire(put_msg.item.payload_bytes);
+          if (header.payload_len > 0 && !read_payload(payload.span())) return;
+        } else if (!duplicate) {
+          if (!arenas.puts->hold(put_msg.seq)) return;
+          payload = PeerArena::view(arenas.client, put_msg.item.arena_offset,
+                                    put_msg.item.payload_bytes, put_msg.seq);
+          if (!payload.borrowed()) {
+            arenas.puts->returned(put_msg.seq);
+            return;
+          }
+        }
         if (duplicate) {
           // Reconnect replay of a put this channel already stored: the
-          // payload is consumed (stream stays in sync), the materialized
-          // replica is dropped (its alloc/free trace stays balanced), and
-          // the cumulative ack settles it again. At-most-once holds.
+          // payload is consumed (stream stays in sync) and dropped, and the
+          // cumulative ack settles it again. At-most-once holds.
           ack_pending = true;
           ++puts_since_ack;
         } else {
+          auto item = materialize(
+              ctx_, put_msg.item, std::move(payload),
+              served.producer_nodes[static_cast<std::size_t>(hello.producer_key)],
+              channel.cluster_node());
           // Wait out a full bounded channel here (not in the channel):
           // heartbeats must keep flowing while backpressure holds the ack,
           // and everything already settled is acked *before* blocking so
@@ -890,7 +949,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
             res = channel.try_put(item, kServeSlice);
           }
           last_summary = res->channel_summary;
-          pseq->last_seq.store(put_msg.seq, std::memory_order_relaxed);
+          pseq->last_seq.store(put_msg.seq, std::memory_order_release);
           ack_pending = true;
           ++puts_since_ack;
         }

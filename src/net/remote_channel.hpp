@@ -28,6 +28,14 @@
 /// reading during a park: a consumer's `kRelease` frames end their leases
 /// at once, and a hang-up ends the park at once.
 ///
+/// Same-host peers lend payloads instead of copying them (wire v5–v8). A
+/// put that names an offset in the producer's arena is stored as a view of
+/// the producer's slab; the producer pins the slab until a put ack stops
+/// listing its seq as held. A get reply whose item lives in an arena the
+/// consumer mapped, the server's own or a producer's, is lent under a
+/// lease; so a frame crosses front → mid → back with no byte copied, back's
+/// lease pinning mid's item and mid's item pinning front's slab.
+///
 /// Failure semantics: see RemoteEndpoint (runtime/remote.hpp). The proxy
 /// holds the last summary-STP received over the wire in an atomic, so a
 /// producer paced by ARU keeps its period through an outage instead of
@@ -192,17 +200,52 @@ class ChannelServer {
   std::int64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
 
  private:
-  /// Per-producer-slot duplicate-suppression state (wire v3). A producer
-  /// transport replays its unacked window tail after every reconnect; the
-  /// server keeps the highest settled sequence per (slot, session) and
-  /// skips anything at or below it, so replays are at-most-once on the
-  /// channel. A new session (new transport instance reusing the slot)
-  /// resets the watermark to its advertised start_seq - 1. Atomics because
-  /// a dying connection's thread may still be draining while its
-  /// replacement attaches.
-  struct ProducerSeq {
-    std::atomic<std::uint64_t> session{0};
+  /// The put slabs one producer session lent this server and that it still
+  /// holds views of (wire v8). A view's seq goes in when its put is stored
+  /// and out when the view dies, on whatever thread that is; every put ack
+  /// lists what is in, so an ack lost with its connection loses nothing.
+  /// One per (producer slot, session), shared by the session's connections:
+  /// a hang-up keeps it. A new session gets a new one, and views of the old
+  /// arena return into the old set, which no ack reads. A seq held twice (a
+  /// replay racing its original) stays listed until both views die.
+  class PutLeases final : public LeaseReturn {
+   public:
+    /// Records a view of put `seq`; false when kMaxLeases are held already,
+    /// which a producer within its cap never causes.
+    bool hold(std::uint64_t seq) EXCLUDES(mu_);
+    void returned(std::uint64_t seq) noexcept override EXCLUDES(mu_);
+    /// The held seqs, for a put ack.
+    void list(std::vector<std::uint64_t>& out) const EXCLUDES(mu_);
+
+   private:
+    mutable util::Mutex mu_{util::LockRank::kLeaf, "net.server.put_leases"};
+    std::array<std::uint64_t, kMaxLeases> seqs_ GUARDED_BY(mu_){};  ///< 0: free
+  };
+
+  /// Per-producer-slot session state. Duplicate suppression (wire v3): a
+  /// producer transport replays its unacked window tail after every
+  /// reconnect; the server keeps the highest settled sequence per (slot,
+  /// session) and skips anything at or below it, so replays are
+  /// at-most-once on the channel. A new session (new transport instance
+  /// reusing the slot) resets the watermark to its advertised start_seq - 1
+  /// and starts a new set of put leases. `last_seq` is atomic because a
+  /// dying connection's thread may still be draining while its replacement
+  /// attaches.
+  struct ProducerSlot {
+    util::Mutex mu{util::LockRank::kNet, "net.server.producer"};
+    std::uint64_t session GUARDED_BY(mu) = 0;
+    std::shared_ptr<PutLeases> leases GUARDED_BY(mu);
     std::atomic<std::uint64_t> last_seq{0};
+  };
+
+  /// A connection's arenas (wire v5/v8): the producer's as this connection
+  /// mapped it (null: its puts must carry their tail), the producer
+  /// session's put leases, and this runtime's own arena as a consumer maps
+  /// it (token 0: none).
+  struct LinkArenas {
+    std::shared_ptr<PeerArena> client;
+    std::shared_ptr<PutLeases> puts;
+    ArenaRef own;
   };
 
   /// Get replies lent to the remote consumers of one served channel (wire
@@ -259,8 +302,8 @@ class ChannelServer {
     Channel* channel = nullptr;
     /// producer_key → pseudo-node registered for that remote producer.
     std::vector<NodeId> producer_nodes;
-    /// producer_key → dup-suppression watermark (size producer_nodes).
-    std::unique_ptr<ProducerSeq[]> producer_seq;
+    /// producer_key → session state (size producer_nodes).
+    std::unique_ptr<ProducerSlot[]> producer_slots;
     /// consumer_key → channel consumer index.
     std::vector<int> consumer_idx;
     /// Successful attaches per endpoint slot (producer keys first, then
@@ -286,14 +329,17 @@ class ChannelServer {
   void accept_loop(TcpListener listener, std::stop_token st);
   void serve_connection(TcpStream stream, std::stop_token st);
 
-  /// Handles one attached connection after a successful Hello.
-  /// `client_arena` is the producer's arena as this connection mapped it
-  /// (null: puts must carry their payload tail). A get parks as state of
-  /// the connection while the loop goes on reading (file comment).
-  /// Hot-path root: this loop serves every put ack and get reply, so the
-  /// STP piggyback must not allocate.
+  /// A Hello of `hello.session` attached producer slot `slot`: a new
+  /// session resets the watermark and the put leases, the same one keeps
+  /// both. Returns the session's put leases.
+  static std::shared_ptr<PutLeases> attach_producer(ProducerSlot& slot, const HelloMsg& hello);
+
+  /// Handles one attached connection after a successful Hello. A get
+  /// parks as state of the connection while the loop goes on reading (file
+  /// comment). Hot-path root: this loop serves every put ack and get
+  /// reply, so the STP piggyback must not allocate.
   ARU_HOT_PATH void serve_attached(TcpStream& stream, const Served& served,
-                                   const HelloMsg& hello, const PeerArena* client_arena,
+                                   const HelloMsg& hello, const LinkArenas& arenas,
                                    std::stop_token st);
 
   /// Joins and erases finished connection threads. Runs on every
@@ -305,6 +351,8 @@ class ChannelServer {
 
   RunContext& ctx_;
   const ServerConfig config_;
+  /// Random id of this server, sent in every HelloAck (wire v8).
+  const std::uint64_t instance_;
   std::vector<Served> served_;
 
   /// Guards the lifecycle flags + connection-thread registry across

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <random>
 #include <utility>
 
 #include "runtime/pool.hpp"
@@ -69,13 +68,6 @@ constexpr std::array<std::int64_t, 8> kBatchBounds = {1, 2, 4, 8, 16, 32, 64, 12
 /// or a hung-up peer before queuing anything more into the link.
 constexpr std::size_t kDrainEvery = 16;
 
-std::uint64_t random_session_id() {
-  std::random_device rd;
-  std::uint64_t id = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  // A zero session would read as "no session" on the wire; nudge it.
-  return id == 0 ? 1 : id;
-}
-
 }  // namespace
 
 Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello)
@@ -83,7 +75,7 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
       node_(node),
       config_(std::move(config)),
       hello_(std::move(hello)),
-      session_(random_session_id()),
+      session_(random_wire_id()),
       releases_(hello_.consumer_key >= 0 ? std::make_shared<ReleaseList>() : nullptr) {
   const bool producer = hello_.producer_key >= 0;
   if (producer) window_.resize(kPutWindow);
@@ -116,6 +108,9 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
     } else {
       met_window_ = &reg.gauge("aru_net_puts_in_flight",
                                "Unacknowledged pipelined puts in flight.", labels);
+      met_put_leases_ = &reg.gauge(
+          "aru_net_put_leases",
+          "Put slabs lent to the server and still pinned (wire v8 put leases).", labels);
       const auto reason_counter = [&](const char* reason) {
         telemetry::Registry::Labels rl = labels;
         rl.push_back({"reason", reason});
@@ -191,7 +186,8 @@ void Transport::disconnect_locked() {
     const util::MutexLock write(wmu_);
     wstream_.close();
   }
-  peer_arena_.reset();
+  arenas_ = {};
+  refused_ = {};
   peer_mapped_ours_ = false;
   connected_.store(false, std::memory_order_relaxed);
 }
@@ -254,7 +250,12 @@ bool Transport::ensure_connected_locked() {
   }
   credits_ = ack.credits;
   peer_mapped_ours_ = ack.peer_mapped;
-  if (hello_.consumer_key >= 0) peer_arena_ = PeerArena::map(ack.arena, releases_);
+  if (hello_.producer_key >= 0 && ack.instance != server_instance_) {
+    // Another server instance: the one that held our lent slabs is gone.
+    forget_lent_locked();
+    server_instance_ = ack.instance;
+  }
+  if (hello_.consumer_key >= 0) learn_arena_locked(ack.arena);
 
   if (had_session_) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
@@ -299,7 +300,23 @@ void Transport::apply_put_ack_locked(const PutAckMsg& ack) {
     WindowSlot& slot = window_[static_cast<std::size_t>((s - 1) % window_.size())];
     in_flight_bytes_ -= slot.payload.size();
     slot.payload = {};
+    if (std::exchange(slot.lent, false)) {
+      // The server may hold a view of the slab: pin it past the ack. A pin
+      // is free, as lent_ counts pins and lent slots and stays within the
+      // kMaxLeases pins there are.
+      Pin& pin = *std::ranges::find(pins_, std::uint64_t{0}, &Pin::seq);
+      pin.seq = s;
+      pin.keepalive = std::move(slot.keepalive);
+    }
     slot.keepalive.reset();
+  }
+  // Wire v8: a lent seq the ack covers but does not list as held has no
+  // view left on the server. Unknown and repeated seqs change nothing.
+  for (Pin& pin : pins_) {
+    if (pin.seq != 0 && pin.seq <= ack.cum_seq &&
+        std::ranges::find(ack.held, pin.seq) == ack.held.end()) {
+      unpin_locked(pin);
+    }
   }
   if (ack.cum_seq > cum_acked_) cum_acked_ = std::min(ack.cum_seq, next_seq_ - 1);
   credits_ = ack.credits;
@@ -307,6 +324,56 @@ void Transport::apply_put_ack_locked(const PutAckMsg& ack) {
   if (ack.closed) remote_closed_ = true;
   if (met_window_ != nullptr) {
     met_window_->set(static_cast<std::int64_t>(in_flight_locked()));
+  }
+}
+
+void Transport::unpin_locked(Pin& pin) {
+  pin.seq = 0;
+  pin.keepalive.reset();
+  --lent_;
+  if (met_put_leases_ != nullptr) met_put_leases_->set(static_cast<std::int64_t>(lent_));
+}
+
+void Transport::forget_lent_locked() {
+  for (Pin& pin : pins_) {
+    if (pin.seq != 0) unpin_locked(pin);
+  }
+  for (std::uint64_t s = cum_acked_ + 1; s < next_seq_; ++s) {
+    WindowSlot& slot = window_[static_cast<std::size_t>((s - 1) % window_.size())];
+    if (std::exchange(slot.lent, false)) --lent_;
+  }
+  if (met_put_leases_ != nullptr) met_put_leases_->set(static_cast<std::int64_t>(lent_));
+}
+
+Transport::Mapped* Transport::mapping_locked(std::uint64_t token) {
+  for (Mapped& m : arenas_) {
+    if (token != 0 && m.arena != nullptr && m.arena->ref().token == token) return &m;
+  }
+  return nullptr;
+}
+
+void Transport::learn_arena_locked(const ArenaRef& ref) {
+  if (ref.token == 0 || mapping_locked(ref.token) != nullptr ||
+      std::ranges::find(refused_, ref.token) != refused_.end()) {
+    return;
+  }
+  auto arena = PeerArena::map(ref, releases_);
+  if (arena == nullptr) {
+    // Its items keep riding the tail; this connection does not try again.
+    std::shift_right(refused_.begin(), refused_.end(), 1);
+    refused_.front() = ref.token;
+    return;
+  }
+  // A free entry was never used; a full table drops the one named least
+  // recently, whose views keep their own reference to the mapping.
+  Mapped& slot = *std::ranges::min_element(arenas_, {}, &Mapped::used);
+  slot = {.arena = std::move(arena), .used = ++replies_};
+}
+
+void Transport::name_arenas_locked(std::vector<std::uint64_t>& tokens) const {
+  tokens.clear();
+  for (const Mapped& m : arenas_) {
+    if (m.arena != nullptr) tokens.push_back(m.arena->ref().token);
   }
 }
 
@@ -385,8 +452,15 @@ bool Transport::flush_staged_locked(FlushReason reason) {
 }
 
 std::span<const std::byte> Transport::encode_slot_locked(WindowSlot& slot) {
-  const bool arena = peer_mapped_ours_ && slot.arena_offset != kNoArenaOffset;
+  const bool arena = peer_mapped_ours_ && slot.arena_offset != kNoArenaOffset &&
+                     (slot.lent || lent_ < kMaxLeases);
+  if (arena && !slot.lent) {
+    slot.lent = true;
+    ++lent_;
+    if (met_put_leases_ != nullptr) met_put_leases_->set(static_cast<std::int64_t>(lent_));
+  }
   slot.msg.item.arena_offset = arena ? slot.arena_offset : kNoArenaOffset;
+  slot.msg.item.arena_token = arena ? hello_.arena.token : 0;
   encode_into(slot.msg, frame_);
   return arena ? std::span<const std::byte>{} : slot.payload;
 }
@@ -482,6 +556,9 @@ Transport::RpcStatus Transport::exchange_locked(const FrameBuf& frame, GetReplyM
       disconnect_locked();  // rpc drops what was received, after unlocking
       return RpcStatus::kDisconnected;
     }
+    // The tail came from an arena the Get did not name (wire v8): map it,
+    // so later replies from it are lent.
+    learn_arena_locked(reply.offer);
     // Payload bytes count in rx whichever way they travelled.
     const std::size_t arena_bytes = payload.borrowed() ? payload.size() : 0;
     record_event(stats::EventType::kNetRx,
@@ -498,12 +575,14 @@ bool Transport::receive_payload_locked(const FrameHeader& header, const GetReply
   if (!reply.has_item) return header.payload_len == 0;
   const WireItem& wi = reply.item;
   if (wi.arena_offset != kNoArenaOffset) {
-    // Same-host handoff: read the server's slab in place, pinned by the
-    // reply's lease until the view dies. A frame that also carries a tail,
-    // an unleased slab, or an offset this link cannot read is a protocol
-    // violation.
-    if (header.payload_len != 0 || reply.lease == 0 || peer_arena_ == nullptr) return false;
-    payload = PeerArena::view(peer_arena_, wi.arena_offset, wi.payload_bytes, reply.lease);
+    // Same-host handoff: read the slab in place, in the server's arena or
+    // the producer's it borrowed the item from, pinned by the reply's lease
+    // until the view dies. A frame that also carries a tail, an unleased
+    // slab, or an offset this link cannot read is a protocol violation.
+    Mapped* const mapped = mapping_locked(wi.arena_token);
+    if (header.payload_len != 0 || reply.lease == 0 || mapped == nullptr) return false;
+    mapped->used = ++replies_;
+    payload = PeerArena::view(mapped->arena, wi.arena_offset, wi.payload_bytes, reply.lease);
     return payload.borrowed();
   }
   // No destination of the right size means the tail cannot be read into
@@ -528,7 +607,7 @@ Transport::RpcStatus Transport::rpc(GetMsg& request, GetReplyMsg& reply,
       const util::MutexLock lock(mu_);
       if (ensure_connected_locked()) {
         if (link_wait != nullptr) *link_wait = Nanos{ctx_.now_ns() - t0};
-        request.arena = peer_arena_ != nullptr;
+        name_arenas_locked(request.arenas);
         status = exchange_locked(encode(request), reply, payload, st);
         sent = true;
       }
@@ -606,6 +685,7 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         slot.msg = msg;
         slot.payload = payload;
         slot.arena_offset = ctx_.pool->arena_offset(payload.data());
+        slot.lent = false;
         const std::span<const std::byte> tail = encode_slot_locked(slot);
         slot.keepalive = std::move(keepalive);
         in_flight_bytes_ += payload.size();
@@ -618,7 +698,7 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         if (payload.size() > kInlinePayloadMax) {
           // Zero-copy tail: prior staged frames + this envelope + the slab
           // payload in one sendmsg — or no tail at all when the server
-          // copies the payload out of our arena.
+          // reads the payload in our arena.
           const std::size_t batch = staged_frames_ + 1;
           staged_frames_ = 0;
           if (sendbuf_.flush_with(stream_, frame_.span(), tail,

@@ -18,16 +18,23 @@
 /// into a stack FrameBuf (header + envelope, no payload). The transport
 /// decodes the reply envelope itself and hands the caller the payload as
 /// a `PayloadBuffer`: a pooled slab the payload tail was received into,
-/// or — when the reply names an offset in the server's arena under a lease
-/// (wire v6) — a borrowed view of the slab in this link's read-only
-/// mapping of that arena, copied nowhere.
+/// or — when the reply names an offset in an arena under a lease (wire
+/// v6) — a borrowed view of the slab in this link's read-only mapping of
+/// that arena, copied nowhere. The arena is the server's own or, since
+/// v8, the one of the producer the server borrowed the item from.
 ///
-/// Same-host handoff (wire v5/v6): the Hello of a producer link advertises
+/// Same-host handoff (wire v5–v8): the Hello of a producer link advertises
 /// this runtime's arena, and a put whose slab lives in it travels as an
-/// arena offset once the server reports it mapped the arena. A consumer
-/// link maps the arena the server's HelloAck advertises and says so in
-/// every Get. Mappings belong to one connection: a reconnect re-checks
-/// and re-maps, and the window tail is re-encoded for the new link. A
+/// arena offset once the server reports it mapped the arena. The server
+/// keeps a view of the slab, not a copy, so the link pins it: a lent slot
+/// stays pinned past its ack until an ack that covers it no longer lists
+/// it as held, or until a HelloAck names another server instance. A link
+/// lends at most kMaxLeases slabs; past that cap a put rides the tail. A
+/// hang-up keeps the pins, since a live server still holds its views.
+/// A consumer link maps the arena the server's HelloAck advertises, and
+/// each arena a reply offers, up to kMaxArenas, and names them in every
+/// Get. Mappings belong to one connection: a reconnect re-checks and
+/// re-maps, and the window tail is re-encoded for the new link. A
 /// borrowed view holds its mapping, so the old mapping lives until its
 /// last view dies. The views' lease ids come back through the link's
 /// `ReleaseList`, which outlives connections, in `kRelease` frames, the
@@ -68,6 +75,7 @@
 /// like every other frame.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -133,16 +141,17 @@ class Transport final : public ReleaseSink {
   void send_now(std::vector<std::uint64_t>& ids) noexcept override EXCLUDES(wmu_);
 
   /// Executes one get request/reply exchange (consumer links only).
-  /// `request.arena` is set here, per link: whether this link mapped the
-  /// server's arena. Blocks (through backoff/reconnect
+  /// `request.arenas` is set here, per link: the arenas this link mapped.
+  /// Blocks (through backoff/reconnect
   /// cycles) until a link exists before sending. Once the request is sent
   /// the outcome is final: a link death mid-RPC returns kDisconnected and
   /// the caller decides whether to re-issue the (lost) request. On kOk,
   /// `reply` holds the first non-heartbeat reply frame, a kGetReply, and
   /// `payload` its item's bytes (empty without an item). A reply the link
   /// cannot honour drops it: a tail of another size than the envelope
-  /// says, or an arena offset on a frame with a tail, without a lease, on
-  /// a link without a mapping, or outside the mapping.
+  /// says, or an arena offset on a frame with a tail, without a lease, in
+  /// an arena the link did not map, or outside the mapping. A reply that
+  /// offers an arena has the link map it for later gets.
   ///
   /// \param link_wait  when non-null and the request went out, set to the
   ///        time spent before sending it: waiting for, or re-establishing,
@@ -214,6 +223,23 @@ class Transport final : public ReleaseSink {
     std::span<const std::byte> payload;
     std::uint64_t arena_offset = kNoArenaOffset;
     std::shared_ptr<const void> keepalive;
+    /// Sent as an arena offset to this server instance: the server may hold
+    /// a view of the slab, so the ack pins it instead of letting it go.
+    bool lent = false;
+  };
+
+  /// A lent slab past its ack, pinned until the server stops listing its
+  /// seq as held (wire v8). seq 0: a free entry.
+  struct Pin {
+    std::uint64_t seq = 0;
+    std::shared_ptr<const void> keepalive;
+  };
+
+  /// One arena this consumer link mapped (wire v8), and when a reply last
+  /// named it, so a full table drops the least recently used.
+  struct Mapped {
+    std::shared_ptr<PeerArena> arena;
+    std::uint64_t used = 0;
   };
 
   /// Establishes the link if absent and due. Returns true when connected.
@@ -240,10 +266,30 @@ class Transport final : public ReleaseSink {
                               PayloadBuffer& payload) REQUIRES(mu_);
 
   /// Encodes a window slot's put into `frame_` for the current link: an
-  /// arena offset when the server mapped our arena and the slab lives
-  /// there, else the payload tail. Returns the payload tail to send after
+  /// arena offset when the server mapped our arena, the slab lives there
+  /// and the slot was lent already or the link lends fewer than kMaxLeases
+  /// slabs, else the payload tail. Returns the payload tail to send after
   /// the frame (empty for an arena put).
   std::span<const std::byte> encode_slot_locked(WindowSlot& slot) REQUIRES(mu_);
+
+  /// Ends the pin of `pin`: its slab may recycle once the item dies.
+  void unpin_locked(Pin& pin) REQUIRES(mu_);
+
+  /// Ends every pin and forgets which window slots were lent: the server
+  /// that held them is gone.
+  void forget_lent_locked() REQUIRES(mu_);
+
+  /// Maps `ref` (from a HelloAck or a reply's offer) unless the link has
+  /// mapped or refused it already; a full table drops its least recently
+  /// used mapping. Views from the mapping return their leases to the link.
+  void learn_arena_locked(const ArenaRef& ref) REQUIRES(mu_);
+
+  /// This link's mapping of arena `token`, or null.
+  Mapped* mapping_locked(std::uint64_t token) REQUIRES(mu_);
+
+  /// Lists the tokens of the arenas this link mapped, for a Get.
+  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("fills the caller's reused Get with at most kMaxArenas tokens; capacity persists across gets")
+  void name_arenas_locked(std::vector<std::uint64_t>& tokens) const REQUIRES(mu_);
 
   /// Reads one frame's header + envelope (NOT its payload tail — that is
   /// the caller's job, via the header's payload_len). False (and
@@ -315,15 +361,24 @@ class Transport final : public ReleaseSink {
   Nanos backoff_ GUARDED_BY(mu_){0};
   std::int64_t next_attempt_ns_ GUARDED_BY(mu_) = 0;
   bool had_session_ GUARDED_BY(mu_) = false;
-  /// Same-host handoff state of the current connection (wire v5): the
-  /// server's arena as this consumer link mapped it (shared with the views
-  /// lent from it), and whether the server mapped this producer link's
-  /// arena. Reset on disconnect.
-  std::shared_ptr<PeerArena> peer_arena_ GUARDED_BY(mu_);
+  /// Same-host handoff state of the current connection (wire v5/v8): the
+  /// arenas this consumer link mapped (shared with the views lent from
+  /// them) and the tokens it failed to map, and whether the server mapped
+  /// this producer link's arena. Reset on disconnect.
+  std::array<Mapped, kMaxArenas> arenas_ GUARDED_BY(mu_);
+  std::array<std::uint64_t, kMaxArenas> refused_ GUARDED_BY(mu_){};
+  std::uint64_t replies_ GUARDED_BY(mu_) = 0;
   bool peer_mapped_ours_ GUARDED_BY(mu_) = false;
   /// Leases of dead views on their way back (consumer links; wire v6).
   const std::shared_ptr<ReleaseList> releases_;
 
+  /// Lent put slabs past their ack (producer links; wire v8), and how many
+  /// slabs the link lends in all: these plus the lent window slots. They
+  /// outlive connections; a HelloAck from another server instance ends
+  /// them (`server_instance_`).
+  std::array<Pin, kMaxLeases> pins_ GUARDED_BY(mu_);
+  std::size_t lent_ GUARDED_BY(mu_) = 0;
+  std::uint64_t server_instance_ GUARDED_BY(mu_) = 0;
 
   /// Pipelined-put window ring (empty on a consumer link). Slot for seq s
   /// lives at (s-1) % size; sequence numbers start at 1 (the server
@@ -369,6 +424,7 @@ class Transport final : public ReleaseSink {
   /// Pipelined-put series (registered on producer links only): window
   /// occupancy, one flush counter per reason, and frames-per-flush.
   telemetry::Gauge* met_window_ = nullptr;          ///< aru_net_puts_in_flight
+  telemetry::Gauge* met_put_leases_ = nullptr;      ///< aru_net_put_leases
   telemetry::Counter* met_flush_window_ = nullptr;  ///< aru_net_put_flush_total{reason=window}
   telemetry::Counter* met_flush_bytes_ = nullptr;   ///< …{reason=bytes}
   telemetry::Counter* met_flush_idle_ = nullptr;    ///< …{reason=idle}

@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <cstring>
+#include <random>
 #include <stdexcept>
 
 namespace stampede::net {
@@ -54,8 +55,9 @@ class Writer {
     for (Nanos n : v) i64(n.count());
   }
 
-  void leases(const std::vector<std::uint64_t>& ids) {
-    check(ids.size() <= kMaxLeases, "lease list exceeds kMaxLeases");
+  /// A u16 count, then one u64 per id: leases, put seqs or arena tokens.
+  void ids(const std::vector<std::uint64_t>& ids, std::size_t cap, const char* what) {
+    check(ids.size() <= cap, what);
     u16(static_cast<std::uint16_t>(ids.size()));
     for (std::uint64_t id : ids) u64(id);
   }
@@ -73,6 +75,7 @@ class Writer {
     }
     u32(it.payload_bytes);
     u64(it.arena_offset);
+    u64(it.arena_token);
   }
 
   void arena(const ArenaRef& a) {
@@ -165,11 +168,11 @@ class Reader {
     return true;
   }
 
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("decodes into the caller's reused vector, capped at kMaxLeases; capacity amortizes to zero allocations")
-  bool leases(std::vector<std::uint64_t>& ids) {
+  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("decodes into the caller's reused vector, capped at kMaxLeases or kMaxArenas; capacity amortizes to zero allocations")
+  bool ids(std::vector<std::uint64_t>& ids, std::size_t cap, const char* what) {
     std::uint16_t count = 0;
     if (!u16(count)) return false;
-    if (count > kMaxLeases) return set_err("lease list exceeds kMaxLeases");
+    if (count > cap) return set_err(what);
     ids.clear();
     ids.reserve(count);
     for (std::uint16_t i = 0; i < count; ++i) {
@@ -200,7 +203,7 @@ class Reader {
     if (it.payload_bytes > kMaxPayloadBytes) {
       return set_err("payload exceeds kMaxPayloadBytes");
     }
-    return u64(it.arena_offset);
+    return u64(it.arena_offset) && u64(it.arena_token);
   }
 
   bool arena(ArenaRef& a) {
@@ -281,6 +284,12 @@ bool finish(const Reader& r, std::string* err) {
 
 }  // namespace
 
+std::uint64_t random_wire_id() {
+  std::random_device rd;
+  const std::uint64_t id = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+  return id == 0 ? 1 : id;
+}
+
 const char* to_string(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "hello";
@@ -314,6 +323,7 @@ FrameBuf encode(const HelloAckMsg& m) {
     w.u32(m.credits);
     w.arena(m.arena);
     w.u8(m.peer_mapped ? 1 : 0);
+    w.u64(m.instance);
   });
 }
 
@@ -338,6 +348,7 @@ FrameBuf encode(const PutAckMsg& m) {
     w.u64(m.cum_seq);
     w.u32(m.credits);
     w.stp_vector(m.stp);
+    w.ids(m.held, kMaxLeases, "held list exceeds kMaxLeases");
   });
 }
 
@@ -345,7 +356,7 @@ FrameBuf encode(const GetMsg& m) {
   return make_frame(MsgType::kGet, 0, [&](Writer& w) {
     w.i64(m.consumer_summary.count());
     w.i64(m.guarantee);
-    w.u8(m.arena ? 1 : 0);
+    w.ids(m.arenas, kMaxArenas, "arena list exceeds kMaxArenas");
   });
 }
 
@@ -360,11 +371,14 @@ FrameBuf encode(const GetReplyMsg& m) {
     w.i64(m.waited.count());
     w.stp_vector(m.stp);
     w.u64(m.lease);
+    w.arena(m.offer);
   });
 }
 
 FrameBuf encode(const ReleaseMsg& m) {
-  return make_frame(MsgType::kRelease, 0, [&](Writer& w) { w.leases(m.released); });
+  return make_frame(MsgType::kRelease, 0, [&](Writer& w) {
+    w.ids(m.released, kMaxLeases, "lease list exceeds kMaxLeases");
+  });
 }
 
 FrameBuf encode(const HeartbeatMsg& m) {
@@ -425,8 +439,8 @@ bool decode(std::span<const std::byte> body, HelloMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, HelloAckMsg& out, std::string* err) {
   Reader r(body);
   if (r.boolean(out.ok) && r.str(out.message) && r.u32(out.credits) &&
-      r.arena(out.arena)) {
-    r.boolean(out.peer_mapped);
+      r.arena(out.arena) && r.boolean(out.peer_mapped)) {
+    r.u64(out.instance);
   }
   return finish(r, err);
 }
@@ -443,7 +457,7 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
   if (r.boolean(out.closed) && r.i64(summary_ns) &&
       r.u64(out.cum_seq) && r.u32(out.credits)) {
     out.summary = Nanos{summary_ns};
-    r.stp_vector(out.stp);
+    if (r.stp_vector(out.stp)) r.ids(out.held, kMaxLeases, "held list exceeds kMaxLeases");
   }
   return finish(r, err);
 }
@@ -451,7 +465,8 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, GetMsg& out, std::string* err) {
   Reader r(body);
   std::int64_t summary_ns = 0;
-  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.boolean(out.arena)) {
+  if (r.i64(summary_ns) && r.i64(out.guarantee) &&
+      r.ids(out.arenas, kMaxArenas, "arena list exceeds kMaxArenas")) {
     out.consumer_summary = Nanos{summary_ns};
   }
   return finish(r, err);
@@ -467,14 +482,14 @@ bool decode(std::span<const std::byte> body, GetReplyMsg& out, std::string* err)
     out.skipped = static_cast<std::int32_t>(skipped);
     out.summary = Nanos{summary_ns};
     out.waited = Nanos{waited_ns};
-    if (r.stp_vector(out.stp)) r.u64(out.lease);
+    if (r.stp_vector(out.stp) && r.u64(out.lease)) r.arena(out.offer);
   }
   return finish(r, err);
 }
 
 bool decode(std::span<const std::byte> body, ReleaseMsg& out, std::string* err) {
   Reader r(body);
-  r.leases(out.released);
+  r.ids(out.released, kMaxLeases, "lease list exceeds kMaxLeases");
   return finish(r, err);
 }
 

@@ -91,6 +91,21 @@
 /// is gone. A consumer sends the frame as soon as a view dies, even while
 /// its own get is parked on the server, which reads it during the park.
 ///
+/// Version 8 lends puts as well, and lets a server lend on what it borrowed.
+/// Every arena offset names its arena: `WireItem.arena_token` is the token
+/// of the arena that holds the bytes. A server stores an arena put as a view
+/// of the producer's slab and lists the put seqs it still holds views of in
+/// every `PutAck.held` (at most kMaxLeases); the producer keeps a lent slab
+/// pinned until an ack that covers its seq no longer lists it, or until a
+/// `HelloAck` names another server `instance` (the old one is gone). A list
+/// that restates what is held, not what was freed, loses nothing when an ack
+/// dies with its connection. A consumer names the arenas it mapped on the
+/// link in every `Get.arenas` (at most kMaxArenas); a reply whose item lives
+/// in an arena the Get did not name rides the tail and offers that arena as
+/// `GetReply.offer`, which the consumer maps with the same checks as the
+/// server's own. So a server re-lends a producer's slab to its consumers,
+/// and only to links that mapped it. `Get.arena` (v5's flag) is gone.
+///
 /// Decoding is defensive: every length is bounds-checked against both the
 /// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
 /// kMaxNameBytes, kMaxEnvelopeBytes), and a truncated or corrupt buffer
@@ -113,7 +128,7 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 7;
+inline constexpr std::uint8_t kWireVersion = 8;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
@@ -125,6 +140,10 @@ inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 26;  // 64 MiB
 /// ids one `kRelease` frame may carry. A reader holds a handful of items per
 /// channel, so a slot at the cap is leaking views, not using them.
 inline constexpr std::size_t kMaxLeases = 16;
+/// Arenas one consumer link maps and names in a Get (wire v8): the server's
+/// own plus one per producer of the channel, with room for a respawned
+/// producer's old arena while its last items drain.
+inline constexpr std::size_t kMaxArenas = 4;
 /// Upper bound on an envelope. Every message's fixed fields plus maxed-out
 /// variable fields (name, attrs, STP slots) total well under 2 KiB, which
 /// is what lets the whole envelope path live in stack buffers.
@@ -150,6 +169,10 @@ constexpr bool valid_type(std::uint8_t t) {
 
 const char* to_string(MsgType type);
 
+/// A random id for the wire: a transport's session, a server's instance.
+/// Never 0, which reads as "none".
+std::uint64_t random_wire_id();
+
 /// Well-known item attribute keys. Attributes are free-form (key, value)
 /// tags preserved end-to-end; unknown keys must be carried through.
 inline constexpr std::uint32_t kTagProducerNode = 1;  ///< origin-process producer NodeId
@@ -162,24 +185,29 @@ inline constexpr std::uint64_t kNoArenaOffset = ~std::uint64_t{0};
 /// A timestamped item in transit: everything a peer needs to materialize
 /// a local `Item` replica plus the attribute tags riding along. The
 /// payload bytes are NOT part of the envelope — `payload_bytes` records
-/// their size and the frame's payload tail carries them, or the sender's
-/// arena holds them at `arena_offset` (wire v5).
+/// their size and the frame's payload tail carries them, or an arena holds
+/// them at `arena_offset` (wire v5): the sender's own, or one it borrowed
+/// the bytes from (v8).
 struct WireItem {
   Timestamp ts = kNoTimestamp;
   std::uint64_t origin_id = 0;  ///< item id in the *sending* process's id space
   std::int64_t produce_cost_ns = 0;
   std::vector<std::pair<std::uint32_t, std::int64_t>> attrs;
   std::uint32_t payload_bytes = 0;  ///< size of the payload
-  /// Offset of the payload in the sender's arena; kNoArenaOffset means the
+  /// Offset of the payload in arena `arena_token`; kNoArenaOffset means the
   /// frame's payload tail carries it.
   std::uint64_t arena_offset = kNoArenaOffset;
+  /// Token of the arena holding the payload (v8); 0 with a payload tail.
+  std::uint64_t arena_token = 0;
 
   bool operator==(const WireItem&) const = default;
 };
 
-/// A sender's shared payload arena as a same-host peer finds it (v5):
+/// A shared payload arena as a same-host peer finds it (v5):
 /// `/proc/<pid>/fd/<fd>` is a memfd named `aru-arena-<token>` of at least
-/// `size` bytes. A zero token advertises no arena.
+/// `size` bytes. A zero token advertises no arena. Since v8 the process may
+/// be a third one: a server offers a consumer the arena of the producer it
+/// borrowed an item from.
 struct ArenaRef {
   std::int32_t pid = 0;
   std::int32_t fd = -1;
@@ -206,6 +234,9 @@ struct HelloAckMsg {
   std::uint32_t credits = 0;  ///< receiver buffer slack at attach time
   ArenaRef arena;             ///< the server's arena, for a consumer to map
   bool peer_mapped = false;   ///< the server mapped the Hello's arena
+  /// Random id of the server instance (v8). A producer that meets a new one
+  /// knows the server that held its lent slabs is gone.
+  std::uint64_t instance = 0;
 
   bool operator==(const HelloAckMsg&) const = default;
 };
@@ -224,6 +255,10 @@ struct PutAckMsg {
   std::uint64_t cum_seq = 0;  ///< cumulative ack: all seq ≤ this are settled
   std::uint32_t credits = 0;  ///< receiver buffer slack after this ack
   std::vector<Nanos> stp;     ///< channel's full backwardSTP vector
+  /// Put seqs of this producer session whose slabs the server still holds
+  /// views of (v8), at most kMaxLeases: a lent seq up to `cum_seq` that is
+  /// not listed is free to recycle.
+  std::vector<std::uint64_t> held;
 
   bool operator==(const PutAckMsg&) const = default;
 };
@@ -231,7 +266,9 @@ struct PutAckMsg {
 struct GetMsg {
   Nanos consumer_summary{0};            ///< piggy-backed consumer summary-STP
   Timestamp guarantee = kNoTimestamp;   ///< DGC extra guarantee (kNoTimestamp = none)
-  bool arena = false;  ///< the consumer mapped the server's arena on this link (v5)
+  /// Tokens of the arenas the consumer mapped on this link (v8), at most
+  /// kMaxArenas: the server lends only from these.
+  std::vector<std::uint64_t> arenas;
 
   bool operator==(const GetMsg&) const = default;
 };
@@ -250,6 +287,9 @@ struct GetReplyMsg {
   /// Lease pinning the item's arena slab until the consumer releases it
   /// (v6); 0 when the reply holds no lease.
   std::uint64_t lease = 0;
+  /// The arena a tail's bytes live in, when the Get did not name it (v8):
+  /// the consumer may map it and name it in later Gets. Token 0: none.
+  ArenaRef offer;
 
   bool operator==(const GetReplyMsg&) const = default;
 };

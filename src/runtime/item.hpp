@@ -77,6 +77,9 @@ class Item {
   /// borrowed payload is read-only: its mutable view is empty.
   std::span<std::byte> mutable_data() { return data_.span(); }
   std::span<const std::byte> data() const { return data_.span(); }
+  /// The buffer behind data(): whose bytes they are (net/peer_arena.hpp
+  /// lends a borrowed item on by naming its lender's arena).
+  const PayloadBuffer& payload() const { return data_; }
 
  private:
   RunContext& ctx_;

@@ -26,10 +26,11 @@
 /// peer), the recycled slabs are carved from one sealed memfd of
 /// kArenaBytes, mapped once. Its size is fixed and sparse: only slabs in
 /// use or parked hold pages. A same-host peer maps the arena read-only
-/// (net/peer_arena.hpp) and, given a slab's `arena_offset()`, copies a put
-/// straight out of it (one memcpy instead of a TCP stream) or reads a get
-/// reply in place, as a borrowed `PayloadBuffer`, while the serving side
-/// pins the item under a lease (no copy at all). The
+/// (net/peer_arena.hpp) and, given a slab's `arena_offset()`, reads a put
+/// or a get reply in place, as a borrowed `PayloadBuffer`, while the
+/// sending side pins the item under a lease (no copy at all). A server
+/// that borrowed a put lends the same slab on to its consumers, so a frame
+/// crosses two hops without a byte copied (wire v8). The
 /// free lists work as before; a slab released past kMaxParkedBytes has
 /// its pages punched out (its address range stays with its size class
 /// for reuse) instead of being freed. When the arena is full, or memfd is
@@ -132,6 +133,8 @@ class PayloadBuffer {
   std::size_t capacity() const { return capacity_; }
   bool pooled() const { return pool_ != nullptr; }
   bool borrowed() const { return lender_ != nullptr; }
+  /// Who lent a borrowed buffer its bytes; null for an owned one.
+  const PayloadLender* lender() const { return lender_.get(); }
 
   std::span<std::byte> span() {
     return borrowed() ? std::span<std::byte>{} : std::span<std::byte>{data_, size_};

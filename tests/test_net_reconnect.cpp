@@ -796,12 +796,14 @@ bool raw_hung_up(TcpStream& s) {
   return false;
 }
 
-/// A put frame whose item names `offset` of the sender's arena.
-FrameBuf raw_arena_put(std::uint64_t seq, std::uint64_t offset, std::uint32_t bytes) {
+/// A put frame whose item names `offset` of arena `token`.
+FrameBuf raw_arena_put(std::uint64_t seq, std::uint64_t offset, std::uint32_t bytes,
+                       std::uint64_t token) {
   PutMsg m{.seq = seq};
   m.item.ts = static_cast<Timestamp>(seq);
   m.item.payload_bytes = bytes;
   m.item.arena_offset = offset;
+  m.item.arena_token = token;
   return encode(m);
 }
 
@@ -822,11 +824,14 @@ struct ArenaServer {
 };
 
 TEST(ArenaHandoff, OnlyDescriptorsInsideAMappedArenaAreStored) {
+  // Puts that break the rules drop the connection and leave the channel
+  // empty; a valid one is stored as a view of the producer's slab.
   ArenaServer srv;
   PayloadPool pool(/*poison=*/false);
   pool.enable_arena();
   ASSERT_GE(pool.arena().fd, 0) << "memfd arenas unavailable";
   const std::uint64_t size = pool.arena().size;
+  const std::uint64_t token = pool.arena().token;
 
   // Past the arena's end: the offset alone, the length, and wrap-around.
   const std::pair<std::uint64_t, std::uint32_t> out_of_range[] = {
@@ -836,7 +841,7 @@ TEST(ArenaHandoff, OnlyDescriptorsInsideAMappedArenaAreStored) {
     auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
     ASSERT_TRUE(s.has_value());
     ASSERT_TRUE(ack.peer_mapped);
-    ASSERT_EQ(s->send_all(raw_arena_put(1, offset, bytes).span(), seconds(2)),
+    ASSERT_EQ(s->send_all(raw_arena_put(1, offset, bytes, token).span(), seconds(2)),
               IoStatus::kOk);
     EXPECT_TRUE(raw_hung_up(*s)) << "offset " << offset << " + " << bytes;
   }
@@ -846,7 +851,7 @@ TEST(ArenaHandoff, OnlyDescriptorsInsideAMappedArenaAreStored) {
     HelloAckMsg ack;
     auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
     ASSERT_TRUE(s.has_value());
-    FrameBuf frame = raw_arena_put(1, 0, 16);
+    FrameBuf frame = raw_arena_put(1, 0, 16, token);
     const std::uint32_t tail = 16;
     std::memcpy(frame.data.data() + 12, &tail, sizeof(tail));  // header payload_len
     const std::array<std::byte, 16> bytes{};
@@ -855,19 +860,31 @@ TEST(ArenaHandoff, OnlyDescriptorsInsideAMappedArenaAreStored) {
     EXPECT_TRUE(raw_hung_up(*s)) << "a descriptor with a tail must drop the link";
   }
 
+  // A descriptor naming another arena than the one the server mapped.
+  {
+    HelloAckMsg ack;
+    auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
+    ASSERT_TRUE(s.has_value());
+    ASSERT_TRUE(ack.peer_mapped);
+    ASSERT_EQ(s->send_all(raw_arena_put(1, 0, 16, token ^ 1).span(), seconds(2)),
+              IoStatus::kOk);
+    EXPECT_TRUE(raw_hung_up(*s)) << "a descriptor of an unmapped arena must drop the link";
+  }
+
   // A descriptor on a link whose Hello offered no arena.
   {
     HelloAckMsg ack;
     auto s = raw_hello(srv.server.port(), producer_hello(ArenaRef{}), &ack);
     ASSERT_TRUE(s.has_value());
     EXPECT_FALSE(ack.peer_mapped);
-    ASSERT_EQ(s->send_all(raw_arena_put(1, 0, 16).span(), seconds(2)), IoStatus::kOk);
+    ASSERT_EQ(s->send_all(raw_arena_put(1, 0, 16, token).span(), seconds(2)),
+              IoStatus::kOk);
     EXPECT_TRUE(raw_hung_up(*s)) << "no mapping: a descriptor must drop the link";
   }
   EXPECT_EQ(srv.ch.size(), 0u) << "nothing from outside the arena may be stored";
 
-  // The server survived all of it, and a valid descriptor is copied out of
-  // the producer's arena byte for byte.
+  // The server survived all of it, and a valid descriptor is stored as a
+  // view of the producer's slab, byte for byte, charged to nobody here.
   PayloadBuffer slab = pool.acquire(kArenaPayload);
   for (std::size_t i = 0; i < slab.size(); ++i) slab.span()[i] = std::byte(i * 7 + 1);
   const std::uint64_t offset = pool.arena_offset(slab.span().data());
@@ -876,13 +893,15 @@ TEST(ArenaHandoff, OnlyDescriptorsInsideAMappedArenaAreStored) {
   auto s = raw_hello(srv.server.port(), producer_hello(local_arena(pool)), &ack);
   ASSERT_TRUE(s.has_value());
   ASSERT_TRUE(ack.peer_mapped);
-  ASSERT_EQ(s->send_all(raw_arena_put(1, offset, kArenaPayload).span(), seconds(2)),
+  ASSERT_EQ(s->send_all(raw_arena_put(1, offset, kArenaPayload, token).span(), seconds(2)),
             IoStatus::kOk);
   ASSERT_TRUE(raw_await_cum_ack(*s, 1));
   ASSERT_EQ(srv.ch.size(), 1u);
   auto got = srv.ch.get_latest(0, aru::kUnknownStp, kNoTimestamp, {});
   ASSERT_NE(got.item, nullptr);
   ASSERT_EQ(got.item->bytes(), kArenaPayload);
+  EXPECT_EQ(got.item->charged_bytes(), 0u) << "a lent put is charged to its lender only";
+  EXPECT_EQ(srv.rt.memory().total_bytes(), 0);
   EXPECT_TRUE(std::equal(slab.span().begin(), slab.span().end(), got.item->data().begin()))
       << "the stored payload must be the producer's bytes";
 }
@@ -1036,7 +1055,16 @@ struct SpdNodeProc {
   pid_t pid = -1;
   std::uint16_t port = 0;
 
+  /// A channel server hosting "frames" with one remote producer and one
+  /// remote consumer.
   static SpdNodeProc spawn(const std::vector<std::string>& extra_args) {
+    std::vector<std::string> args = {"channels=frames:1:1", "seconds=60", "quiet=true"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    return spawn_with(args);
+  }
+
+  /// spd_node with `args`; its first stdout line is scraped for a port.
+  static SpdNodeProc spawn_with(const std::vector<std::string>& node_args) {
     SpdNodeProc proc;
     int pipefd[2] = {-1, -1};
     if (::pipe(pipefd) != 0) return proc;
@@ -1047,9 +1075,8 @@ struct SpdNodeProc {
     posix_spawn_file_actions_addclose(&actions, pipefd[0]);
     posix_spawn_file_actions_addclose(&actions, pipefd[1]);
 
-    std::vector<std::string> args = {SPD_NODE_PATH, "channels=frames:1:1",
-                                     "seconds=60", "quiet=true"};
-    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    std::vector<std::string> args = {SPD_NODE_PATH};
+    args.insert(args.end(), node_args.begin(), node_args.end());
     std::vector<char*> argv;
     for (auto& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
@@ -1146,8 +1173,11 @@ struct RawLessee {
     if (!released.empty() && !send(encode(ReleaseMsg{.released = std::move(released)}))) {
       return false;
     }
-    return send(encode(GetMsg{.arena = true})) && read_reply(reply, tail);
+    return send(get_frame()) && read_reply(reply, tail);
   }
+
+  /// A Get naming the server's arena, which this lessee mapped.
+  FrameBuf get_frame() const { return encode(GetMsg{.arenas = {arena->ref().token}}); }
 
   bool send(const FrameBuf& frame) {
     return s.send_all(frame.span(), seconds(2)) == IoStatus::kOk;
@@ -1227,10 +1257,12 @@ TEST(ArenaHandoff, UnreleasedLeasesPinAtMostMaxLeasesPerSlot) {
       ASSERT_NE(reply.lease, 0u) << "ts " << ts;
       ASSERT_NE(reply.item.arena_offset, kNoArenaOffset);
       EXPECT_TRUE(tail.empty()) << "a lent reply has no tail";
-      std::vector<std::byte> view(reply.item.payload_bytes);
-      ASSERT_TRUE(c->arena->copy_out(reply.item.arena_offset, view));
-      EXPECT_EQ(view.front(), std::byte(ts));
-      EXPECT_EQ(view.back(), std::byte(ts));
+      EXPECT_EQ(reply.item.arena_token, c->arena->ref().token);
+      const PayloadBuffer view =
+          PeerArena::view(c->arena, reply.item.arena_offset, reply.item.payload_bytes, 0);
+      ASSERT_TRUE(view.borrowed());
+      EXPECT_EQ(view.span().front(), std::byte(ts));
+      EXPECT_EQ(view.span().back(), std::byte(ts));
       lent.push_back(item);
       leases.push_back(reply.lease);
     } else {
@@ -1342,7 +1374,7 @@ TEST(ArenaHandoff, HostileLesseesCannotPinMoreThanMaxLeasesPerSlot) {
 
   // A Get that still carries a v6 released list drops the connection and
   // frees nothing.
-  FrameBuf frame = encode(GetMsg{.arena = true});
+  FrameBuf frame = c->get_frame();
   const std::uint16_t one = 1;
   std::memcpy(frame.data.data() + frame.len, &one, sizeof(one));
   std::memcpy(frame.data.data() + frame.len + 2, &some_lease, sizeof(some_lease));
@@ -1627,7 +1659,7 @@ TEST(ArenaHandoff, HostileFramesDuringAParkedGetAreHandledAsBetweenGets) {
     return f;
   }();
   const std::vector<Case> cases = {
-      {"a second get", [](std::uint64_t) { return encode(GetMsg{.arena = true}); }, true, 2},
+      {"a second get", [](std::uint64_t) { return encode(GetMsg{}); }, true, 2},
       {"a put on a consumer-only link", [](std::uint64_t) { return raw_put_frame(1, 50); },
        true, 2},
       {"unknown lease ids",
@@ -1659,7 +1691,7 @@ TEST(ArenaHandoff, HostileFramesDuringAParkedGetAreHandledAsBetweenGets) {
     ASSERT_EQ(leases_of(srv.rt), 2);
 
     GetReplyMsg reply;
-    ASSERT_TRUE(lessee->send(encode(GetMsg{.arena = true})));  // parks: nothing newer
+    ASSERT_TRUE(lessee->send(lessee->get_frame()));  // parks: nothing newer
     if (c.frame) {
       ASSERT_TRUE(lessee->send(c.frame(first_lease)));
     } else {
@@ -1694,45 +1726,91 @@ TEST(ArenaHandoff, HostileFramesDuringAParkedGetAreHandledAsBetweenGets) {
 }
 
 TEST(ArenaHandoff, FrameRoundTripThroughAChildProcessUsesTheArenas) {
-  // Across a real process boundary on one host: the spd_node child maps
-  // this process's arena to take the put, and this process maps the
-  // child's to take the get reply. The payload comes back byte-exact and
-  // the arena counters carry it on both links.
+  // front → mid → back on one host, mid an spd_node child; front and back
+  // are two runtimes of this process, each with an arena of its own. mid
+  // stores front's puts as views of front's slabs and lends them on: back's
+  // first reply rides the tail and offers front's arena, and every later
+  // one is a view back reads in front's slab. back's leases pin mid's
+  // items, which pin front's slabs; no byte is copied on either hop.
   auto node = SpdNodeProc::spawn({"port=0"});
   ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
   ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
 
-  Runtime rt;
-  RemoteChannel proxy(rt, {.name = "frames",
-                           .transport = fast_transport(node.port),
-                           .producer_key = 0,
-                           .consumer_key = 0});
+  Runtime front_rt;
+  Runtime back_rt;
+  RemoteChannel front(front_rt, {.name = "frames",
+                                 .transport = fast_transport(node.port),
+                                 .producer_key = 0});
+  RemoteChannel back(back_rt, {.name = "frames",
+                               .transport = fast_transport(node.port),
+                               .consumer_key = 0});
+  const std::uint64_t front_token = local_arena(*front_rt.context().pool).token;
+  ASSERT_NE(front_token, 0u) << "memfd arenas unavailable";
   std::stop_source stop;
-  for (Timestamp ts = 0; ts < 3; ++ts) {
-    ASSERT_TRUE(proxy.put(frame_item(rt, ts), stop.get_token()).stored);
-    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
-    const auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token());
-    ASSERT_NE(got.item, nullptr);
-    EXPECT_EQ(got.item->ts(), ts);
-    EXPECT_TRUE(has_frame_pattern(*got.item)) << "ts " << ts;
+
+  constexpr Timestamp kFrames = 4;
+  std::vector<std::shared_ptr<const Item>> held;
+  for (Timestamp ts = 0; ts < kFrames; ++ts) {
+    ASSERT_TRUE(front.put(frame_item(front_rt, ts), stop.get_token()).stored);
+    ASSERT_TRUE(front.drain_puts(stop.get_token()));
+    auto got = back.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->ts(), ts);
+    EXPECT_TRUE(has_frame_pattern(*got)) << "ts " << ts;
+    const PeerArena* arena = PeerArena::lent_from(got->payload());
+    if (ts == 0) {
+      EXPECT_EQ(arena, nullptr) << "back has yet to map front's arena";
+      continue;
+    }
+    ASSERT_NE(arena, nullptr) << "ts " << ts << " was not lent";
+    EXPECT_EQ(arena->ref().token, front_token) << "mid must re-lend front's slab";
+    EXPECT_EQ(arena->ref().pid, ::getpid());
+    held.push_back(std::move(got));
   }
-  const auto counter = [&](const char* name, const char* link) {
+  EXPECT_EQ(back_rt.memory().total_bytes(), 0) << "back's views are front's bytes";
+  const auto counter = [](Runtime& rt, const char* name, const char* link) {
     return rt.metrics().counter(name, "", {{"link", link}}).value();
   };
-  const std::uint64_t payloads = 3 * kFramePayload;
-  EXPECT_EQ(counter("aru_net_arena_bytes_total", "frames/put"), payloads);
-  EXPECT_EQ(counter("aru_net_arena_bytes_total", "frames/get"), payloads);
+  EXPECT_EQ(counter(front_rt, "aru_net_arena_bytes_total", "frames/put"),
+            kFrames * kFramePayload);
+  EXPECT_EQ(counter(back_rt, "aru_net_arena_bytes_total", "frames/get"),
+            (kFrames - 1) * kFramePayload);
   // tx/rx still count the payload bytes, plus envelopes.
-  EXPECT_GE(counter("aru_net_tx_bytes_total", "frames/put"), payloads);
-  EXPECT_GE(counter("aru_net_rx_bytes_total", "frames/get"), payloads);
-  rt.stop();
+  EXPECT_GE(counter(front_rt, "aru_net_tx_bytes_total", "frames/put"), kFrames * kFramePayload);
+  EXPECT_GE(counter(back_rt, "aru_net_rx_bytes_total", "frames/get"), kFrames * kFramePayload);
+  // back's views pin front's slabs through mid: the last ack listed them.
+  EXPECT_GE(front_rt.metrics().gauge("aru_net_put_leases", "", {{"link", "frames/put"}}).value(),
+            static_cast<std::int64_t>(held.size()) - 1);
+  held.clear();
+  back_rt.stop();
+  front_rt.stop();
+}
+
+/// The frame pattern of `ts` (see has_frame_pattern), as a payload tail.
+std::vector<std::byte> frame_bytes(Timestamp ts) {
+  std::vector<std::byte> bytes(kFramePayload);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = std::byte(static_cast<unsigned>(i * 31 + static_cast<std::size_t>(ts)));
+  }
+  return bytes;
+}
+
+/// Sends a kFramePayload tail put of `ts` on a raw producer link.
+bool raw_tail_put(TcpStream& s, std::uint64_t seq, Timestamp ts) {
+  PutMsg m{.seq = seq};
+  m.item.ts = ts;
+  m.item.payload_bytes = static_cast<std::uint32_t>(kFramePayload);
+  const std::vector<std::byte> bytes = frame_bytes(ts);
+  return s.send_all(encode(m).span(), seconds(2)) == IoStatus::kOk &&
+         s.send_all(bytes, seconds(2)) == IoStatus::kOk && raw_await_cum_ack(s, seq);
 }
 
 TEST(ArenaHandoff, ViewsOfASigkilledLenderStayByteExact) {
   // Borrowed replies view the child's arena through this process's own
   // mapping, which outlives the child: SIGKILL must not fault them or
   // change a byte, and dropping them afterwards releases into a link
-  // whose peer is gone, harmlessly.
+  // whose peer is gone, harmlessly. A raw producer sends the frames as
+  // payload tails, so they land in the child's own slabs.
   auto node = SpdNodeProc::spawn({"port=0"});
   ASSERT_GT(node.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
   ASSERT_NE(node.port, 0) << "could not scrape the spd_node port";
@@ -1740,16 +1818,21 @@ TEST(ArenaHandoff, ViewsOfASigkilledLenderStayByteExact) {
   Runtime rt;
   RemoteChannel proxy(rt, {.name = "frames",
                            .transport = fast_transport(node.port),
-                           .producer_key = 0,
                            .consumer_key = 0});
+  auto producer = raw_hello(node.port, HelloMsg{.channel = "frames",
+                                                .producer_key = 0,
+                                                .session = 0x7A11,
+                                                .start_seq = 1});
+  ASSERT_TRUE(producer.has_value());
   std::stop_source stop;
   std::vector<std::shared_ptr<const Item>> held;
   for (Timestamp ts = 0; ts < 4; ++ts) {
-    ASSERT_TRUE(proxy.put(frame_item(rt, ts), stop.get_token()).stored);
-    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+    ASSERT_TRUE(raw_tail_put(*producer, static_cast<std::uint64_t>(ts) + 1, ts));
     auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token());
     ASSERT_NE(got.item, nullptr);
-    EXPECT_EQ(got.item->charged_bytes(), 0u) << "ts " << ts << " was not borrowed";
+    const PeerArena* arena = PeerArena::lent_from(got.item->payload());
+    ASSERT_NE(arena, nullptr) << "ts " << ts << " was not borrowed";
+    EXPECT_EQ(arena->ref().pid, node.pid) << "the view must be of the child's arena";
     held.push_back(std::move(got.item));
   }
   EXPECT_EQ(rt.memory().total_bytes(), 0) << "the views are the child's bytes";
@@ -1759,6 +1842,471 @@ TEST(ArenaHandoff, ViewsOfASigkilledLenderStayByteExact) {
   }
   held.clear();
   rt.stop();
+}
+
+// -- lent puts (wire v8) ------------------------------------------------------
+
+std::int64_t put_leases_of(Runtime& rt) {
+  return rt.metrics().gauge("aru_net_put_leases", "", {{"link", "frames/put"}}).value();
+}
+
+TEST(ArenaHandoff, PutsToAServerThatNeverReleasesPinAtMostMaxLeases) {
+  // The served channel's only consumer never reads, so the server holds a
+  // view of every lent put for good. The producer lends kMaxLeases slabs,
+  // then sends payload tails, which the server stores byte for byte in its
+  // own slabs.
+  ArenaServer srv;
+  Runtime front;
+  RemoteChannel proxy(front, {.name = "frames",
+                              .transport = fast_transport(srv.server.port()),
+                              .producer_key = 0});
+  std::stop_source stop;
+  constexpr auto kPuts = static_cast<Timestamp>(kMaxLeases) + 4;
+  std::vector<std::weak_ptr<Item>> sent;
+  for (Timestamp ts = 0; ts < kPuts; ++ts) {
+    auto item = frame_item(front, ts);
+    sent.push_back(item);
+    ASSERT_TRUE(proxy.put(std::move(item), stop.get_token()).stored);
+    ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  }
+  EXPECT_EQ(put_leases_of(front), static_cast<std::int64_t>(kMaxLeases));
+  ASSERT_EQ(srv.ch.size(), static_cast<std::size_t>(kPuts));
+  for (Timestamp ts = 0; ts < kPuts; ++ts) {
+    const bool lent = ts < static_cast<Timestamp>(kMaxLeases);
+    EXPECT_EQ(sent[static_cast<std::size_t>(ts)].expired(), !lent)
+        << "ts " << ts << ": only a lent slab stays pinned past its ack";
+    const auto got = srv.ch.get_at(0, ts, aru::kUnknownStp);
+    ASSERT_NE(got.item, nullptr) << "ts " << ts;
+    EXPECT_EQ(PeerArena::lent_from(got.item->payload()) != nullptr, lent) << "ts " << ts;
+    EXPECT_TRUE(has_frame_pattern(*got.item)) << "ts " << ts;
+  }
+  EXPECT_EQ(srv.rt.memory().total_bytes(), static_cast<std::int64_t>(4 * kFramePayload))
+      << "the server charges the tails it stored, not the slabs it borrows";
+  front.stop();
+}
+
+TEST(ArenaHandoff, PutLeaseGaugeReturnsToZeroOnceTheChannelLetsGo) {
+  ArenaServer srv;
+  Runtime front;
+  RemoteChannel proxy(front, {.name = "frames",
+                              .transport = fast_transport(srv.server.port()),
+                              .producer_key = 0});
+  std::stop_source stop;
+  for (Timestamp ts = 0; ts < 5; ++ts) {
+    ASSERT_TRUE(proxy.put(frame_item(front, ts), stop.get_token()).stored);
+  }
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  EXPECT_EQ(put_leases_of(front), 5) << "the channel holds every frame";
+  EXPECT_EQ(front.memory().total_bytes(), static_cast<std::int64_t>(5 * kFramePayload))
+      << "a lent slab stays charged to its lender";
+
+  // A small put (a tail) becomes the latest item; reading it lets the
+  // channel's GC drop every frame, and the next ack lists none.
+  ASSERT_TRUE(proxy.put(make_item(front, 5), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  ASSERT_NE(srv.ch.get_latest(0, aru::kUnknownStp, kNoTimestamp, {}).item, nullptr);
+  ASSERT_TRUE(proxy.put(make_item(front, 6), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  EXPECT_EQ(put_leases_of(front), 0);
+  EXPECT_EQ(front.memory().total_bytes(), 0) << "released slabs must be let go";
+  front.stop();
+}
+
+/// A fake server for one producer link, scripted by the test: it answers
+/// each Hello with `instance`, reads put frames (tails included) and sends
+/// whatever ack the test hands it.
+struct FakePutServer {
+  TcpListener listener = *TcpListener::listen(0);
+  std::optional<TcpStream> s;
+
+  bool attach(std::uint64_t instance) {
+    s.reset();  // a hang-up: the producer redials
+    s = listener.accept(seconds(5));
+    FrameHeader h;
+    std::vector<std::byte> body;
+    if (!s || !raw_read_frame(*s, h, body) || h.type != MsgType::kHello) return false;
+    return s->send_all(
+               encode(HelloAckMsg{.ok = true, .credits = 64, .peer_mapped = true,
+                                  .instance = instance})
+                   .span(),
+               seconds(2)) == IoStatus::kOk;
+  }
+
+  /// Reads the next put; its seq and whether it named an arena go out.
+  bool read_put(std::uint64_t* seq, bool* lent) {
+    FrameHeader h;
+    std::vector<std::byte> body;
+    PutMsg put;
+    if (!raw_read_frame(*s, h, body) || h.type != MsgType::kPut ||
+        !decode(std::span<const std::byte>(body), put, nullptr)) {
+      return false;
+    }
+    std::vector<std::byte> tail(h.payload_len);
+    if (!tail.empty() && s->recv_exact(tail, seconds(2)) != IoStatus::kOk) return false;
+    *seq = put.seq;
+    *lent = put.item.arena_offset != kNoArenaOffset;
+    return true;
+  }
+
+  bool ack(const FrameBuf& frame) { return s->send_all(frame.span(), seconds(2)) == IoStatus::kOk; }
+};
+
+/// A put ack whose held list claims kMaxLeases + 1 seqs, all present.
+FrameBuf overlong_held_ack(std::uint64_t cum_seq) {
+  PutAckMsg ack{.cum_seq = cum_seq, .credits = 64};
+  ack.held.assign(kMaxLeases, cum_seq);
+  FrameBuf frame = encode(ack);
+  const auto forged = static_cast<std::uint16_t>(kMaxLeases + 1);
+  std::memcpy(frame.data.data() + frame.len - 2 - 8 * kMaxLeases, &forged, sizeof(forged));
+  std::memcpy(frame.data.data() + frame.len, &cum_seq, sizeof(cum_seq));
+  frame.len += 8;
+  const auto body_len = static_cast<std::uint32_t>(frame.len - kHeaderBytes);
+  std::memcpy(frame.data.data() + 4, &body_len, sizeof(body_len));
+  return frame;
+}
+
+TEST(ArenaHandoff, HeldListsFromAHostileServerAreHandledWithoutHarm) {
+  // Unknown and repeated seqs change nothing; an over-long list drops the
+  // link but keeps every pin, since a hang-up says nothing about the
+  // server's views; a reconnect to the same instance settles them by its
+  // next list; a HelloAck from another instance ends them all.
+  FakePutServer fake;
+  Runtime front;
+  auto owned = std::make_unique<RemoteChannel>(
+      front, RemoteChannelConfig{.name = "frames",
+                                 .transport = fast_transport(fake.listener.port()),
+                                 .producer_key = 0});
+  RemoteChannel& proxy = *owned;
+  std::stop_source stop;
+  std::vector<std::weak_ptr<Item>> sent;
+  const auto put_frame = [&](Timestamp ts) {
+    auto item = frame_item(front, ts);
+    sent.push_back(item);
+    return proxy.put(std::move(item), stop.get_token()).stored;
+  };
+  std::atomic<bool> scripted{true};
+  std::thread server([&] {
+    std::uint64_t seq = 0;
+    bool lent = false;
+    scripted = fake.attach(7) &&
+               // seq 1: held, listed with an unknown seq, twice.
+               fake.read_put(&seq, &lent) && seq == 1 && lent &&
+               fake.ack(encode(PutAckMsg{.cum_seq = 1, .credits = 64, .held = {1, 999, 1, 999}})) &&
+               // seq 2: held; seq 1 is no longer listed.
+               fake.read_put(&seq, &lent) && seq == 2 && lent &&
+               fake.ack(encode(PutAckMsg{.cum_seq = 2, .credits = 64, .held = {2, 2}})) &&
+               // seq 3: an over-long list. The client hangs up and comes
+               // back to the same instance with seq 3 again, still lent.
+               fake.read_put(&seq, &lent) && seq == 3 && lent &&
+               fake.ack(overlong_held_ack(3)) && fake.attach(7) &&
+               fake.read_put(&seq, &lent) && seq == 3 && lent &&
+               fake.ack(encode(PutAckMsg{.cum_seq = 3, .credits = 64, .held = {2}})) &&
+               // Another instance: whatever the old one held is gone.
+               fake.read_put(&seq, &lent) && seq == 4 && fake.attach(8);
+    while (scripted && fake.read_put(&seq, &lent)) {
+      fake.ack(encode(PutAckMsg{.cum_seq = seq, .credits = 64}));
+    }
+  });
+
+  ASSERT_TRUE(put_frame(1));
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  EXPECT_FALSE(sent[0].expired()) << "a listed seq stays pinned";
+  EXPECT_EQ(put_leases_of(front), 1);
+
+  ASSERT_TRUE(put_frame(2));
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  EXPECT_TRUE(sent[0].expired()) << "a seq the ack covers but does not list is free";
+  EXPECT_FALSE(sent[1].expired());
+  EXPECT_EQ(put_leases_of(front), 1);
+
+  ASSERT_TRUE(put_frame(3));
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token())) << "the resent put was never acked";
+  EXPECT_GE(proxy.reconnects(), 1) << "an over-long list must drop the link";
+  EXPECT_FALSE(sent[1].expired()) << "a hang-up must keep the pins";
+  EXPECT_TRUE(sent[2].expired());
+  EXPECT_EQ(put_leases_of(front), 1);
+
+  // The fake takes seq 4 without acking it and hangs up; the producer's
+  // next attach meets instance 8 and forgets what instance 7 held.
+  ASSERT_TRUE(put_frame(4));
+  EXPECT_TRUE(proxy.drain_puts(stop.get_token()));
+  EXPECT_TRUE(scripted.load());
+  EXPECT_TRUE(sent[1].expired()) << "a new server instance holds none of our slabs";
+  EXPECT_EQ(put_leases_of(front), 0);
+  owned.reset();  // hangs up: the fake's read loop ends
+  server.join();
+  front.stop();
+}
+
+/// A loopback TCP relay that can cut the connection it carries: the client
+/// redials through it to the same server, which is how a same-session
+/// reconnect to a live server is staged. One thread, polling both ends.
+struct Relay {
+  TcpListener listener = *TcpListener::listen(0);
+  const std::uint16_t upstream;
+  std::atomic<int> cuts{0};
+  std::atomic<bool> stop{false};
+  std::thread thread;
+
+  explicit Relay(std::uint16_t server) : upstream(server), thread([this] { run(); }) {}
+  ~Relay() {
+    stop = true;
+    thread.join();
+  }
+  void cut() { ++cuts; }
+
+  void run() {
+    std::vector<std::byte> buf(std::size_t{64} << 10);
+    while (!stop.load()) {
+      auto client = listener.accept(millis(20));
+      if (!client) continue;
+      auto server = TcpStream::connect("127.0.0.1", upstream, seconds(2));
+      if (!server) continue;
+      const int cut_at = cuts.load();
+      bool open = true;
+      while (open && !stop.load() && cuts.load() == cut_at) {
+        bool moved = false;
+        for (auto [from, to] : {std::pair{&*client, &*server}, std::pair{&*server, &*client}}) {
+          if (!open || !from->readable(Nanos{0})) continue;
+          std::size_t n = 0;
+          open = from->recv_some(buf, &n, seconds(1)) == IoStatus::kOk && n > 0 &&
+                 to->send_all(std::span(buf).first(n), seconds(2)) == IoStatus::kOk;
+          moved = true;
+        }
+        if (!moved) std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }  // both ends close here
+  }
+};
+
+TEST(ArenaHandoff, LentPutStaysUnrecycledAcrossASameSessionReconnect) {
+  // The server keeps holding its view of a lent put when the producer's
+  // link drops, so the producer must keep the slab pinned through the
+  // reconnect while it recycles 300 frame slabs around it; the pin ends
+  // once the server lets go, on an ack of the new connection.
+  ArenaServer srv;
+  Relay relay(srv.server.port());
+  Runtime front;
+  RemoteChannel proxy(front, {.name = "frames",
+                              .transport = fast_transport(relay.listener.port()),
+                              .producer_key = 0});
+  std::stop_source stop;
+  auto first = frame_item(front, 0);
+  const std::weak_ptr<Item> first_weak = first;
+  ASSERT_TRUE(proxy.put(std::move(first), stop.get_token()).stored);
+  ASSERT_TRUE(proxy.drain_puts(stop.get_token()));
+  auto held = srv.ch.get_latest(0, aru::kUnknownStp, kNoTimestamp, {}).item;
+  ASSERT_NE(held, nullptr);
+  ASSERT_NE(PeerArena::lent_from(held->payload()), nullptr) << "the put must be lent";
+
+  relay.cut();
+  Timestamp seen = held->ts();
+  for (Timestamp ts = 1; ts <= 300; ++ts) {
+    proxy.put(frame_item(front, ts), stop.get_token());  // a put on the dead link drops
+    if (srv.ch.latest_ts() > seen) {  // read what arrived, so GC lets the views die
+      seen = srv.ch.get_latest(0, aru::kUnknownStp, kNoTimestamp, {}).item->ts();
+    }
+    if (ts % 50 == 0) {
+      EXPECT_TRUE(proxy.drain_puts(stop.get_token()));
+      EXPECT_TRUE(has_frame_pattern(*held)) << "ts " << ts;
+      EXPECT_FALSE(first_weak.expired()) << "ts " << ts;
+    }
+  }
+  EXPECT_GE(proxy.reconnects(), 1) << "the cut must have forced a reconnect";
+  EXPECT_TRUE(has_frame_pattern(*held)) << "a held view must survive slab recycling";
+  EXPECT_EQ(srv.rt.memory().total_bytes(), 0) << "lent puts are charged to front only";
+
+  held.reset();
+  EXPECT_TRUE(await(front, [&] {
+    proxy.put(make_item(front, 1000), stop.get_token());
+    proxy.drain_puts(stop.get_token());
+    return first_weak.expired();
+  })) << "the pin must end once the server lets go";
+  front.stop();
+}
+
+TEST(ArenaHandoff, OfferedArenasThatFailToMapRideTheTail) {
+  // A hostile server offers a consumer arenas it must not map: a wrong
+  // token, a FIFO, another process's descriptor. Every check fails, so the
+  // link never names them and their items keep arriving as tails, byte for
+  // byte. A good offer is mapped and named in the next Get, and a reply
+  // lent from it is read in place and released when its view dies.
+  PayloadPool pool(/*poison=*/false);
+  pool.enable_arena();
+  const ArenaRef good = local_arena(pool);
+  ASSERT_NE(good.token, 0u) << "memfd arenas unavailable";
+  const std::string fifo = testing::TempDir() + "/offer_fifo_" + std::to_string(::getpid());
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const int fifo_fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  ASSERT_GE(fifo_fd, 0);
+  ArenaRef wrong_token = good;
+  wrong_token.token ^= 1;
+  ArenaRef not_memfd = good;
+  not_memfd.fd = fifo_fd;
+  not_memfd.token = good.token ^ 2;
+  ArenaRef other_pid = good;
+  other_pid.pid = 1;
+  other_pid.token = good.token ^ 3;
+  const std::array<ArenaRef, 3> bad = {wrong_token, not_memfd, other_pid};
+  PayloadBuffer slab = pool.acquire(kFramePayload);
+  const std::vector<std::byte> lent_bytes = frame_bytes(4);
+  std::ranges::copy(lent_bytes, slab.span().begin());
+
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.has_value());
+  std::vector<std::vector<std::uint64_t>> named;  // each Get's arena list
+  std::atomic<bool> released{false};
+  std::thread server([&] {
+    auto s = listener->accept(seconds(5));
+    FrameHeader h;
+    std::vector<std::byte> body;
+    if (!s || !raw_read_frame(*s, h, body) || h.type != MsgType::kHello ||
+        s->send_all(encode(HelloAckMsg{.ok = true, .instance = 1}).span(), seconds(2)) !=
+            IoStatus::kOk) {
+      return;
+    }
+    // Reads up to the next frame of `type`; a release is noted on the way.
+    const auto next = [&](MsgType type) {
+      while (raw_read_frame(*s, h, body)) {
+        ReleaseMsg release;
+        if (h.type == MsgType::kRelease &&
+            decode(std::span<const std::byte>(body), release, nullptr) &&
+            release.released == std::vector<std::uint64_t>{1}) {
+          released = true;
+        }
+        if (h.type == type) return true;
+      }
+      return false;
+    };
+    for (Timestamp ts = 0; ts < 5; ++ts) {
+      GetMsg get;
+      if (!next(MsgType::kGet) || !decode(std::span<const std::byte>(body), get, nullptr)) return;
+      named.push_back(get.arenas);
+      GetReplyMsg reply{.has_item = true};
+      reply.item.ts = ts;
+      reply.item.payload_bytes = static_cast<std::uint32_t>(kFramePayload);
+      std::vector<std::byte> tail;
+      if (ts < 4) {
+        reply.offer = ts < 3 ? bad[static_cast<std::size_t>(ts)] : good;
+        tail = frame_bytes(ts);
+      } else {
+        reply.item.arena_offset = pool.arena_offset(slab.span().data());
+        reply.item.arena_token = good.token;
+        reply.lease = 1;
+      }
+      if (s->send_all(encode(reply).span(), seconds(2)) != IoStatus::kOk ||
+          (!tail.empty() && s->send_all(tail, seconds(2)) != IoStatus::kOk)) {
+        return;
+      }
+    }
+    while (!released.load() && next(MsgType::kRelease)) {
+    }
+  });
+
+  Runtime back;
+  RemoteChannel proxy(back, {.name = "frames",
+                             .transport = fast_transport(listener->port()),
+                             .consumer_key = 0});
+  std::stop_source stop;
+  for (Timestamp ts = 0; ts < 4; ++ts) {
+    const auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->ts(), ts);
+    EXPECT_FALSE(got->payload().borrowed()) << "ts " << ts << " must ride the tail";
+    EXPECT_TRUE(has_frame_pattern(*got)) << "ts " << ts;
+  }
+  auto lent = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+  ASSERT_NE(lent, nullptr);
+  ASSERT_NE(PeerArena::lent_from(lent->payload()), nullptr) << "the good arena must be mapped";
+  EXPECT_TRUE(has_frame_pattern(*lent));
+  lent.reset();
+  server.join();
+  EXPECT_TRUE(released.load()) << "the lent reply's lease must come back";
+
+  ASSERT_EQ(named.size(), 5u);
+  for (std::size_t i = 0; i < named.size(); ++i) {
+    for (const ArenaRef& b : bad) {
+      EXPECT_EQ(std::ranges::count(named[i], b.token), 0) << "Get " << i << " named a bad arena";
+    }
+    EXPECT_EQ(std::ranges::count(named[i], good.token), i == 4 ? 1 : 0) << "Get " << i;
+  }
+  back.stop();
+  ::close(fifo_fd);
+  ::unlink(fifo.c_str());
+}
+
+TEST(ArenaHandoff, ViewsOfASigkilledProducerStayByteExact) {
+  // front is an spd_node child running the tracker's digitizer; mid is a
+  // served "frames" channel in this process, back a second runtime here.
+  // mid stores front's frames as views of front's arena and re-lends them
+  // to back. SIGKILL front while both hold views: every view keeps its
+  // bytes, since a memfd mapping outlives the arena's owner.
+  Runtime mid;
+  Channel& ch = mid.add_channel({.name = "frames", .capacity = 4});
+  ChannelServer server(mid, {{.channel = &ch, .remote_producers = 1, .remote_consumers = 1}});
+  server.start();
+  const auto free_port = [] { return TcpListener::listen(0)->port(); };
+  const std::string manifest =
+      testing::TempDir() + "/sigkill_front_" + std::to_string(::getpid()) + ".manifest";
+  {
+    std::FILE* f = std::fopen(manifest.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f,
+                 "pipeline=tracker\naru=min\nseed=5\nscale=0.25\nstride=8\n"
+                 "node.front=127.0.0.1:%u\nnode.mid=127.0.0.1:%u\nnode.back=127.0.0.1:%u\n"
+                 "place.digitizer=front\nplace.frames=mid\nplace.masks=mid\n"
+                 "place.hists=mid\nplace.background=mid\nplace.histogram=mid\n"
+                 "place.detect1=back\nplace.detect2=back\nplace.loc1=back\n"
+                 "place.loc2=back\nplace.gui=back\n",
+                 static_cast<unsigned>(free_port()), static_cast<unsigned>(server.port()),
+                 static_cast<unsigned>(free_port()));
+    std::fclose(f);
+  }
+  auto front = SpdNodeProc::spawn_with({"manifest=" + manifest, "node=front", "seconds=60",
+                                        "quiet=true", "metrics_port=0"});
+  ASSERT_GT(front.pid, 0) << "failed to spawn " << SPD_NODE_PATH;
+
+  Runtime back;
+  RemoteChannel proxy(back, {.name = "frames",
+                             .transport = fast_transport(server.port()),
+                             .consumer_key = 0});
+  std::stop_source stop;
+  const auto of_front = [&](const std::shared_ptr<const Item>& item) {
+    const PeerArena* arena = item ? PeerArena::lent_from(item->payload()) : nullptr;
+    return arena != nullptr && arena->ref().pid == front.pid;
+  };
+  // back's views, and mid's own stored items: each a view of front's
+  // arena, back's through mid's re-lending. mid's is taken from the
+  // channel once the next frame is in, before back reads it.
+  std::vector<std::shared_ptr<const Item>> views;
+  const Nanos deadline = back.clock().now() + seconds(10);
+  while (views.size() < 6 && back.clock().now() < deadline) {
+    auto got = proxy.get_latest(millis(1), kNoTimestamp, stop.get_token()).item;
+    if (!of_front(got)) continue;
+    while (ch.latest_ts() <= got->ts() && back.clock().now() < deadline) {
+      back.clock().sleep_for(micros(100));
+    }
+    auto own = ch.get_at(0, ch.latest_ts(), aru::kUnknownStp).item;
+    if (!of_front(own)) continue;
+    views.push_back(std::move(got));
+    views.push_back(std::move(own));
+  }
+  ASSERT_EQ(views.size(), 6u) << "mid never re-lent a frame it stored as a view of front's";
+  EXPECT_EQ(back.memory().total_bytes(), 0);
+  std::vector<std::vector<std::byte>> before;
+  for (const auto& v : views) before.emplace_back(v->data().begin(), v->data().end());
+
+  front.kill_hard();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(views[i]->data(), before[i]))
+        << (i % 2 == 0 ? "back's" : "mid's") << " view of ts " << views[i]->ts();
+  }
+  views.clear();
+  back.stop();
+  server.stop();
+  ::unlink(manifest.c_str());
 }
 
 TEST(NetReconnect, SurvivesServerProcessKillAndRestart) {

@@ -59,7 +59,11 @@ TEST(Stress, ManyProducersManyConsumersOnOneChannel) {
         }
       });
     }
-  }  // join producers
+    // Join without requesting stop, as for the consumers below: a jthread
+    // destructor requests stop first, and a producer not yet scheduled
+    // would then put nothing at all.
+    for (std::jthread& t : producers) t.join();
+  }
   done = true;
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ch->close();

@@ -62,8 +62,12 @@ WireItem random_item(Xoshiro256& rng, std::size_t max_payload = 1 << 20) {
                             static_cast<std::int64_t>(rng.next()));
   }
   item.payload_bytes = static_cast<std::uint32_t>(rng.below(max_payload + 1));
-  // Half the items name an arena offset (wire v5) instead of a tail.
-  if (rng.below(2) == 1) item.arena_offset = rng.next() >> 1;
+  // Half the items name an offset in an arena (wire v5), and the arena's
+  // token (v8), instead of a tail.
+  if (rng.below(2) == 1) {
+    item.arena_offset = rng.next() >> 1;
+    item.arena_token = rng.next();
+  }
   return item;
 }
 
@@ -82,6 +86,13 @@ ArenaRef random_arena(Xoshiro256& rng) {
           .fd = static_cast<std::int32_t>(rng.next()),
           .token = rng.next(),
           .size = rng.next()};
+}
+
+/// Up to kMaxArenas arena tokens (wire v8).
+std::vector<std::uint64_t> random_tokens(Xoshiro256& rng) {
+  std::vector<std::uint64_t> tokens(rng.below(kMaxArenas + 1));
+  for (auto& t : tokens) t = rng.next();
+  return tokens;
 }
 
 /// The payload tail a frame's header must announce for a given message:
@@ -160,7 +171,8 @@ TEST(Wire, HelloAckRoundTripRandomized) {
                                  .message = random_name(rng, kMaxNameBytes),
                                  .credits = static_cast<std::uint32_t>(rng.next()),
                                  .arena = random_arena(rng),
-                                 .peer_mapped = rng.below(2) == 1},
+                                 .peer_mapped = rng.below(2) == 1,
+                                 .instance = rng.next()},
                      MsgType::kHelloAck);
   }
 }
@@ -182,7 +194,8 @@ TEST(Wire, PutAckRoundTripRandomized) {
                                .summary = Nanos{static_cast<std::int64_t>(rng.next() >> 8)},
                                .cum_seq = rng.next(),
                                .credits = static_cast<std::uint32_t>(rng.next()),
-                               .stp = random_stp(rng, rng.below(kMaxStpSlots + 1))},
+                               .stp = random_stp(rng, rng.below(kMaxStpSlots + 1)),
+                               .held = random_leases(rng)},
                      MsgType::kPutAck);
   }
 }
@@ -192,7 +205,7 @@ TEST(Wire, GetRoundTripRandomized) {
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(GetMsg{.consumer_summary = Nanos{static_cast<std::int64_t>(rng.next())},
                             .guarantee = static_cast<Timestamp>(rng.next() >> 4),
-                            .arena = rng.below(2) == 1},
+                            .arenas = random_tokens(rng)},
                      MsgType::kGet);
   }
 }
@@ -210,6 +223,7 @@ TEST(Wire, GetReplyRoundTripRandomized) {
                   .stp = random_stp(rng, rng.below(kMaxStpSlots + 1)),
                   .lease = rng.below(3) == 0 ? 0 : rng.next()};
     if (m.has_item) m.item = random_item(rng);
+    if (rng.below(2) == 1) m.offer = random_arena(rng);
     expect_roundtrip(m, MsgType::kGetReply);
   }
 }
@@ -239,13 +253,24 @@ TEST(Wire, LeaseFieldsRoundTripAtTheirBounds) {
   GetReplyMsg reply{.has_item = true, .lease = ~std::uint64_t{0}};
   reply.item.payload_bytes = 1 << 20;
   reply.item.arena_offset = 4096;
+  reply.item.arena_token = ~std::uint64_t{0};
   expect_roundtrip(reply, MsgType::kGetReply);
-  // The lease is the envelope's last field: a reply without one ends in
-  // eight zero bytes.
+  // The lease comes right before the offer (24 bytes, v8): a reply without
+  // one has eight zero bytes there.
   const FrameBuf plain = encode(GetReplyMsg{});
-  for (std::size_t i = plain.len - 8; i < plain.len; ++i) {
+  for (std::size_t i = plain.len - 32; i < plain.len - 24; ++i) {
     EXPECT_EQ(plain.data[i], std::byte{0});
   }
+
+  // A put ack's held list and a get's arena list, full and empty.
+  PutAckMsg ack;
+  for (std::uint64_t i = 0; i < kMaxLeases; ++i) ack.held.push_back(i + 1);
+  expect_roundtrip(ack, MsgType::kPutAck);
+  expect_roundtrip(PutAckMsg{.held = {3, 3}}, MsgType::kPutAck);
+  GetMsg get;
+  for (std::uint64_t i = 0; i < kMaxArenas; ++i) get.arenas.push_back(~i);
+  expect_roundtrip(get, MsgType::kGet);
+  expect_roundtrip(GetMsg{}, MsgType::kGet);
 }
 
 TEST(Wire, OverlongReleasedListIsRejected) {
@@ -275,15 +300,40 @@ TEST(Wire, OverlongReleasedListIsRejected) {
   std::memcpy(body.data() + count_at, &huge, sizeof(huge));
   EXPECT_FALSE(decode(body, out, &err));
 
-  // A get carries no list since v7: a v6-style one is trailing garbage.
-  const FrameBuf get = encode(GetMsg{.arena = true});
-  std::vector<std::byte> v6_get(get.span().begin() + kHeaderBytes, get.span().end());
-  const std::array<std::byte, 10> one_id = {std::byte{1}, std::byte{0}, std::byte{9}};
-  v6_get.insert(v6_get.end(), one_id.begin(), one_id.end());
+  // The v8 lists have caps of their own: a put ack's held seqs
+  // (kMaxLeases) and a get's arena tokens (kMaxArenas).
+  PutAckMsg over_ack;
+  over_ack.held.assign(kMaxLeases + 1, 1);
+  EXPECT_THROW(encode(over_ack), std::length_error);
+  GetMsg over_get;
+  over_get.arenas.assign(kMaxArenas + 1, 1);
+  EXPECT_THROW(encode(over_get), std::length_error);
+
+  PutAckMsg ack;
+  ack.held.assign(kMaxLeases, 5);
+  const FrameBuf ack_frame = encode(ack);
+  std::vector<std::byte> ack_body(ack_frame.span().begin() + kHeaderBytes,
+                                  ack_frame.span().end());
+  const std::size_t held_at = ack_body.size() - 2 - 8 * kMaxLeases;
+  ack_body.at(held_at) = static_cast<std::byte>(forged & 0xFF);
+  ack_body.at(held_at + 1) = static_cast<std::byte>(forged >> 8);
+  for (int i = 0; i < 8; ++i) ack_body.push_back(std::byte{5});
+  PutAckMsg ack_out;
+  err.clear();
+  EXPECT_FALSE(decode(ack_body, ack_out, &err));
+  EXPECT_NE(err.find("kMaxLeases"), std::string::npos) << err;
+
+  GetMsg get;
+  get.arenas.assign(kMaxArenas, 9);
+  const FrameBuf get_frame = encode(get);
+  std::vector<std::byte> get_body(get_frame.span().begin() + kHeaderBytes,
+                                  get_frame.span().end());
+  get_body.at(16) = static_cast<std::byte>(kMaxArenas + 1);  // count, low byte
+  for (int i = 0; i < 8; ++i) get_body.push_back(std::byte{9});
   GetMsg get_out;
   err.clear();
-  EXPECT_FALSE(decode(v6_get, get_out, &err));
-  EXPECT_FALSE(err.empty());
+  EXPECT_FALSE(decode(get_body, get_out, &err));
+  EXPECT_NE(err.find("kMaxArenas"), std::string::npos) << err;
 }
 
 TEST(Wire, LeaseFieldsSurviveTruncationAndGarbage) {
@@ -344,8 +394,13 @@ TEST(Wire, EnvelopesNeverExceedTheStackBufferCap) {
                     .waited = Nanos{-1},
                     .stp = stp};
   reply.item = item;
+  reply.offer = ArenaRef{.pid = -1, .fd = -1, .token = ~std::uint64_t{0}, .size = ~std::uint64_t{0}};
   const FrameBuf get_reply = encode(reply);
   EXPECT_LE(get_reply.len - kHeaderBytes, kMaxEnvelopeBytes);
+
+  PutAckMsg ack{.summary = Nanos{-1}, .stp = stp};
+  ack.held.assign(kMaxLeases, ~std::uint64_t{0});
+  EXPECT_LE(encode(ack).len - kHeaderBytes, kMaxEnvelopeBytes);
 }
 
 TEST(Wire, PayloadLenRidesTheHeaderNotTheEnvelope) {
@@ -454,14 +509,16 @@ TEST(Wire, TruncatedBodiesNeverCrash) {
   expect_truncation_safe<PutAckMsg>(encode(PutAckMsg{.summary = millis(2),
                                                      .cum_seq = 99,
                                                      .credits = 5,
-                                                     .stp = random_stp(rng, 3)}));
+                                                     .stp = random_stp(rng, 3),
+                                                     .held = {97, 98}}));
   expect_truncation_safe<GetMsg>(
-      encode(GetMsg{.consumer_summary = millis(4), .guarantee = 17}));
+      encode(GetMsg{.consumer_summary = millis(4), .guarantee = 17, .arenas = {1, 2}}));
   GetReplyMsg reply{.has_item = true,
                     .skipped = 2,
                     .summary = millis(9),
                     .waited = millis(3),
-                    .stp = random_stp(rng, 4)};
+                    .stp = random_stp(rng, 4),
+                    .offer = random_arena(rng)};
   reply.item = random_item(rng, 64);
   expect_truncation_safe<GetReplyMsg>(encode(reply));
   // The no-item reply (zeroed item envelope) is length-checked the same way.
@@ -519,10 +576,10 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_FALSE(e.empty());
   };
-  static_assert(kWireVersion == 7, "v7: leases go back in kRelease frames only");
+  static_assert(kWireVersion == 8, "v8: puts are lent and lent items re-lent");
   corrupt(0, 0xFF);                                      // magic
   corrupt(8, kWireVersion + 1);                          // version
-  corrupt(8, kWireVersion - 1);                          // v6 peers (Get.released)
+  corrupt(8, kWireVersion - 1);                          // v7 peers (Get.arena)
   corrupt(8, 1);                                         // v1 peers are rejected too
   corrupt(9, 0);                                         // type below range
   corrupt(9, static_cast<std::uint8_t>(MsgType::kRelease) + 1);  // type above range
