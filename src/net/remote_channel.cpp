@@ -581,7 +581,9 @@ void ChannelServer::accept_loop(TcpListener listener, std::stop_token st) {
 
 void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
   // Attach: first frame must be a Hello naming a served channel and
-  // claiming valid endpoint slots. A Hello never carries payload.
+  // claiming exactly one valid endpoint slot — a producer's or a
+  // consumer's, since a proxy opens one link per direction. A Hello never
+  // carries payload.
   FrameHeader header{};
   EnvelopeBody body;
   if (!read_frame(stream, config_.io_timeout, header, body) ||
@@ -595,6 +597,8 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
   HelloAckMsg ack;
   if (served == nullptr) {
     ack.message = "unknown channel '" + hello.channel + "'";
+  } else if ((hello.producer_key >= 0) == (hello.consumer_key >= 0)) {
+    ack.message = "hello must claim exactly one slot";
   } else if (hello.producer_key >= 0 &&
              hello.producer_key >= static_cast<std::int32_t>(served->producer_nodes.size())) {
     ack.message = "producer_key out of range";
@@ -634,23 +638,17 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
   if (hello.consumer_key >= 0) {
     served->leases->attach(static_cast<std::size_t>(hello.consumer_key), hello.session);
   }
-  if (hello.producer_key >= 0 || hello.consumer_key >= 0) {
-    const std::size_t slot =
-        hello.producer_key >= 0
-            ? static_cast<std::size_t>(hello.producer_key)
-            : served->producer_nodes.size() +
-                  static_cast<std::size_t>(hello.consumer_key);
-    if (served->slot_attaches[slot].fetch_add(1, std::memory_order_relaxed) > 0 &&
-        met_reconnects_ != nullptr) {
-      met_reconnects_->add();
-    }
+  const std::size_t slot =
+      hello.producer_key >= 0
+          ? static_cast<std::size_t>(hello.producer_key)
+          : served->producer_nodes.size() + static_cast<std::size_t>(hello.consumer_key);
+  if (served->slot_attaches[slot].fetch_add(1, std::memory_order_relaxed) > 0 &&
+      met_reconnects_ != nullptr) {
+    met_reconnects_->add();
   }
 
-  // "get:frames", "put:masks", "pg:<channel>" for a link holding both keys.
-  std::string name = hello.producer_key >= 0 ? (hello.consumer_key >= 0 ? "pg:" : "put:")
-                                             : (hello.consumer_key >= 0 ? "get:" : "link:");
-  name += hello.channel;
-  util::set_thread_name(name);
+  // "get:frames", "put:masks".
+  util::set_thread_name((hello.producer_key >= 0 ? "put:" : "get:") + hello.channel);
 
   serve_attached(stream, *served, hello, arenas, st);
 }
@@ -967,9 +965,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         if (hello.consumer_key < 0 || parked) return;
         if (!decode(body, get_msg, nullptr)) return;
         in.consume(frame_bytes);
-        // A connection holding both keys must see its puts settled before
-        // the reply (reads-own-writes across one link).
-        if (!emit_put_ack()) return;
         // Park: answered at once when the channel is ready, else when it
         // signals the wakeup. Meanwhile this loop keeps reading, so
         // releases are handled and a hang-up ends the park at once.

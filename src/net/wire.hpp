@@ -219,8 +219,10 @@ struct ArenaRef {
 
 struct HelloMsg {
   std::string channel;
-  std::int32_t producer_key = -1;  ///< pre-registered producer slot (-1 = none)
-  std::int32_t consumer_key = -1;  ///< pre-registered consumer slot (-1 = none)
+  /// Pre-registered producer or consumer slot (-1 = none). A Hello sets
+  /// exactly one of the two; the server refuses both and neither.
+  std::int32_t producer_key = -1;
+  std::int32_t consumer_key = -1;
   std::uint64_t session = 0;       ///< random per-transport id for dup suppression
   std::uint64_t start_seq = 0;     ///< first put sequence this attach will send
   ArenaRef arena;                  ///< the producer's arena, for the server to map

@@ -266,6 +266,44 @@ class Channel {
   std::optional<PutResult> put_impl(std::shared_ptr<Item> item, std::stop_token st,
                                     std::optional<Nanos> wait);
 
+  // -- the read path ----------------------------------------------------------
+  // Every read is a short selector over these steps, so what a consume
+  // costs and records, when a reader waits and how a skip is marked each
+  // live in one place.
+
+  /// Enter: checks `consumer_idx` (throwing std::out_of_range naming
+  /// `op`), folds the consumer's summary-STP into the backwardSTP vector
+  /// and raises its DGC guarantee to `extra_guarantee` (kNoTimestamp =
+  /// none). Returns the consumer's state.
+  ConsumerState& enter_locked(int consumer_idx, const char* op, Nanos consumer_summary,
+                              Timestamp extra_guarantee) REQUIRES(mu_);
+
+  /// Wait: blocks on cv_ until ready_locked(me) or `st` fires, counted in
+  /// `waiters_`, and stores the time spent in `blocked`. True when an
+  /// entry newer than the consumer's cursor exists (false: closed and
+  /// drained, or stopped).
+  bool wait_locked(util::UniqueLock& lock, const ConsumerState& me, std::stop_token st,
+                   Nanos& blocked) REQUIRES(mu_);
+
+  /// Skip: marks the entries at indices [begin, end) that the consumer has
+  /// neither consumed nor skipped as skipped (one kSkip each); returns how
+  /// many it marked.
+  int skip_locked(int consumer_idx, std::size_t begin, std::size_t end, std::int64_t now)
+      REQUIRES(mu_);
+
+  /// Consume: marks the entry at `at` consumed (kConsume,
+  /// `aru_channel_gets_total`), re-arms the collector when it lies below
+  /// the frontier, and fills the simulated transfer to the consumer's node
+  /// and the occupancy scan overhead. Returns the entry's item.
+  const std::shared_ptr<Item>& consume_locked(int consumer_idx, std::size_t at,
+                                              std::int64_t now, Nanos& transfer,
+                                              Nanos& overhead) REQUIRES(mu_);
+
+  /// Settle: collects into the per-thread reclaimed scratch (the caller
+  /// clears it once mu_ is dropped), wakes a bounded channel's blocked
+  /// producers when space freed, and updates the gauges.
+  void settle_locked(std::int64_t now) REQUIRES(mu_);
+
   /// Reclaims dead entries below the frontier; returns how many were
   /// erased. Incremental: when the frontier has not moved since the last
   /// pass and no mask/insert below it changed (`gc_pending_`), this is a

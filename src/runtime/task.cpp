@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/pacing.hpp"
 #include "telemetry/registry.hpp"
@@ -117,9 +118,44 @@ bool TaskContext::stopping() const {
          (stop_token_.stop_possible() && stop_token_.stop_requested());
 }
 
+TaskContext::InputPort& TaskContext::input(std::size_t idx, const char* op) {
+  if (idx >= inputs_.size()) throw std::out_of_range(std::string(op) + ": bad input index");
+  return inputs_[idx];
+}
+
+TaskContext::InputPort& TaskContext::channel_input(std::size_t idx, const char* op) {
+  InputPort& port = input(idx, op);
+  if (port.channel == nullptr) {
+    throw std::logic_error(std::string(op) + ": input is not a channel");
+  }
+  return port;
+}
+
+void TaskContext::settle_get(InputPort& port, const std::shared_ptr<const Item>& item,
+                             Nanos blocked, Nanos transfer, Nanos overhead, Nanos wire) {
+  if (blocked.count() > 0) {
+    meter_.add_blocked(blocked);
+    record(stats::EventType::kBlocked, blocked.count());
+  }
+  if (item && transfer.count() > 0) {
+    realize_cost(transfer);
+    record(stats::EventType::kTransfer, transfer.count(),
+           static_cast<std::int64_t>(item->bytes()), item->id(), item->ts());
+    hold_replica(port, item);
+  }
+  if (item && wire.count() > 0) {
+    record(stats::EventType::kTransfer, wire.count(),
+           static_cast<std::int64_t>(item->bytes()), item->id(), item->ts());
+  }
+  apply_overhead(overhead);
+}
+
+Nanos TaskContext::my_summary() const {
+  return run_.aru.enabled() ? feedback_.summary() : aru::kUnknownStp;
+}
+
 std::shared_ptr<const Item> TaskContext::get(std::size_t idx) {
-  if (idx >= inputs_.size()) throw std::out_of_range("TaskContext::get: bad input index");
-  InputPort& port = inputs_[idx];
+  InputPort& port = input(idx, "TaskContext::get");
 
   // DGC: propagate downstream knowledge upstream — the lowest output
   // timestamp our own consumers still want bounds what inputs we need.
@@ -137,150 +173,62 @@ std::shared_ptr<const Item> TaskContext::get(std::size_t idx) {
     if (all_channels && lo != std::numeric_limits<Timestamp>::max()) extra = lo;
   }
 
-  const Nanos my_summary = run_.aru.enabled() ? feedback_.summary() : aru::kUnknownStp;
-
-  std::shared_ptr<const Item> item;
-  Nanos blocked{0};
-  Nanos transfer{0};
-  Nanos overhead{0};
-  Nanos wire{0};  // real transfer time, already spent inside the remote get
+  const Nanos summary = my_summary();
   if (port.channel != nullptr) {
-    auto res = port.channel->get_latest(port.consumer_idx, my_summary, extra, stop_token_);
-    item = std::move(res.item);
-    blocked = res.blocked;
-    transfer = res.transfer;
-    overhead = res.overhead;
-  } else if (port.remote != nullptr) {
+    auto res = port.channel->get_latest(port.consumer_idx, summary, extra, stop_token_);
+    settle_get(port, res.item, res.blocked, res.transfer, res.overhead);
+    return std::move(res.item);
+  }
+  if (port.remote != nullptr) {
     // Real network transfer: the endpoint books only link and server-side
     // waits as blocked, so the rest of the call — the wire copy — stays in
     // this iteration's current-STP, just as a realized simulated transfer
     // does. It is traced but not realized again.
     const Nanos t0 = run_.clock->now();
-    auto res = port.remote->get_latest(my_summary, extra, stop_token_);
-    item = std::move(res.item);
-    blocked = res.blocked;
-    wire = run_.clock->now() - t0 - blocked;
-  } else {
-    auto res = port.queue->get(port.consumer_idx, my_summary, stop_token_);
-    item = std::move(res.item);
-    blocked = res.blocked;
-    transfer = res.transfer;
-    overhead = res.overhead;
+    auto res = port.remote->get_latest(summary, extra, stop_token_);
+    const Nanos wire = run_.clock->now() - t0 - res.blocked;
+    settle_get(port, res.item, res.blocked, Nanos{0}, Nanos{0}, wire);
+    return std::move(res.item);
   }
-
-  if (blocked.count() > 0) {
-    meter_.add_blocked(blocked);
-    record(stats::EventType::kBlocked, blocked.count());
-  }
-  if (item && transfer.count() > 0) {
-    realize_cost(transfer);
-    record(stats::EventType::kTransfer, transfer.count(),
-           static_cast<std::int64_t>(item->bytes()), item->id(), item->ts());
-    hold_replica(port, item);
-  }
-  if (item && wire.count() > 0) {
-    record(stats::EventType::kTransfer, wire.count(),
-           static_cast<std::int64_t>(item->bytes()), item->id(), item->ts());
-  }
-  apply_overhead(overhead);
-  return item;
+  auto res = port.queue->get(port.consumer_idx, summary, stop_token_);
+  settle_get(port, res.item, res.blocked, res.transfer, res.overhead);
+  return std::move(res.item);
 }
 
 std::shared_ptr<const Item> TaskContext::get_next(std::size_t idx) {
-  if (idx >= inputs_.size()) throw std::out_of_range("TaskContext::get_next: bad input index");
-  InputPort& port = inputs_[idx];
-  if (port.channel == nullptr) {
-    throw std::logic_error("TaskContext::get_next: input is not a channel");
-  }
-  const Nanos my_summary = run_.aru.enabled() ? feedback_.summary() : aru::kUnknownStp;
-  auto res = port.channel->get_next(port.consumer_idx, my_summary, kNoTimestamp, stop_token_);
-  if (res.blocked.count() > 0) {
-    meter_.add_blocked(res.blocked);
-    record(stats::EventType::kBlocked, res.blocked.count());
-  }
-  if (res.item && res.transfer.count() > 0) {
-    realize_cost(res.transfer);
-    record(stats::EventType::kTransfer, res.transfer.count(),
-           static_cast<std::int64_t>(res.item->bytes()), res.item->id(), res.item->ts());
-    hold_replica(port, res.item);
-  }
-  apply_overhead(res.overhead);
-  return res.item;
+  InputPort& port = channel_input(idx, "TaskContext::get_next");
+  auto res = port.channel->get_next(port.consumer_idx, my_summary(), kNoTimestamp, stop_token_);
+  settle_get(port, res.item, res.blocked, res.transfer, res.overhead);
+  return std::move(res.item);
 }
 
 std::shared_ptr<const Item> TaskContext::get_at(std::size_t idx, Timestamp ts) {
-  if (idx >= inputs_.size()) throw std::out_of_range("TaskContext::get_at: bad input index");
-  InputPort& port = inputs_[idx];
-  if (port.channel == nullptr) {
-    throw std::logic_error("TaskContext::get_at: input is not a channel");
-  }
-  const Nanos my_summary = run_.aru.enabled() ? feedback_.summary() : aru::kUnknownStp;
-  auto res = port.channel->get_at(port.consumer_idx, ts, my_summary);
-  if (res.item && res.transfer.count() > 0) {
-    realize_cost(res.transfer);
-    record(stats::EventType::kTransfer, res.transfer.count(),
-           static_cast<std::int64_t>(res.item->bytes()), res.item->id(), res.item->ts());
-    hold_replica(port, res.item);
-  }
-  apply_overhead(res.overhead);
-  return res.item;
+  InputPort& port = channel_input(idx, "TaskContext::get_at");
+  auto res = port.channel->get_at(port.consumer_idx, ts, my_summary());
+  settle_get(port, res.item, res.blocked, res.transfer, res.overhead);
+  return std::move(res.item);
 }
 
 std::shared_ptr<const Item> TaskContext::get_nearest(std::size_t idx, Timestamp ts,
                                                      Timestamp tolerance) {
-  if (idx >= inputs_.size()) {
-    throw std::out_of_range("TaskContext::get_nearest: bad input index");
-  }
-  InputPort& port = inputs_[idx];
-  if (port.channel == nullptr) {
-    throw std::logic_error("TaskContext::get_nearest: input is not a channel");
-  }
-  const Nanos my_summary = run_.aru.enabled() ? feedback_.summary() : aru::kUnknownStp;
-  auto res = port.channel->get_nearest(port.consumer_idx, ts, tolerance, my_summary);
-  if (res.item && res.transfer.count() > 0) {
-    realize_cost(res.transfer);
-    record(stats::EventType::kTransfer, res.transfer.count(),
-           static_cast<std::int64_t>(res.item->bytes()), res.item->id(), res.item->ts());
-    hold_replica(port, res.item);
-  }
-  apply_overhead(res.overhead);
-  return res.item;
+  InputPort& port = channel_input(idx, "TaskContext::get_nearest");
+  auto res = port.channel->get_nearest(port.consumer_idx, ts, tolerance, my_summary());
+  settle_get(port, res.item, res.blocked, res.transfer, res.overhead);
+  return std::move(res.item);
 }
 
 std::vector<std::shared_ptr<const Item>> TaskContext::get_window(std::size_t idx,
                                                                  std::size_t window) {
-  if (idx >= inputs_.size()) {
-    throw std::out_of_range("TaskContext::get_window: bad input index");
-  }
-  InputPort& port = inputs_[idx];
-  if (port.channel == nullptr) {
-    throw std::logic_error("TaskContext::get_window: input is not a channel");
-  }
-  const Nanos my_summary = run_.aru.enabled() ? feedback_.summary() : aru::kUnknownStp;
-  auto res = port.channel->get_window(port.consumer_idx, window, my_summary, stop_token_);
-  if (res.blocked.count() > 0) {
-    meter_.add_blocked(res.blocked);
-    record(stats::EventType::kBlocked, res.blocked.count());
-  }
-  if (!res.items.empty() && res.transfer.count() > 0) {
-    const auto& newest = res.items.back();
-    realize_cost(res.transfer);
-    record(stats::EventType::kTransfer, res.transfer.count(),
-           static_cast<std::int64_t>(newest->bytes()), newest->id(), newest->ts());
-    hold_replica(port, newest);
-  }
-  apply_overhead(res.overhead);
+  InputPort& port = channel_input(idx, "TaskContext::get_window");
+  auto res = port.channel->get_window(port.consumer_idx, window, my_summary(), stop_token_);
+  // The transfer, and the replica, are the newest (new) item's.
+  settle_get(port, res.items.empty() ? nullptr : res.items.back(), res.blocked, res.transfer,
+             res.overhead);
   return std::move(res.items);
 }
 
 void TaskContext::release_until(std::size_t idx, Timestamp ts) {
-  if (idx >= inputs_.size()) {
-    throw std::out_of_range("TaskContext::release_until: bad input index");
-  }
-  InputPort& port = inputs_[idx];
-  if (port.channel == nullptr) {
-    throw std::logic_error("TaskContext::release_until: input is not a channel");
-  }
+  InputPort& port = channel_input(idx, "TaskContext::release_until");
   port.channel->raise_guarantee(port.consumer_idx, ts);
 }
 

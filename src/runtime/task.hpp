@@ -194,6 +194,21 @@ class TaskContext {
   void set_source(bool is_source) { is_source_ = is_source; }
   void run_loop(std::stop_token st);
 
+  /// Input `idx`, or std::out_of_range naming `op`. channel_input also
+  /// throws std::logic_error unless the input is a channel.
+  InputPort& input(std::size_t idx, const char* op);
+  InputPort& channel_input(std::size_t idx, const char* op);
+
+  /// Settles one read of `port` that delivered `item` (null: nothing):
+  /// books `blocked`, realizes a simulated `transfer` and holds the copy as
+  /// the port's replica, traces a remote get's real `wire` time, and
+  /// applies the buffer's `overhead`.
+  void settle_get(InputPort& port, const std::shared_ptr<const Item>& item, Nanos blocked,
+                  Nanos transfer, Nanos overhead, Nanos wire = Nanos{0});
+
+  /// The summary-STP a get piggy-backs upstream (kUnknownStp with ARU off).
+  Nanos my_summary() const;
+
   /// Accounts a freshly transferred remote copy on this node's memory,
   /// replacing the port's previous replica.
   void hold_replica(InputPort& port, std::shared_ptr<const Item> item);

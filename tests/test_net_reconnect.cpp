@@ -696,6 +696,53 @@ std::optional<TcpStream> raw_attach(std::uint16_t port, std::uint64_t session,
                                   .start_seq = start_seq});
 }
 
+TEST(ChannelServer, HelloMustClaimExactlyOneSlot) {
+  // A proxy opens one link per direction, so a Hello claims a producer
+  // slot or a consumer slot. One claiming both, or neither, is refused
+  // before the link attaches: no connection is counted and the server
+  // hangs up instead of holding a thread that could only heartbeat.
+  Runtime rt;
+  Channel& ch = rt.add_channel({.name = "frames"});
+  ChannelServer server(rt, {{.channel = &ch, .remote_producers = 1, .remote_consumers = 1}});
+  server.start();
+  const telemetry::Counter& connections = rt.metrics().counter(
+      "aru_net_server_connections_total", "", {{"server", "frames"}});
+
+  for (const HelloMsg& hello :
+       {HelloMsg{.channel = "frames", .producer_key = 0, .consumer_key = 0, .session = 1},
+        HelloMsg{.channel = "frames", .session = 2}}) {
+    auto s = TcpStream::connect("127.0.0.1", server.port(), seconds(2));
+    ASSERT_TRUE(s.has_value());
+    ASSERT_EQ(s->send_all(encode(hello).span(), seconds(2)), IoStatus::kOk);
+    FrameHeader h;
+    std::vector<std::byte> body;
+    HelloAckMsg ack;
+    ASSERT_TRUE(raw_read_frame(*s, h, body));
+    ASSERT_EQ(h.type, MsgType::kHelloAck);
+    ASSERT_TRUE(decode(std::span<const std::byte>(body), ack, nullptr));
+    EXPECT_FALSE(ack.ok) << "producer_key " << hello.producer_key << ", consumer_key "
+                         << hello.consumer_key;
+    std::array<std::byte, 1> more;
+    EXPECT_EQ(s->recv_exact(more, seconds(2)), IoStatus::kClosed);
+  }
+  EXPECT_EQ(connections.value(), 0u);
+
+  // A proxy that claims one slot per link is still served.
+  std::stop_source stop;
+  RemoteChannel proxy(rt, {.name = "frames",
+                           .transport = fast_transport(server.port()),
+                           .producer_key = 0,
+                           .consumer_key = 0});
+  EXPECT_TRUE(proxy.put(make_item(rt, 0), stop.get_token()).stored);
+  const auto got = proxy.get_latest(aru::kUnknownStp, kNoTimestamp, stop.get_token());
+  ASSERT_NE(got.item, nullptr);
+  EXPECT_EQ(got.item->ts(), 0);
+  EXPECT_EQ(connections.value(), 2u);
+
+  server.stop();
+  rt.stop();
+}
+
 TEST(PipelinedReconnect, ReplayedWindowTailIsNotDuplicated) {
   // The client-side window resends its unacked tail after every reconnect;
   // when the loss was only the *ack* (the server had stored the items),
