@@ -22,6 +22,12 @@ namespace {
 /// that stop requests, peer hangups and heartbeat deadlines are honored
 /// promptly between slices.
 constexpr Nanos kServeSlice = millis(20);
+/// While a connection has nothing to send, a heartbeat goes out at least
+/// this often, so a client can tell a slow channel from a dead server
+/// (TransportConfig::io_timeout must comfortably exceed it).
+constexpr Nanos kHeartbeatInterval = millis(100);
+/// Per-frame send/receive budget of a server connection.
+constexpr Nanos kIoTimeout = seconds(1);
 /// Accept-loop poll slice.
 constexpr Nanos kAcceptSlice = millis(50);
 
@@ -42,41 +48,15 @@ constexpr std::int64_t kMaxCoalescedPuts = 32;
 /// the client top the window up while earlier frames are still in flight.
 constexpr std::int64_t kAckCoalescedBytes = 1 << 20;
 
-/// Fills the on-the-wire envelope of an item in place (callers reuse
-/// their WireItem, so the attrs vector's capacity persists across
-/// messages). The payload bytes are not copied anywhere: the frame
-/// announces their size and the caller sends them scatter-gather
-/// straight from the item's pooled slab, or names the slab's arena
-/// offset instead.
-ARU_ALLOCATES ARU_ANALYZE_ESCAPE("fills the caller's reused WireItem — attrs capacity persists across messages")
-void to_wire(const Item& item, WireItem& wi) {
-  wi.ts = item.ts();
-  wi.origin_id = item.id();
-  wi.produce_cost_ns = item.produce_cost().count();
-  wi.attrs.clear();
-  wi.attrs.push_back({kTagProducerNode, item.producer()});
-  wi.attrs.push_back({kTagClusterNode, item.cluster_node()});
-  wi.payload_bytes = static_cast<std::uint32_t>(item.bytes());
-  wi.arena_offset = kNoArenaOffset;
-  wi.arena_token = 0;
+/// The on-the-wire envelope of an item. The payload bytes are not copied
+/// anywhere: the frame announces their size and the caller sends them
+/// scatter-gather straight from the item's pooled slab, or names the
+/// slab's arena offset instead.
+WireItem to_wire(const Item& item) {
+  return WireItem{.ts = item.ts(),
+                  .produce_cost_ns = item.produce_cost().count(),
+                  .payload_bytes = static_cast<std::uint32_t>(item.bytes())};
 }
-
-/// Resets a reused WireItem to the encoded-when-absent shape without
-/// giving back the attrs vector's capacity.
-void clear_wire_item(WireItem& wi) {
-  wi.ts = kNoTimestamp;
-  wi.origin_id = 0;
-  wi.produce_cost_ns = 0;
-  wi.attrs.clear();
-  wi.payload_bytes = 0;
-  wi.arena_offset = kNoArenaOffset;
-  wi.arena_token = 0;
-}
-
-/// Appends into a reused message vector: after the first message on each
-/// thread the capacity persists, so the append is allocation-free.
-ARU_ALLOCATES ARU_ANALYZE_ESCAPE("amortized append into a reused message vector whose capacity persists across calls")
-void append_nanos(std::vector<Nanos>& v, Nanos n) { v.push_back(n); }
 
 /// Materializes a local Item replica for a received WireItem around its
 /// payload, accounting the allocation in the trace exactly like
@@ -200,15 +180,8 @@ RemoteEndpoint::PutResult RemoteChannel::put(std::shared_ptr<Item> item,
   }
   if (!item) throw std::invalid_argument("RemoteChannel::put: null item");
 
-  // Reused per-thread message scratch: put_pipelined encodes it into a
-  // window slot synchronously, so it is free again before the next put on
-  // this thread. Keeps the steady-state put path allocation-free
-  // (aru-analyze hot rule).
-  static thread_local PutMsg msg;
-  msg.stp.clear();
-  to_wire(*item, msg.item);
+  PutMsg msg{.item = to_wire(*item)};
   const Nanos held = summary();
-  if (aru::known(held)) append_nanos(msg.stp, held);
 
   // Queue into the transport's in-flight window and return. "Stored"
   // means queued — the window resends across reconnects and the server
@@ -257,10 +230,9 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
   const Nanos t0 = ctx_.clock->now();
 
   // Reused across retries and calls: the transport overwrites every field
-  // and the vectors' capacities persist, so the steady-state get path is
-  // allocation-free apart from the materialized item itself.
+  // and the arena list's capacity persists, so the steady-state get path
+  // is allocation-free apart from the materialized item itself.
   static thread_local GetMsg request;
-  static thread_local GetReplyMsg reply;
   request.consumer_summary = consumer_summary;
   request.guarantee = guarantee;
   for (;;) {
@@ -269,6 +241,7 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     // The payload arrives received into a pooled slab, or as a borrowed
     // view of the server's arena slab: no copy either way.
     PayloadBuffer payload;
+    GetReplyMsg reply;
     const auto status = get_link_->rpc(request, reply, payload, st, &link_wait);
     if (status == Transport::RpcStatus::kStopped) break;
     if (status == Transport::RpcStatus::kDisconnected) continue;  // re-issue
@@ -286,10 +259,10 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     const Nanos sent = attempt_start + link_wait;
     const Nanos end = ctx_.clock->now();
     const Nanos waited = std::clamp(reply.waited, Nanos{0}, end - sent);
-    return GetResult{.item = materialize(ctx_, reply.item, std::move(payload), node_,
-                                         config_.cluster_node),
-                     .blocked = sent - t0 + waited,
-                     .skipped = reply.skipped};
+    // The replica is charged to cluster node 0: a remote proxy has no
+    // simulated placement of its own.
+    return GetResult{.item = materialize(ctx_, reply.item, std::move(payload), node_, 0),
+                     .blocked = sent - t0 + waited};
   }
   return GetResult{.item = nullptr, .blocked = ctx_.clock->now() - t0};
 }
@@ -586,7 +559,7 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
   // carries payload.
   FrameHeader header{};
   EnvelopeBody body;
-  if (!read_frame(stream, config_.io_timeout, header, body) ||
+  if (!read_frame(stream, kIoTimeout, header, body) ||
       header.type != MsgType::kHello || header.payload_len != 0) {
     return;
   }
@@ -595,16 +568,17 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
 
   const Served* served = find(hello.channel);
   HelloAckMsg ack;
+  const char* refusal = nullptr;  // logged here; the ack carries no reason
   if (served == nullptr) {
-    ack.message = "unknown channel '" + hello.channel + "'";
+    refusal = "unknown channel";
   } else if ((hello.producer_key >= 0) == (hello.consumer_key >= 0)) {
-    ack.message = "hello must claim exactly one slot";
+    refusal = "hello must claim exactly one slot";
   } else if (hello.producer_key >= 0 &&
              hello.producer_key >= static_cast<std::int32_t>(served->producer_nodes.size())) {
-    ack.message = "producer_key out of range";
+    refusal = "producer_key out of range";
   } else if (hello.consumer_key >= 0 &&
              hello.consumer_key >= static_cast<std::int32_t>(served->consumer_idx.size())) {
-    ack.message = "consumer_key out of range";
+    refusal = "consumer_key out of range";
   } else {
     ack.ok = true;
     ack.instance = instance_;
@@ -628,9 +602,10 @@ void ChannelServer::serve_connection(TcpStream stream, std::stop_token st) {
     ack.peer_mapped = arenas.client != nullptr;
   }
   if (ack.ok && hello.consumer_key >= 0) ack.arena = arenas.own = local_arena(*ctx_.pool);
-  if (stream.send_all(encode(ack).span(), config_.io_timeout) != IoStatus::kOk) return;
+  if (stream.send_all(encode(ack).span(), kIoTimeout) != IoStatus::kOk) return;
   if (!ack.ok) {
-    STAMPEDE_LOG(kWarn) << "net.server: rejected hello: " << ack.message;
+    STAMPEDE_LOG(kWarn) << "net.server: rejected hello for channel '" << hello.channel
+                        << "': " << refusal;
     return;
   }
 
@@ -673,7 +648,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   // it counts in the tx bytes all the same.
   auto send_frame = [&](const FrameBuf& frame, std::span<const std::byte> payload,
                         MsgType type, std::size_t arena_bytes = 0) {
-    if (out.flush_with(stream, frame.span(), payload, config_.io_timeout) !=
+    if (out.flush_with(stream, frame.span(), payload, kIoTimeout) !=
         IoStatus::kOk) {
       return false;
     }
@@ -687,9 +662,8 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     return true;
   };
   auto heartbeat_if_due = [&] {
-    if (Nanos{ctx_.now_ns() - last_tx} < config_.heartbeat_interval) return true;
-    return send_frame(encode(HeartbeatMsg{.t_ns = ctx_.now_ns()}), {},
-                      MsgType::kHeartbeat);
+    if (Nanos{ctx_.now_ns() - last_tx} < kHeartbeatInterval) return true;
+    return send_frame(encode_heartbeat(), {}, MsgType::kHeartbeat);
   };
 
   // Receives a put's payload tail: buffered bytes first, then readv with
@@ -706,7 +680,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     while (got < dest.size()) {
       const std::array<std::span<std::byte>, 2> bufs = {dest.subspan(got), in.tail()};
       std::size_t n = 0;
-      if (stream.recv_vec(bufs, &n, config_.io_timeout) != IoStatus::kOk) return false;
+      if (stream.recv_vec(bufs, &n, kIoTimeout) != IoStatus::kOk) return false;
       const std::size_t to_dest = std::min(n, dest.size() - got);
       got += to_dest;
       if (n > to_dest) in.commit(n - to_dest);
@@ -732,14 +706,13 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   Nanos last_summary = channel.summary();
 
   // Reused per-connection message scratch: decode() and the assignments
-  // below overwrite every field, and the stp/attrs vector capacities
-  // persist across frames, so the steady-state serve loop — every put ack
-  // and get reply, STP piggyback included — is allocation-free apart from
-  // materializing received items (aru-analyze hot rule).
+  // below overwrite every field, and the id lists' capacities persist
+  // across frames, so the steady-state serve loop — every put ack and get
+  // reply — is allocation-free apart from materializing received items
+  // (aru-analyze hot rule).
   PutMsg put_msg;
   PutAckMsg put_ack;
   GetMsg get_msg;
-  GetReplyMsg get_reply;
   ReleaseMsg release_msg;
 
   auto credits_of = [&]() -> std::uint32_t {
@@ -773,7 +746,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
     // Acquire: every view of a seq up to cum_seq is in the held list.
     put_ack.cum_seq = pseq != nullptr ? pseq->last_seq.load(std::memory_order_acquire) : 0;
     put_ack.credits = credits_of();
-    channel.backward_stp_into(put_ack.stp);
     if (arenas.puts != nullptr) arenas.puts->list(put_ack.held);
     if (!served.producer_stp.empty()) {
       served.producer_stp[static_cast<std::size_t>(hello.producer_key)]->set(
@@ -792,18 +764,14 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
   auto serve_get = [&]() -> bool {
     parked = false;
     auto res = channel.get_latest(idx, get_msg.consumer_summary, get_msg.guarantee, st);
-    get_reply.waited = ctx_.clock->now() - park_start;
-    get_reply.has_item = res.item != nullptr;
-    get_reply.closed = channel.closed();
-    get_reply.skipped = res.skipped;
-    get_reply.summary = channel.summary();
-    channel.backward_stp_into(get_reply.stp);
+    GetReplyMsg get_reply{.has_item = res.item != nullptr,
+                          .closed = channel.closed(),
+                          .summary = channel.summary(),
+                          .waited = ctx_.clock->now() - park_start};
     std::span<const std::byte> payload;
     std::size_t arena_bytes = 0;
-    get_reply.lease = 0;
-    get_reply.offer = {};
     if (res.item) {
-      to_wire(*res.item, get_reply.item);
+      get_reply.item = to_wire(*res.item);
       // The slab's arena: the producer's the item borrows (wire v8), else
       // ours when the slab is in it.
       const std::byte* const data = res.item->data().data();
@@ -834,8 +802,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
       } else {
         payload = res.item->data();
       }
-    } else {
-      clear_wire_item(get_reply.item);  // the frame encodes it either way
     }
     // The shared_ptr in `res` keeps a tail's slab alive (and un-recycled)
     // for the duration of the scatter-gather send even if the channel
@@ -852,7 +818,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
       // until the next heartbeat is due.
       if (!stream.readable(Nanos{0})) {
         if (!emit_put_ack()) return;
-        const Nanos due = config_.heartbeat_interval - Nanos{ctx_.now_ns() - last_tx};
+        const Nanos due = kHeartbeatInterval - Nanos{ctx_.now_ns() - last_tx};
         if (!stream.readable(std::max(due, Nanos{0}), wakeup.fd())) {
           if (!heartbeat_if_due()) return;
         } else if (parked && wakeup.clear() && channel.arm_ready(idx, wakeup) &&
@@ -861,14 +827,14 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         }
         continue;
       }
-      if (in.fill(stream, config_.io_timeout) != IoStatus::kOk) return;
+      if (in.fill(stream, kIoTimeout) != IoStatus::kOk) return;
       continue;
     }
     FrameHeader header{};
     if (!decode_header(in.view().first(kHeaderBytes), header, nullptr)) return;
     const std::size_t frame_bytes = kHeaderBytes + header.body_len;
     while (in.buffered() < frame_bytes) {
-      if (in.fill(stream, config_.io_timeout) != IoStatus::kOk) return;
+      if (in.fill(stream, kIoTimeout) != IoStatus::kOk) return;
     }
     if (header.payload_len != 0 && header.type != MsgType::kPut) {
       return;  // protocol violation: only puts carry payload client→server
@@ -980,9 +946,6 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         in.consume(frame_bytes);
         served.leases->release(slot, release_msg.released);
         break;
-      case MsgType::kClose:
-        emit_put_ack();  // settle the tail of the burst before goodbye
-        return;
       case MsgType::kHeartbeat:
         in.consume(frame_bytes);
         break;  // liveness only

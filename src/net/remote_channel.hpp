@@ -12,7 +12,7 @@
 ///   front process                         back process
 ///   ─────────────                         ────────────
 ///   digitizer ──put──▶ RemoteChannel ══TCP══▶ ChannelServer ──▶ Channel
-///                        ◀── PutAck{summary-STP, backwardSTP} ──┘
+///                        ◀───────── PutAck{summary-STP} ────────┘
 ///
 /// Endpoint slots are agreed out of band: the server pre-registers
 /// `remote_producers`/`remote_consumers` pseudo-nodes on the channel at
@@ -75,8 +75,6 @@ struct RemoteChannelConfig {
   std::int32_t producer_key = -1;
   /// Consumer slot claimed on the remote channel (-1 = never gets).
   std::int32_t consumer_key = -1;
-  /// Local virtual cluster node that received item copies are charged to.
-  int cluster_node = 0;
 };
 
 class RemoteChannel final : public RemoteEndpoint {
@@ -160,12 +158,6 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// TCP port to listen on; 0 picks an ephemeral port (read via port()).
   std::uint16_t port = 0;
-  /// Idle/heartbeat cadence: while a connection has nothing to send, a
-  /// heartbeat goes out at least this often so clients can tell a slow
-  /// channel from a dead server.
-  Nanos heartbeat_interval = millis(100);
-  /// Per-frame send/receive budget (mirror of TransportConfig::io_timeout).
-  Nanos io_timeout = seconds(1);
 };
 
 /// Serves local channels to remote RemoteChannel proxies. One accept
@@ -337,7 +329,7 @@ class ChannelServer {
   /// Handles one attached connection after a successful Hello. A get
   /// parks as state of the connection while the loop goes on reading (file
   /// comment). Hot-path root: this loop serves every put ack and get
-  /// reply, so the STP piggyback must not allocate.
+  /// reply, so it must not allocate.
   ARU_HOT_PATH void serve_attached(TcpStream& stream, const Served& served,
                                    const HelloMsg& hello, const LinkArenas& arenas,
                                    std::stop_token st);

@@ -398,7 +398,7 @@ class Transport final : public ReleaseSink {
   std::uint32_t credits_ GUARDED_BY(mu_) = 0;
   bool remote_closed_ GUARDED_BY(mu_) = false;
   Nanos last_ack_summary_ GUARDED_BY(mu_) = aru::kUnknownStp;
-  /// Reused coalesced-ack decode scratch (stp capacity persists).
+  /// Reused coalesced-ack decode scratch (the held list's capacity persists).
   PutAckMsg ack_scratch_ GUARDED_BY(mu_);
   /// Encode scratch for the put frame being sent or resent.
   FrameBuf frame_ GUARDED_BY(mu_);

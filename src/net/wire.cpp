@@ -49,12 +49,6 @@ class Writer {
     out_.len += s.size();
   }
 
-  void stp_vector(const std::vector<Nanos>& v) {
-    check(v.size() <= kMaxStpSlots, "STP vector exceeds kMaxStpSlots");
-    u16(static_cast<std::uint16_t>(v.size()));
-    for (Nanos n : v) i64(n.count());
-  }
-
   /// A u16 count, then one u64 per id: leases, put seqs or arena tokens.
   void ids(const std::vector<std::uint64_t>& ids, std::size_t cap, const char* what) {
     check(ids.size() <= cap, what);
@@ -63,16 +57,9 @@ class Writer {
   }
 
   void item(const WireItem& it) {
-    check(it.attrs.size() <= kMaxAttrs, "attr count exceeds kMaxAttrs");
     check(it.payload_bytes <= kMaxPayloadBytes, "payload exceeds kMaxPayloadBytes");
     i64(it.ts);
-    u64(it.origin_id);
     i64(it.produce_cost_ns);
-    u16(static_cast<std::uint16_t>(it.attrs.size()));
-    for (const auto& [key, value] : it.attrs) {
-      u32(key);
-      i64(value);
-    }
     u32(it.payload_bytes);
     u64(it.arena_offset);
     u64(it.arena_token);
@@ -153,21 +140,6 @@ class Reader {
     return true;
   }
 
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("decodes into the caller's reused vector, capped at kMaxStpSlots; capacity amortizes to zero allocations")
-  bool stp_vector(std::vector<Nanos>& v) {
-    std::uint16_t count = 0;
-    if (!u16(count)) return false;
-    if (count > kMaxStpSlots) return set_err("STP vector exceeds kMaxStpSlots");
-    v.clear();
-    v.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-      std::int64_t ns = 0;
-      if (!i64(ns)) return false;
-      v.push_back(Nanos{ns});
-    }
-    return true;
-  }
-
   ARU_ALLOCATES ARU_ANALYZE_ESCAPE("decodes into the caller's reused vector, capped at kMaxLeases or kMaxArenas; capacity amortizes to zero allocations")
   bool ids(std::vector<std::uint64_t>& ids, std::size_t cap, const char* what) {
     std::uint16_t count = 0;
@@ -183,23 +155,8 @@ class Reader {
     return true;
   }
 
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("decodes into the caller's reused WireItem, attrs capped at kMaxAttrs; capacity amortizes to zero allocations")
   bool item(WireItem& it) {
-    std::uint16_t attr_count = 0;
-    if (!i64(it.ts) || !u64(it.origin_id) || !i64(it.produce_cost_ns) ||
-        !u16(attr_count)) {
-      return false;
-    }
-    if (attr_count > kMaxAttrs) return set_err("attr count exceeds kMaxAttrs");
-    it.attrs.clear();
-    it.attrs.reserve(attr_count);
-    for (std::uint16_t i = 0; i < attr_count; ++i) {
-      std::uint32_t key = 0;
-      std::int64_t value = 0;
-      if (!u32(key) || !i64(value)) return false;
-      it.attrs.emplace_back(key, value);
-    }
-    if (!u32(it.payload_bytes)) return false;
+    if (!i64(it.ts) || !i64(it.produce_cost_ns) || !u32(it.payload_bytes)) return false;
     if (it.payload_bytes > kMaxPayloadBytes) {
       return set_err("payload exceeds kMaxPayloadBytes");
     }
@@ -299,7 +256,6 @@ const char* to_string(MsgType type) {
     case MsgType::kGet: return "get";
     case MsgType::kGetReply: return "get_reply";
     case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kClose: return "close";
     case MsgType::kRelease: return "release";
   }
   return "unknown";
@@ -319,7 +275,6 @@ FrameBuf encode(const HelloMsg& m) {
 FrameBuf encode(const HelloAckMsg& m) {
   return make_frame(MsgType::kHelloAck, 0, [&](Writer& w) {
     w.u8(m.ok ? 1 : 0);
-    w.str(m.message);
     w.u32(m.credits);
     w.arena(m.arena);
     w.u8(m.peer_mapped ? 1 : 0);
@@ -337,7 +292,6 @@ void encode_into(const PutMsg& m, FrameBuf& out) {
   make_frame_into(out, MsgType::kPut, tail_bytes(m.item), [&](Writer& w) {
     w.u64(m.seq);
     w.item(m.item);
-    w.stp_vector(m.stp);
   });
 }
 
@@ -347,7 +301,6 @@ FrameBuf encode(const PutAckMsg& m) {
     w.i64(m.summary.count());
     w.u64(m.cum_seq);
     w.u32(m.credits);
-    w.stp_vector(m.stp);
     w.ids(m.held, kMaxLeases, "held list exceeds kMaxLeases");
   });
 }
@@ -365,11 +318,9 @@ FrameBuf encode(const GetReplyMsg& m) {
   return make_frame(MsgType::kGetReply, payload_len, [&](Writer& w) {
     w.u8(m.has_item ? 1 : 0);
     w.u8(m.closed ? 1 : 0);
-    w.item(m.item);
-    w.u32(static_cast<std::uint32_t>(m.skipped));
+    if (m.has_item) w.item(m.item);
     w.i64(m.summary.count());
     w.i64(m.waited.count());
-    w.stp_vector(m.stp);
     w.u64(m.lease);
     w.arena(m.offer);
   });
@@ -381,12 +332,8 @@ FrameBuf encode(const ReleaseMsg& m) {
   });
 }
 
-FrameBuf encode(const HeartbeatMsg& m) {
-  return make_frame(MsgType::kHeartbeat, 0, [&](Writer& w) { w.i64(m.t_ns); });
-}
-
-FrameBuf encode_close() {
-  return make_frame(MsgType::kClose, 0, [](Writer&) {});
+FrameBuf encode_heartbeat() {
+  return make_frame(MsgType::kHeartbeat, 0, [](Writer&) {});
 }
 
 bool decode_header(std::span<const std::byte> buf, FrameHeader& out, std::string* err) {
@@ -438,8 +385,8 @@ bool decode(std::span<const std::byte> body, HelloMsg& out, std::string* err) {
 
 bool decode(std::span<const std::byte> body, HelloAckMsg& out, std::string* err) {
   Reader r(body);
-  if (r.boolean(out.ok) && r.str(out.message) && r.u32(out.credits) &&
-      r.arena(out.arena) && r.boolean(out.peer_mapped)) {
+  if (r.boolean(out.ok) && r.u32(out.credits) && r.arena(out.arena) &&
+      r.boolean(out.peer_mapped)) {
     r.u64(out.instance);
   }
   return finish(r, err);
@@ -447,7 +394,7 @@ bool decode(std::span<const std::byte> body, HelloAckMsg& out, std::string* err)
 
 bool decode(std::span<const std::byte> body, PutMsg& out, std::string* err) {
   Reader r(body);
-  if (r.u64(out.seq) && r.item(out.item)) r.stp_vector(out.stp);
+  if (r.u64(out.seq)) r.item(out.item);
   return finish(r, err);
 }
 
@@ -457,7 +404,7 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
   if (r.boolean(out.closed) && r.i64(summary_ns) &&
       r.u64(out.cum_seq) && r.u32(out.credits)) {
     out.summary = Nanos{summary_ns};
-    if (r.stp_vector(out.stp)) r.ids(out.held, kMaxLeases, "held list exceeds kMaxLeases");
+    r.ids(out.held, kMaxLeases, "held list exceeds kMaxLeases");
   }
   return finish(r, err);
 }
@@ -474,15 +421,15 @@ bool decode(std::span<const std::byte> body, GetMsg& out, std::string* err) {
 
 bool decode(std::span<const std::byte> body, GetReplyMsg& out, std::string* err) {
   Reader r(body);
-  std::uint32_t skipped = 0;
   std::int64_t summary_ns = 0;
   std::int64_t waited_ns = 0;
-  if (r.boolean(out.has_item) && r.boolean(out.closed) && r.item(out.item) &&
-      r.u32(skipped) && r.i64(summary_ns) && r.i64(waited_ns)) {
-    out.skipped = static_cast<std::int32_t>(skipped);
+  out.item = WireItem{};  // a reply without an item carries none
+  if (r.boolean(out.has_item) && r.boolean(out.closed) &&
+      (!out.has_item || r.item(out.item)) && r.i64(summary_ns) && r.i64(waited_ns) &&
+      r.u64(out.lease)) {
     out.summary = Nanos{summary_ns};
     out.waited = Nanos{waited_ns};
-    if (r.stp_vector(out.stp) && r.u64(out.lease)) r.arena(out.offer);
+    r.arena(out.offer);
   }
   return finish(r, err);
 }
@@ -490,12 +437,6 @@ bool decode(std::span<const std::byte> body, GetReplyMsg& out, std::string* err)
 bool decode(std::span<const std::byte> body, ReleaseMsg& out, std::string* err) {
   Reader r(body);
   r.ids(out.released, kMaxLeases, "lease list exceeds kMaxLeases");
-  return finish(r, err);
-}
-
-bool decode(std::span<const std::byte> body, HeartbeatMsg& out, std::string* err) {
-  Reader r(body);
-  r.i64(out.t_ns);
   return finish(r, err);
 }
 

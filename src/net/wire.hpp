@@ -23,92 +23,87 @@
 ///       16     n  envelope (per-type layout below)
 ///     16+n     p  payload bytes (exactly `payload length` of them)
 ///
-/// All multi-byte integers are little-endian. Strings are a u16 length
-/// followed by raw bytes; the summary-STP vector a u16 slot count
-/// followed by one i64 nanosecond value per slot (`aru::kUnknownStp` = 0
-/// marks empty slots). An item's envelope carries its payload size as a
-/// u32 — the bytes themselves ride in the frame's payload tail, and the
-/// two lengths must agree (receivers reject frames where they differ).
+/// All multi-byte integers are little-endian. A string is a u16 length and
+/// its bytes; a list is a u16 count and one u64 per entry. An item's
+/// envelope carries its payload size as a u32. Either the frame's payload
+/// tail carries the bytes, and receivers reject a frame whose tail length
+/// differs, or an arena holds them and the frame has no tail.
 ///
-/// The backward summary-STP vector is piggy-backed on the feedback-bearing
-/// messages, making paper §3.3.2 Fig. 3 literal on the wire:
+/// Version 9 carries only what a peer reads. Each message, in wire order,
+/// with the reader of each field (C: the client transport or proxy, S: the
+/// channel server):
 ///
-///  * `kGet` (consumer → channel) carries the consumer's summary-STP,
-///    folded into the served channel's backwardSTP vector;
-///  * `kGetReply` and `kPutAck` (channel → peer) carry the channel's full
-///    backwardSTP vector plus its compressed summary, which the producing
-///    process feeds to its source pacing;
-///  * `kPut` (producer → channel) carries the producer's own backward
-///    vector for diagnostics/tracing on the serving side.
+///   kHello (client → server), on every connect
+///     channel         str   S: names the served channel
+///     producer_key    i32   S: the producer slot claimed (-1: none)
+///     consumer_key    i32   S: the consumer slot claimed (-1: none)
+///     session         u64   S: duplicate suppression; a new one ends leases
+///     start_seq       u64   S: the put sequence this attach resumes from
+///     arena           ref   S: the producer's arena, mapped if it checks out
 ///
-/// Version 3 adds the pipelined put machinery. Every `kPut` carries a
-/// per-link sequence number; `kPutAck` acknowledges *cumulatively*
-/// (`cum_seq` = highest contiguously stored sequence) and advertises
-/// `credits` — the receiver's current buffer slack — so a source may keep
-/// up to that many puts in flight without waiting. `kHello` carries a
-/// random per-transport `session` id plus the `start_seq` the sender will
-/// resume from, letting the server suppress duplicates after a reconnect
-/// replay (at-most-once channel semantics survive resends). Sequences
-/// start at 1; a `kPut` with seq 0 is a protocol violation that drops the
-/// connection.
+///   kHelloAck (server → client); a refusal's reason stays in the server log
+///     ok              u8    C: attached, or the link is dropped
+///     credits         u32   C: the put window's initial slack
+///     arena           ref   C: the server's arena, for a consumer to map
+///     peer_mapped     u8    C: the server mapped the Hello's arena
+///     instance        u64   C: a new server id frees every lent put slab
 ///
-/// Version 4 adds `waited` to `kGetReply`: how long the server parked the
-/// get waiting for the channel to become ready. The consumer books only
-/// that as blocked time; the rest of the RPC — the transfer — counts in
-/// its current-STP (paper §3.3.1), as the simulated link model charges it.
+///   kPut (client → server)
+///     seq             u64   S: per-link sequence, from 1; dup suppression
+///     item            item  S: the item to store (below)
 ///
-/// Version 5 lets same-host peers hand a payload over through the
-/// sender's shared arena (runtime/pool.hpp) instead of the payload tail.
-/// `kHello` and `kHelloAck` advertise the sender's arena as an `ArenaRef`
-/// (pid, fd, random token, size); the receiver maps it read-only only if
-/// `/proc/<pid>/fd/<fd>` names `memfd:aru-arena-<token>`, belongs to its
-/// own euid, is sealed against shrinking and growing, and is at least the
-/// advertised size (net/peer_arena.hpp). `HelloAck.peer_mapped` tells a
-/// producer whether the server mapped its arena; `Get.arena` tells the
-/// server whether the consumer mapped the server's. A `WireItem` whose
-/// `arena_offset` is set has its payload at that offset of the sender's
-/// arena, and its frame has no payload tail. A put's slab is pinned by the
-/// client's window until the cumulative ack. Any failed check falls back
-/// to the payload tail, and a descriptor the receiver cannot honour drops
-/// the connection. Version 5 also drops `PutAck.stored`, which clients had
-/// ignored since the window became the only put path.
+///   kPutAck (server → client), coalesced
+///     closed          u8    C: the channel closed; stop producing
+///     summary         i64   C: channel summary-STP, fed to source pacing
+///     cum_seq         u64   C: every put up to it is settled
+///     credits         u32   C: the channel's slack after this ack
+///     held            list  C: lent put seqs still viewed (≤ kMaxLeases)
 ///
-/// Version 6 lends get replies instead of having them copied: a consumer
-/// reads an arena reply in place, for as long as its item lives. The
-/// server pins the item under a lease and names it in `GetReply.lease`
-/// (0: no lease, the reply is a tail or was never pinned). The consumer
-/// returns a dead view's id at once in a `kRelease` frame when its link is
-/// idle, else in the next `Get.released`; either list holds at most
-/// kMaxLeases ids. Leases belong to the (channel, consumer slot), not to a
-/// connection: a slot pins at most kMaxLeases items (a reply past the cap
-/// rides the tail), a hang-up keeps them for the same session to release
-/// after a reconnect, and a Hello with a new session, or the server's
-/// stop, releases them all. Unknown and repeated ids are ignored. v5's
-/// empty `kRelease` ("the last reply was copied") is gone; the type now
-/// carries ids.
+///   kGet (client → server)
+///     consumer_summary i64  S: folded into the channel's backwardSTP
+///     guarantee       i64   S: DGC extra guarantee (kNoTimestamp: none)
+///     arenas          list  S: arenas the consumer mapped (≤ kMaxArenas)
 ///
-/// Version 7 makes `kRelease` the only way a lease goes back: `Get.released`
-/// is gone. A consumer sends the frame as soon as a view dies, even while
-/// its own get is parked on the server, which reads it during the park.
+///   kGetReply (server → client)
+///     has_item        u8    C: an item follows
+///     closed          u8    C: closed and drained; stop getting
+///     item            item  C: only when has_item
+///     summary         i64   C: channel summary-STP, held for pacing
+///     waited          i64   C: the server's park, booked as blocked
+///     lease           u64   C: pins a lent slab until released (0: none)
+///     offer           ref   C: the arena a tail's bytes live in (token 0: none)
 ///
-/// Version 8 lends puts as well, and lets a server lend on what it borrowed.
-/// Every arena offset names its arena: `WireItem.arena_token` is the token
-/// of the arena that holds the bytes. A server stores an arena put as a view
-/// of the producer's slab and lists the put seqs it still holds views of in
-/// every `PutAck.held` (at most kMaxLeases); the producer keeps a lent slab
-/// pinned until an ack that covers its seq no longer lists it, or until a
-/// `HelloAck` names another server `instance` (the old one is gone). A list
-/// that restates what is held, not what was freed, loses nothing when an ack
-/// dies with its connection. A consumer names the arenas it mapped on the
-/// link in every `Get.arenas` (at most kMaxArenas); a reply whose item lives
-/// in an arena the Get did not name rides the tail and offers that arena as
-/// `GetReply.offer`, which the consumer maps with the same checks as the
-/// server's own. So a server re-lends a producer's slab to its consumers,
-/// and only to links that mapped it. `Get.arena` (v5's flag) is gone.
+///   kRelease (client → server), as lent views die
+///     released        list  S: lease ids to end (≤ kMaxLeases)
+///
+///   kHeartbeat (server → client): empty; liveness while nothing else goes
+///
+///   item: ts i64 (the timestamp), produce_cost_ns i64 (the replica's
+///   produce cost), payload_bytes u32, arena_offset u64 (all ones: the tail
+///   carries the bytes), arena_token u64 (the arena holding the bytes).
+///   ref: pid u32, fd u32, token u64, size u64.
+///
+/// The paper's feedback (§3.3.2, Fig. 3) crosses the wire as summaries
+/// only: the consumer's rides kGet, the channel's rides kPutAck and
+/// kGetReply. The backwardSTP vector stays in the channel.
+///
+/// Mechanisms behind the fields. A producer keeps up to `credits` puts in
+/// flight; the cumulative ack settles them, and after a reconnect the
+/// server drops replayed seqs at or below its watermark for the session,
+/// so a put reaches the channel at most once. Same-host peers lend
+/// payloads through a shared arena (runtime/pool.hpp): the receiver maps
+/// a peer's arena read-only only if `/proc/<pid>/fd/<fd>` names
+/// `memfd:aru-arena-<token>`, belongs to its own euid, is sealed and is
+/// at least the advertised size (net/peer_arena.hpp). A lent put stays
+/// pinned by the producer until an ack that covers it stops listing it in
+/// `held`; a lent get reply stays pinned by the server's lease until a
+/// kRelease names it or a new session attaches the slot. A server re-lends a producer's slab only to links
+/// that named that arena in `Get.arenas`; others get the tail and the
+/// arena on offer. A hang-up ends a connection.
 ///
 /// Decoding is defensive: every length is bounds-checked against both the
-/// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
-/// kMaxNameBytes, kMaxEnvelopeBytes), and a truncated or corrupt buffer
+/// buffer and a hard cap (kMaxPayloadBytes, kMaxNameBytes, kMaxLeases,
+/// kMaxArenas, kMaxEnvelopeBytes), and a truncated or corrupt buffer
 /// yields `false` plus a diagnostic — never undefined behaviour. The
 /// fuzz-style round-trip and truncation tests live in tests/test_wire.cpp.
 #pragma once
@@ -118,7 +113,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/types.hpp"
@@ -128,37 +122,34 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 8;
+inline constexpr std::uint8_t kWireVersion = 9;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
-inline constexpr std::size_t kMaxStpSlots = 64;  ///< matches Channel::kMaxConsumers
-inline constexpr std::size_t kMaxAttrs = 64;
 inline constexpr std::size_t kMaxNameBytes = 256;
 inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 26;  // 64 MiB
-/// Items one consumer slot may hold on lease (wire v6), and so the most
+/// Items one consumer slot may hold on lease, and so the most
 /// ids one `kRelease` frame may carry. A reader holds a handful of items per
 /// channel, so a slot at the cap is leaking views, not using them.
 inline constexpr std::size_t kMaxLeases = 16;
-/// Arenas one consumer link maps and names in a Get (wire v8): the server's
+/// Arenas one consumer link maps and names in a Get: the server's
 /// own plus one per producer of the channel, with room for a respawned
 /// producer's old arena while its last items drain.
 inline constexpr std::size_t kMaxArenas = 4;
-/// Upper bound on an envelope. Every message's fixed fields plus maxed-out
-/// variable fields (name, attrs, STP slots) total well under 2 KiB, which
-/// is what lets the whole envelope path live in stack buffers.
-inline constexpr std::size_t kMaxEnvelopeBytes = 2048;
+/// Upper bound on an envelope. The largest is a Hello with a kMaxNameBytes
+/// name, about 306 bytes, which is what lets the whole envelope path live
+/// in small stack buffers.
+inline constexpr std::size_t kMaxEnvelopeBytes = 512;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,    ///< connection attach: channel name + endpoint keys
   kHelloAck,     ///< attach outcome
-  kPut,          ///< item + producer backward-STP vector
-  kPutAck,       ///< cumulative ack: closed + channel summary + backward-STP vector
+  kPut,          ///< sequenced item
+  kPutAck,       ///< cumulative ack: closed + channel summary-STP + credits
   kGet,          ///< latest-item request + consumer summary-STP + guarantee
-  kGetReply,     ///< item (or closed) + channel summary + backward-STP vector
+  kGetReply,     ///< item (or closed) + channel summary-STP
   kHeartbeat,    ///< liveness while a blocking get waits server-side
-  kClose,        ///< orderly goodbye
-  kRelease,      ///< consumer returns the leases of dead views (v6)
+  kRelease,      ///< consumer returns the leases of dead views
 };
 
 /// True for a value the header decoder should accept.
@@ -173,40 +164,32 @@ const char* to_string(MsgType type);
 /// Never 0, which reads as "none".
 std::uint64_t random_wire_id();
 
-/// Well-known item attribute keys. Attributes are free-form (key, value)
-/// tags preserved end-to-end; unknown keys must be carried through.
-inline constexpr std::uint32_t kTagProducerNode = 1;  ///< origin-process producer NodeId
-inline constexpr std::uint32_t kTagClusterNode = 2;   ///< origin-process cluster node
-
 /// `WireItem::arena_offset` of an item whose payload rides the frame's
 /// payload tail.
 inline constexpr std::uint64_t kNoArenaOffset = ~std::uint64_t{0};
 
 /// A timestamped item in transit: everything a peer needs to materialize
-/// a local `Item` replica plus the attribute tags riding along. The
-/// payload bytes are NOT part of the envelope — `payload_bytes` records
-/// their size and the frame's payload tail carries them, or an arena holds
-/// them at `arena_offset` (wire v5): the sender's own, or one it borrowed
-/// the bytes from (v8).
+/// a local `Item` replica. The payload bytes are NOT part of the envelope —
+/// `payload_bytes` records their size and the frame's payload tail carries
+/// them, or an arena holds them at `arena_offset`: the sender's own, or one
+/// it borrowed the bytes from.
 struct WireItem {
   Timestamp ts = kNoTimestamp;
-  std::uint64_t origin_id = 0;  ///< item id in the *sending* process's id space
   std::int64_t produce_cost_ns = 0;
-  std::vector<std::pair<std::uint32_t, std::int64_t>> attrs;
   std::uint32_t payload_bytes = 0;  ///< size of the payload
   /// Offset of the payload in arena `arena_token`; kNoArenaOffset means the
   /// frame's payload tail carries it.
   std::uint64_t arena_offset = kNoArenaOffset;
-  /// Token of the arena holding the payload (v8); 0 with a payload tail.
+  /// Token of the arena holding the payload; 0 with a payload tail.
   std::uint64_t arena_token = 0;
 
   bool operator==(const WireItem&) const = default;
 };
 
-/// A shared payload arena as a same-host peer finds it (v5):
+/// A shared payload arena as a same-host peer finds it:
 /// `/proc/<pid>/fd/<fd>` is a memfd named `aru-arena-<token>` of at least
-/// `size` bytes. A zero token advertises no arena. Since v8 the process may
-/// be a third one: a server offers a consumer the arena of the producer it
+/// `size` bytes. A zero token advertises no arena. The process may be a
+/// third one: a server offers a consumer the arena of the producer it
 /// borrowed an item from.
 struct ArenaRef {
   std::int32_t pid = 0;
@@ -232,11 +215,10 @@ struct HelloMsg {
 
 struct HelloAckMsg {
   bool ok = false;
-  std::string message;
   std::uint32_t credits = 0;  ///< receiver buffer slack at attach time
   ArenaRef arena;             ///< the server's arena, for a consumer to map
   bool peer_mapped = false;   ///< the server mapped the Hello's arena
-  /// Random id of the server instance (v8). A producer that meets a new one
+  /// Random id of the server instance. A producer that meets a new one
   /// knows the server that held its lent slabs is gone.
   std::uint64_t instance = 0;
 
@@ -246,7 +228,6 @@ struct HelloAckMsg {
 struct PutMsg {
   std::uint64_t seq = 0;  ///< per-link sequence number (monotonic from start_seq, ≥ 1)
   WireItem item;
-  std::vector<Nanos> stp;  ///< producer's backwardSTP vector (diagnostic)
 
   bool operator==(const PutMsg&) const = default;
 };
@@ -256,9 +237,8 @@ struct PutAckMsg {
   Nanos summary{0};           ///< channel summary-STP (paper §3.3.2 put return)
   std::uint64_t cum_seq = 0;  ///< cumulative ack: all seq ≤ this are settled
   std::uint32_t credits = 0;  ///< receiver buffer slack after this ack
-  std::vector<Nanos> stp;     ///< channel's full backwardSTP vector
   /// Put seqs of this producer session whose slabs the server still holds
-  /// views of (v8), at most kMaxLeases: a lent seq up to `cum_seq` that is
+  /// views of, at most kMaxLeases: a lent seq up to `cum_seq` that is
   /// not listed is free to recycle.
   std::vector<std::uint64_t> held;
 
@@ -268,7 +248,7 @@ struct PutAckMsg {
 struct GetMsg {
   Nanos consumer_summary{0};            ///< piggy-backed consumer summary-STP
   Timestamp guarantee = kNoTimestamp;   ///< DGC extra guarantee (kNoTimestamp = none)
-  /// Tokens of the arenas the consumer mapped on this link (v8), at most
+  /// Tokens of the arenas the consumer mapped on this link, at most
   /// kMaxArenas: the server lends only from these.
   std::vector<std::uint64_t> arenas;
 
@@ -278,36 +258,28 @@ struct GetMsg {
 struct GetReplyMsg {
   bool has_item = false;
   bool closed = false;  ///< channel closed and drained: consumer should stop
-  WireItem item;        ///< valid only when has_item
-  std::int32_t skipped = 0;
-  Nanos summary{0};          ///< channel summary-STP
+  WireItem item;        ///< encoded only when has_item
+  Nanos summary{0};     ///< channel summary-STP
   /// Time the server parked this get waiting for the channel to become
-  /// ready (wire v4). The consumer books this — not the whole RPC — as
-  /// blocked, so the transfer counts in its current-STP.
+  /// ready. The consumer books this — not the whole RPC — as blocked, so
+  /// the transfer counts in its current-STP.
   Nanos waited{0};
-  std::vector<Nanos> stp;    ///< channel's full backwardSTP vector
-  /// Lease pinning the item's arena slab until the consumer releases it
-  /// (v6); 0 when the reply holds no lease.
+  /// Lease pinning the item's arena slab until the consumer releases it;
+  /// 0 when the reply holds no lease.
   std::uint64_t lease = 0;
-  /// The arena a tail's bytes live in, when the Get did not name it (v8):
+  /// The arena a tail's bytes live in, when the Get did not name it:
   /// the consumer may map it and name it in later Gets. Token 0: none.
   ArenaRef offer;
 
   bool operator==(const GetReplyMsg&) const = default;
 };
 
-/// Leases of dead views, returned as the views die (wire v6; the only way
-/// back since v7).
+/// Leases of dead views, returned as the views die: the only way a lease
+/// goes back.
 struct ReleaseMsg {
   std::vector<std::uint64_t> released;  ///< at most kMaxLeases ids
 
   bool operator==(const ReleaseMsg&) const = default;
-};
-
-struct HeartbeatMsg {
-  std::int64_t t_ns = 0;  ///< sender clock at emission (diagnostics)
-
-  bool operator==(const HeartbeatMsg&) const = default;
 };
 
 /// Decoded frame header.
@@ -343,22 +315,22 @@ struct EnvelopeBody {
 // names an arena offset — and the caller is responsible for sending
 // exactly that many payload bytes after the envelope. Encoders enforce
 // the same hard caps as the decoders: a variable-length field over its
-// cap (name, STP slots, attrs) throws std::length_error at the sender
+// cap (name, lease or arena list, payload size) throws std::length_error at the sender
 // instead of emitting a frame every peer would reject.
 
 ARU_HOT_PATH FrameBuf encode(const HelloMsg& m);
 ARU_HOT_PATH FrameBuf encode(const HelloAckMsg& m);
 ARU_HOT_PATH FrameBuf encode(const PutMsg& m);
 /// In-place variant for the pipelined window: encodes into the
-/// transport's reused FrameBuf, skipping the ~2 KiB struct copy a
-/// by-value return costs on every enqueued put.
+/// transport's reused FrameBuf, skipping the struct copy a by-value return
+/// costs on every enqueued put.
 ARU_HOT_PATH void encode_into(const PutMsg& m, FrameBuf& out);
 ARU_HOT_PATH FrameBuf encode(const PutAckMsg& m);
 ARU_HOT_PATH FrameBuf encode(const GetMsg& m);
 ARU_HOT_PATH FrameBuf encode(const GetReplyMsg& m);
 ARU_HOT_PATH FrameBuf encode(const ReleaseMsg& m);
-ARU_HOT_PATH FrameBuf encode(const HeartbeatMsg& m);
-ARU_HOT_PATH FrameBuf encode_close();
+/// A heartbeat: its envelope is empty.
+ARU_HOT_PATH FrameBuf encode_heartbeat();
 
 // -- decoding ---------------------------------------------------------------
 // All decoders return false (and set *err when non-null) on truncated,
@@ -383,7 +355,5 @@ ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body,
                                           GetReplyMsg& out, std::string* err);
 ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body,
                                           ReleaseMsg& out, std::string* err);
-ARU_HOT_PATH ARU_NOTHROW_PATH bool decode(std::span<const std::byte> body,
-                                          HeartbeatMsg& out, std::string* err);
 
 }  // namespace stampede::net

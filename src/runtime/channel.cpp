@@ -437,8 +437,9 @@ Channel::WindowResult Channel::get_window(int consumer_idx, std::size_t window,
     if (!wait_locked(lock, me, std::move(st), result.blocked)) return result;
 
     // The newest `window` entries, ascending; the newest is consumed, the
-    // unseen ones older than the window are skipped, and the window's
-    // older members are only observed.
+    // window's older members are only observed, and everything older than
+    // the window this consumer never consumed is skipped: the unseen
+    // entries the cursor jumps, and the members the window left behind.
     const std::int64_t now = ctx_.now_ns();
     const std::size_t count = std::min(window, entries_.size());
     const std::size_t first = entries_.size() - count;
@@ -446,7 +447,7 @@ Channel::WindowResult Channel::get_window(int consumer_idx, std::size_t window,
     for (std::size_t i = first; i < entries_.size(); ++i) {
       result.items.push_back(entries_[i].item);
     }
-    skip_locked(consumer_idx, lower_bound_locked(me.cursor + 1), first, now);
+    skip_locked(consumer_idx, 0, first, now);
     consume_locked(consumer_idx, entries_.size() - 1, now, result.transfer, result.overhead);
     me.cursor = entries_.back().ts;
     // Hold the guarantee back at the window tail so the window's older
@@ -530,18 +531,6 @@ Timestamp Channel::frontier() const {
 Nanos Channel::summary() const {
   const util::MutexLock lock(mu_);
   return feedback_.summary();
-}
-
-std::vector<Nanos> Channel::backward_stp() const {
-  const util::MutexLock lock(mu_);
-  const auto view = feedback_.backward();
-  return {view.begin(), view.end()};
-}
-
-void Channel::backward_stp_into(std::vector<Nanos>& out) const {
-  const util::MutexLock lock(mu_);
-  const auto view = feedback_.backward();
-  out.assign(view.begin(), view.end());
 }
 
 std::size_t Channel::consumers() const {

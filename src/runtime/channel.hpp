@@ -176,9 +176,11 @@ class Channel {
   /// blocks until an item newer than the cursor exists, then returns the
   /// newest `window` items in ascending timestamp order. The newest is
   /// marked consumed and advances the cursor; older window members are
-  /// only observed (they may already be consumed/skipped). The consumer's
-  /// DGC guarantee is held back by `window` so the window's tail is not
-  /// collected under it.
+  /// only observed (they may already be consumed/skipped). Entries older
+  /// than the window that this consumer never consumed are marked skipped,
+  /// so Transparent GC reclaims a member once it leaves the window, as
+  /// Dead-Timestamp GC does. The consumer's guarantee is held back at the
+  /// window's tail so the window is not collected under it.
   struct WindowResult {
     std::vector<std::shared_ptr<const Item>> items;  ///< ascending ts; empty if closed
     Nanos blocked{0};
@@ -230,18 +232,9 @@ class Channel {
   /// DGC frontier: min consumer guarantee (for thread guarantee
   /// propagation — paper's dead-timestamp reasoning).
   Timestamp frontier() const;
-  /// Current channel summary-STP (diagnostics/tests).
+  /// Current channel summary-STP: what a put or a get returns upstream
+  /// (the net server sends it on put acks and get replies).
   Nanos summary() const;
-  /// Snapshot of the backwardSTP vector (one slot per registered consumer;
-  /// kUnknownStp = nothing received). The net skeleton piggy-backs this on
-  /// put acks and get replies (paper §3.3.2 Fig. 3 over the wire).
-  ARU_ALLOCATES std::vector<Nanos> backward_stp() const;
-  /// Allocation-free variant for per-reply use: fills `out` in place, so
-  /// a caller that reuses its vector pays at most one growth to the
-  /// high-water STP width (the net serve loop piggy-backs this on every
-  /// put ack and get reply).
-  ARU_ALLOCATES ARU_ANALYZE_ESCAPE("fills the caller's reused vector — capacity persists across replies, so growth is amortized to the high-water STP width")
-  void backward_stp_into(std::vector<Nanos>& out) const;
   std::size_t consumers() const;
   std::size_t producers() const;
 

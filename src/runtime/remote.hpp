@@ -54,8 +54,6 @@ class RemoteEndpoint {
     /// link model charges it. A get that returns no item books its whole
     /// wall time here.
     Nanos blocked{0};
-    /// Stale items the remote channel skipped over for this consumer.
-    int skipped = 0;
   };
 
   virtual ~RemoteEndpoint() = default;

@@ -181,6 +181,26 @@ TEST(GetWindow, SlidesForwardAsItemsArrive) {
   EXPECT_EQ(w2.items[1]->ts(), 3);
 }
 
+TEST(GetWindow, MembersLeftBehindAreReclaimedUnderBothGcKinds) {
+  // A window reader that reads after every third put: the members its
+  // window moves past were never consumed, and the cursor had already
+  // passed them. Both collectors must reclaim them once they leave the
+  // window, or a Transparent GC channel grows without bound.
+  for (const gc::Kind kind : {gc::Kind::kTransparent, gc::Kind::kDeadTimestamp}) {
+    SCOPED_TRACE(gc::to_string(kind));
+    Env env;
+    env.ctx.gc = kind;
+    auto ch = env.make_channel();
+    const int c = ch->register_consumer(200, 0);
+    constexpr std::size_t kWindow = 4;
+    for (Timestamp ts = 0; ts < 300; ++ts) {
+      ch->put(env.make_item(ts), never_stop());
+      if (ts % 3 == 2) ch->get_window(c, kWindow, aru::kUnknownStp, never_stop());
+    }
+    EXPECT_LE(ch->size(), kWindow + 1);
+  }
+}
+
 TEST(GetWindow, ZeroWindowThrows) {
   Env env;
   auto ch = env.make_channel();

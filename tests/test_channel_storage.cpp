@@ -88,11 +88,10 @@ class RefModel {
     for (std::size_t i = 0; i < count; ++i) --first;
     const Timestamp window_tail = first->first;
 
-    // Entries strictly before the window tail are the ones the real
-    // channel's `i < first` loop visits (the cursor may already be inside
-    // the window, in which case nothing is marked).
-    for (auto it = entries_.upper_bound(cursor_[static_cast<std::size_t>(c)]);
-         it != entries_.end() && it->first < window_tail; ++it) {
+    // Every entry strictly before the window tail that this consumer never
+    // consumed is skipped: the unseen ones the cursor jumps, and the older
+    // window members the window has moved past.
+    for (auto it = entries_.begin(); it != entries_.end() && it->first < window_tail; ++it) {
       if ((it->second.consumed & bit) == 0) it->second.skipped |= bit;
     }
     entries_.rbegin()->second.consumed |= bit;

@@ -1701,7 +1701,7 @@ TEST(ArenaHandoff, HostileFramesDuringAParkedGetAreHandledAsBetweenGets) {
     std::int64_t leases_after;
   };
   const FrameBuf garbled = [] {
-    FrameBuf f = encode(HeartbeatMsg{.t_ns = 1});
+    FrameBuf f = encode_heartbeat();
     f.data[0] = std::byte{0xFF};  // bad magic
     return f;
   }();

@@ -1,7 +1,7 @@
 /// \file test_wire.cpp
 /// \brief Wire-protocol property tests: randomized encode/decode round
-///        trips for every message type, boundary-size summary-STP vectors,
-///        split header/envelope/payload framing invariants, and the
+///        trips for every message type, boundary-size id lists, split
+///        header/envelope/payload framing invariants, and the
 ///        defensive-decode guarantee — a truncated or corrupt buffer must
 ///        return false with a diagnostic, never crash or read out of
 ///        bounds.
@@ -9,13 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/compress.hpp"
 #include "util/rng.hpp"
 
 namespace stampede::net {
@@ -39,31 +39,13 @@ std::vector<std::byte> random_bytes(Xoshiro256& rng, std::size_t max_len) {
   return p;
 }
 
-std::vector<Nanos> random_stp(Xoshiro256& rng, std::size_t slots) {
-  std::vector<Nanos> v(slots);
-  for (auto& n : v) {
-    // Mix known values, unknown (0) slots, and negative garbage that a
-    // buggy peer could send — the codec must carry all of them verbatim.
-    const auto pick = rng.below(4);
-    n = pick == 0 ? aru::kUnknownStp
-                  : Nanos{static_cast<std::int64_t>(rng.next()) >> (pick == 1 ? 32 : 8)};
-  }
-  return v;
-}
-
 WireItem random_item(Xoshiro256& rng, std::size_t max_payload = 1 << 20) {
   WireItem item;
   item.ts = static_cast<Timestamp>(rng.next() >> 8);
-  item.origin_id = rng.next();
   item.produce_cost_ns = static_cast<std::int64_t>(rng.next() >> 16);
-  const std::size_t n_attrs = rng.below(5);
-  for (std::size_t i = 0; i < n_attrs; ++i) {
-    item.attrs.emplace_back(static_cast<std::uint32_t>(rng.next()),
-                            static_cast<std::int64_t>(rng.next()));
-  }
   item.payload_bytes = static_cast<std::uint32_t>(rng.below(max_payload + 1));
-  // Half the items name an offset in an arena (wire v5), and the arena's
-  // token (v8), instead of a tail.
+  // Half the items name an offset in an arena, and the arena's token,
+  // instead of a tail.
   if (rng.below(2) == 1) {
     item.arena_offset = rng.next() >> 1;
     item.arena_token = rng.next();
@@ -71,7 +53,7 @@ WireItem random_item(Xoshiro256& rng, std::size_t max_payload = 1 << 20) {
   return item;
 }
 
-/// Up to kMaxLeases lease ids (wire v6), zero and repeated ids included:
+/// Up to kMaxLeases lease ids, zero and repeated ids included:
 /// the codec carries them verbatim and the server ignores what it does
 /// not hold.
 std::vector<std::uint64_t> random_leases(Xoshiro256& rng) {
@@ -88,7 +70,7 @@ ArenaRef random_arena(Xoshiro256& rng) {
           .size = rng.next()};
 }
 
-/// Up to kMaxArenas arena tokens (wire v8).
+/// Up to kMaxArenas arena tokens.
 std::vector<std::uint64_t> random_tokens(Xoshiro256& rng) {
   std::vector<std::uint64_t> tokens(rng.below(kMaxArenas + 1));
   for (auto& t : tokens) t = rng.next();
@@ -168,7 +150,6 @@ TEST(Wire, HelloAckRoundTripRandomized) {
   Xoshiro256 rng(0xB0B);
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(HelloAckMsg{.ok = rng.below(2) == 1,
-                                 .message = random_name(rng, kMaxNameBytes),
                                  .credits = static_cast<std::uint32_t>(rng.next()),
                                  .arena = random_arena(rng),
                                  .peer_mapped = rng.below(2) == 1,
@@ -180,10 +161,7 @@ TEST(Wire, HelloAckRoundTripRandomized) {
 TEST(Wire, PutRoundTripRandomized) {
   Xoshiro256 rng(0xCAFE);
   for (int i = 0; i < 100; ++i) {
-    expect_roundtrip(PutMsg{.seq = rng.next(),
-                            .item = random_item(rng),
-                            .stp = random_stp(rng, rng.below(kMaxStpSlots + 1))},
-                     MsgType::kPut);
+    expect_roundtrip(PutMsg{.seq = rng.next(), .item = random_item(rng)}, MsgType::kPut);
   }
 }
 
@@ -194,7 +172,6 @@ TEST(Wire, PutAckRoundTripRandomized) {
                                .summary = Nanos{static_cast<std::int64_t>(rng.next() >> 8)},
                                .cum_seq = rng.next(),
                                .credits = static_cast<std::uint32_t>(rng.next()),
-                               .stp = random_stp(rng, rng.below(kMaxStpSlots + 1)),
                                .held = random_leases(rng)},
                      MsgType::kPutAck);
   }
@@ -215,12 +192,10 @@ TEST(Wire, GetReplyRoundTripRandomized) {
   for (int i = 0; i < 100; ++i) {
     GetReplyMsg m{.has_item = rng.below(2) == 1,
                   .closed = rng.below(2) == 1,
-                  .skipped = static_cast<std::int32_t>(rng.next() >> 40),
                   .summary = Nanos{static_cast<std::int64_t>(rng.next() >> 8)},
                   // Any i64, negative garbage included: the codec carries
                   // it verbatim and the consumer clamps it.
                   .waited = Nanos{static_cast<std::int64_t>(rng.next())},
-                  .stp = random_stp(rng, rng.below(kMaxStpSlots + 1)),
                   .lease = rng.below(3) == 0 ? 0 : rng.next()};
     if (m.has_item) m.item = random_item(rng);
     if (rng.below(2) == 1) m.offer = random_arena(rng);
@@ -228,19 +203,40 @@ TEST(Wire, GetReplyRoundTripRandomized) {
   }
 }
 
-TEST(Wire, HeartbeatAndCloseRoundTrip) {
-  expect_roundtrip(HeartbeatMsg{.t_ns = 123456789}, MsgType::kHeartbeat);
-
-  const FrameBuf frame = encode_close();
+TEST(Wire, HeartbeatHasAnEmptyEnvelope) {
+  const FrameBuf frame = encode_heartbeat();
+  EXPECT_EQ(frame.len, kHeaderBytes);
   FrameHeader h;
   std::string err;
   ASSERT_TRUE(decode_header(frame.span().first(kHeaderBytes), h, &err)) << err;
-  EXPECT_EQ(h.type, MsgType::kClose);
+  EXPECT_EQ(h.type, MsgType::kHeartbeat);
   EXPECT_EQ(h.body_len, 0u);
   EXPECT_EQ(h.payload_len, 0u);
 }
 
-// -- leases (wire v6) -------------------------------------------------------
+TEST(Wire, GetReplyWithoutAnItemCarriesNoItemBytes) {
+  // has_item, closed, summary, waited, lease and the offer: no item
+  // envelope rides along when there is no item.
+  const GetReplyMsg empty{.closed = true, .summary = millis(4), .waited = millis(2)};
+  expect_roundtrip(empty, MsgType::kGetReply);
+  const FrameBuf frame = encode(empty);
+  EXPECT_EQ(frame.len - kHeaderBytes, 1u + 1u + 8u + 8u + 8u + 24u);
+
+  GetReplyMsg full = empty;
+  full.has_item = true;
+  full.item.payload_bytes = 64;
+  const FrameBuf with_item = encode(full);
+  const std::size_t item_bytes = 8 + 8 + 4 + 8 + 8;  // ts, cost, size, offset, token
+  EXPECT_EQ(with_item.len, frame.len + item_bytes);
+
+  // Decoding a reply without an item leaves no stale item behind.
+  GetReplyMsg out;
+  ASSERT_TRUE(decode(with_item.span().subspan(kHeaderBytes), out, nullptr));
+  ASSERT_TRUE(decode(frame.span().subspan(kHeaderBytes), out, nullptr));
+  EXPECT_EQ(out, empty);
+}
+
+// -- leases -------------------------------------------------------------
 
 TEST(Wire, LeaseFieldsRoundTripAtTheirBounds) {
   ReleaseMsg full;
@@ -255,8 +251,8 @@ TEST(Wire, LeaseFieldsRoundTripAtTheirBounds) {
   reply.item.arena_offset = 4096;
   reply.item.arena_token = ~std::uint64_t{0};
   expect_roundtrip(reply, MsgType::kGetReply);
-  // The lease comes right before the offer (24 bytes, v8): a reply without
-  // one has eight zero bytes there.
+  // The lease comes right before the offer (24 bytes): a reply without one
+  // has eight zero bytes there.
   const FrameBuf plain = encode(GetReplyMsg{});
   for (std::size_t i = plain.len - 32; i < plain.len - 24; ++i) {
     EXPECT_EQ(plain.data[i], std::byte{0});
@@ -300,7 +296,7 @@ TEST(Wire, OverlongReleasedListIsRejected) {
   std::memcpy(body.data() + count_at, &huge, sizeof(huge));
   EXPECT_FALSE(decode(body, out, &err));
 
-  // The v8 lists have caps of their own: a put ack's held seqs
+  // The other lists have caps of their own: a put ack's held seqs
   // (kMaxLeases) and a get's arena tokens (kMaxArenas).
   PutAckMsg over_ack;
   over_ack.held.assign(kMaxLeases + 1, 1);
@@ -339,7 +335,7 @@ TEST(Wire, OverlongReleasedListIsRejected) {
 TEST(Wire, LeaseFieldsSurviveTruncationAndGarbage) {
   Xoshiro256 rng(0x1EA5E);
   for (int i = 0; i < 20; ++i) {
-    GetReplyMsg reply{.has_item = true, .stp = random_stp(rng, 2), .lease = rng.next() | 1};
+    GetReplyMsg reply{.has_item = true, .lease = rng.next() | 1};
     reply.item = random_item(rng, 64);
     expect_truncation_safe<GetReplyMsg>(encode(reply));
     expect_truncation_safe<ReleaseMsg>(encode(ReleaseMsg{.released = random_leases(rng)}));
@@ -377,30 +373,56 @@ TEST(Wire, LeaseFieldsSurviveTruncationAndGarbage) {
 
 TEST(Wire, EnvelopesNeverExceedTheStackBufferCap) {
   // The zero-copy receive path banks on every conforming envelope fitting
-  // kMaxEnvelopeBytes: build the largest envelope each item-bearing
-  // message can produce (max-size attrs + STP vector + a max-size payload
-  // announcement, which costs 4 bytes regardless of payload size).
-  WireItem item;
-  item.attrs.assign(kMaxAttrs, {0xFFFFFFFFu, -1});
-  item.payload_bytes = static_cast<std::uint32_t>(kMaxPayloadBytes);
-  const std::vector<Nanos> stp(kMaxStpSlots, Nanos{-1});
+  // kMaxEnvelopeBytes: build each message's largest envelope (every list
+  // at its cap, a kMaxNameBytes name, a max-size payload announcement,
+  // which costs 4 bytes regardless of payload size) and check it fits.
+  const ArenaRef arena{
+      .pid = -1, .fd = -1, .token = ~std::uint64_t{0}, .size = ~std::uint64_t{0}};
+  const WireItem item{.ts = -1,
+                      .produce_cost_ns = -1,
+                      .payload_bytes = static_cast<std::uint32_t>(kMaxPayloadBytes),
+                      .arena_offset = 0,
+                      .arena_token = ~std::uint64_t{0}};
+  const std::vector<std::uint64_t> leases(kMaxLeases, ~std::uint64_t{0});
+  const std::vector<std::uint64_t> arenas(kMaxArenas, ~std::uint64_t{0});
 
-  const FrameBuf put = encode(PutMsg{.item = item, .stp = stp});
-  EXPECT_LE(put.len - kHeaderBytes, kMaxEnvelopeBytes);
-
-  GetReplyMsg reply{.has_item = true,
-                    .skipped = -1,
-                    .summary = Nanos{-1},
-                    .waited = Nanos{-1},
-                    .stp = stp};
-  reply.item = item;
-  reply.offer = ArenaRef{.pid = -1, .fd = -1, .token = ~std::uint64_t{0}, .size = ~std::uint64_t{0}};
-  const FrameBuf get_reply = encode(reply);
-  EXPECT_LE(get_reply.len - kHeaderBytes, kMaxEnvelopeBytes);
-
-  PutAckMsg ack{.summary = Nanos{-1}, .stp = stp};
-  ack.held.assign(kMaxLeases, ~std::uint64_t{0});
-  EXPECT_LE(encode(ack).len - kHeaderBytes, kMaxEnvelopeBytes);
+  std::vector<std::size_t> sizes;
+  const auto envelope = [&](const FrameBuf& frame) {
+    sizes.push_back(frame.len - kHeaderBytes);
+    return frame.len - kHeaderBytes;
+  };
+  const HelloMsg longest_hello{.channel = std::string(kMaxNameBytes, 'x'),
+                               .producer_key = -1,
+                               .consumer_key = -1,
+                               .session = ~std::uint64_t{0},
+                               .start_seq = ~std::uint64_t{0},
+                               .arena = arena};
+  const std::size_t hello = envelope(encode(longest_hello));
+  envelope(encode(HelloAckMsg{.ok = true,
+                              .credits = ~std::uint32_t{0},
+                              .arena = arena,
+                              .peer_mapped = true,
+                              .instance = ~std::uint64_t{0}}));
+  envelope(encode(PutMsg{.seq = ~std::uint64_t{0}, .item = item}));
+  envelope(encode(PutAckMsg{.closed = true,
+                            .summary = Nanos{-1},
+                            .cum_seq = ~std::uint64_t{0},
+                            .credits = ~std::uint32_t{0},
+                            .held = leases}));
+  envelope(encode(GetMsg{.consumer_summary = Nanos{-1}, .guarantee = -1, .arenas = arenas}));
+  envelope(encode(GetReplyMsg{.has_item = true,
+                              .closed = true,
+                              .item = item,
+                              .summary = Nanos{-1},
+                              .waited = Nanos{-1},
+                              .lease = ~std::uint64_t{0},
+                              .offer = arena}));
+  envelope(encode(ReleaseMsg{.released = leases}));
+  envelope(encode_heartbeat());
+  for (const std::size_t n : sizes) EXPECT_LE(n, kMaxEnvelopeBytes);
+  // The Hello with a maximal name is the largest of them.
+  EXPECT_EQ(hello, *std::max_element(sizes.begin(), sizes.end()));
+  EXPECT_EQ(hello, 2 + kMaxNameBytes + 4 + 4 + 8 + 8 + 24);
 }
 
 TEST(Wire, PayloadLenRidesTheHeaderNotTheEnvelope) {
@@ -428,40 +450,6 @@ TEST(Wire, PayloadLenRidesTheHeaderNotTheEnvelope) {
   EXPECT_EQ(out.item.arena_offset, 4096u);
 }
 
-// -- summary-STP vector boundaries ------------------------------------------
-
-TEST(Wire, EmptyStpVectorRoundTrips) {
-  expect_roundtrip(PutAckMsg{.summary = millis(7), .stp = {}},
-                   MsgType::kPutAck);
-}
-
-TEST(Wire, MaxSizeStpVectorRoundTrips) {
-  Xoshiro256 rng(0x57EF);
-  expect_roundtrip(PutAckMsg{.summary = millis(3),
-                             .stp = random_stp(rng, kMaxStpSlots)},
-                   MsgType::kPutAck);
-  expect_roundtrip(PutMsg{.item = random_item(rng, 16),
-                          .stp = random_stp(rng, kMaxStpSlots)},
-                   MsgType::kPut);
-}
-
-TEST(Wire, OversizedStpVectorIsRejected) {
-  // Hand-build a PutAck body whose slot count exceeds the cap: the decoder
-  // must reject it before trusting the length.
-  PutAckMsg m{.stp = std::vector<Nanos>(kMaxStpSlots, millis(1))};
-  FrameBuf frame = encode(m);
-  // Body layout (v5): closed u8, summary i64, cum_seq u64, credits u32,
-  // count u16, slots...
-  const std::size_t count_off = kHeaderBytes + 1 + 8 + 8 + 4;
-  const auto bumped = static_cast<std::uint16_t>(kMaxStpSlots + 1);
-  std::memcpy(frame.data.data() + count_off, &bumped, sizeof(bumped));
-
-  PutAckMsg out;
-  std::string err;
-  EXPECT_FALSE(decode(frame.span().subspan(kHeaderBytes), out, &err));
-  EXPECT_NE(err.find("STP"), std::string::npos) << err;
-}
-
 // -- encode-time caps -------------------------------------------------------
 
 TEST(Wire, EncodeEnforcesTheDecodeCaps) {
@@ -470,15 +458,8 @@ TEST(Wire, EncodeEnforcesTheDecodeCaps) {
   // desynchronize the frame), so the encoder throws at the sender.
   EXPECT_THROW(encode(HelloMsg{.channel = std::string(kMaxNameBytes + 1, 'x')}),
                std::length_error);
-  EXPECT_THROW(encode(HelloAckMsg{.ok = false,
-                                  .message = std::string(kMaxNameBytes + 1, 'y')}),
+  EXPECT_THROW(encode(PutAckMsg{.held = std::vector<std::uint64_t>(kMaxLeases + 1, 1)}),
                std::length_error);
-  EXPECT_THROW(
-      encode(PutAckMsg{.stp = std::vector<Nanos>(kMaxStpSlots + 1, millis(1))}),
-      std::length_error);
-  WireItem oversized_attrs;
-  oversized_attrs.attrs.assign(kMaxAttrs + 1, {0U, 0});
-  EXPECT_THROW(encode(PutMsg{.item = oversized_attrs}), std::length_error);
   WireItem oversized_payload;
   oversized_payload.payload_bytes = static_cast<std::uint32_t>(kMaxPayloadBytes) + 1;
   EXPECT_THROW(encode(PutMsg{.item = oversized_payload}), std::length_error);
@@ -500,30 +481,24 @@ TEST(Wire, TruncatedBodiesNeverCrash) {
                       .session = 0x1122334455667788ULL,
                       .start_seq = 42}));
   expect_truncation_safe<HelloAckMsg>(encode(HelloAckMsg{.ok = false,
-                                                         .message = "no",
                                                          .credits = 7,
                                                          .arena = random_arena(rng),
                                                          .peer_mapped = true}));
-  expect_truncation_safe<PutMsg>(encode(
-      PutMsg{.seq = 99, .item = random_item(rng, 64), .stp = random_stp(rng, 5)}));
+  expect_truncation_safe<PutMsg>(encode(PutMsg{.seq = 99, .item = random_item(rng, 64)}));
   expect_truncation_safe<PutAckMsg>(encode(PutAckMsg{.summary = millis(2),
                                                      .cum_seq = 99,
                                                      .credits = 5,
-                                                     .stp = random_stp(rng, 3),
                                                      .held = {97, 98}}));
   expect_truncation_safe<GetMsg>(
       encode(GetMsg{.consumer_summary = millis(4), .guarantee = 17, .arenas = {1, 2}}));
   GetReplyMsg reply{.has_item = true,
-                    .skipped = 2,
                     .summary = millis(9),
                     .waited = millis(3),
-                    .stp = random_stp(rng, 4),
                     .offer = random_arena(rng)};
   reply.item = random_item(rng, 64);
   expect_truncation_safe<GetReplyMsg>(encode(reply));
-  // The no-item reply (zeroed item envelope) is length-checked the same way.
+  // The no-item reply (no item envelope) is length-checked the same way.
   expect_truncation_safe<GetReplyMsg>(encode(GetReplyMsg{.waited = millis(5)}));
-  expect_truncation_safe<HeartbeatMsg>(encode(HeartbeatMsg{.t_ns = 42}));
 }
 
 TEST(Wire, RandomGarbageNeverCrashes) {
@@ -563,7 +538,7 @@ TEST(Wire, TrailingBytesAreRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
-  const FrameBuf good = encode(HeartbeatMsg{.t_ns = 1});
+  const FrameBuf good = encode_heartbeat();
   std::string err;
   FrameHeader h;
   ASSERT_TRUE(decode_header(good.span().first(kHeaderBytes), h, &err));
@@ -576,10 +551,10 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_FALSE(e.empty());
   };
-  static_assert(kWireVersion == 8, "v8: puts are lent and lent items re-lent");
+  static_assert(kWireVersion == 9, "v9: only fields a peer reads");
   corrupt(0, 0xFF);                                      // magic
   corrupt(8, kWireVersion + 1);                          // version
-  corrupt(8, kWireVersion - 1);                          // v7 peers (Get.arena)
+  corrupt(8, 8);                                         // v8 peers (STP vectors)
   corrupt(8, 1);                                         // v1 peers are rejected too
   corrupt(9, 0);                                         // type below range
   corrupt(9, static_cast<std::uint8_t>(MsgType::kRelease) + 1);  // type above range
@@ -610,6 +585,7 @@ TEST(Wire, TypeNamesAreStable) {
   EXPECT_STREQ(to_string(MsgType::kHello), "hello");
   EXPECT_STREQ(to_string(MsgType::kPutAck), "put_ack");
   EXPECT_STREQ(to_string(MsgType::kHeartbeat), "heartbeat");
+  EXPECT_STREQ(to_string(MsgType::kRelease), "release");
 }
 
 }  // namespace
