@@ -1726,19 +1726,20 @@ def main(argv=None):
     stale = [k for k in baseline
              if k.split(" ", 1)[0] in active and k not in matched]
 
+    # An edge reached from several call sites is one edge to review.
+    edges = sorted(set(sanctioned))
     report(new, args.verbose)
-    if args.verbose and sanctioned:
-        print(f"-- {len(sanctioned)} sanctioned escape edge(s):")
-        for caller, callee, reason in sorted(set(sanctioned)):
+    if args.verbose and edges:
+        print(f"-- {len(edges)} sanctioned escape edge(s):")
+        for caller, callee, reason in edges:
             print(f"   {caller} -> {callee}: {reason or '(no reason)'}")
     for k in stale:
         print(f"aru-analyze [stale-baseline]: '{k}' no longer fires; "
               f"remove it from the baseline", file=sys.stderr)
 
-    n_esc = len(set(sanctioned))
     print(f"aru-analyze: {len(files)} files, {len(model.funcs)} functions; "
           f"{len(new)} finding(s), {len(suppressed)} baselined, "
-          f"{n_esc} sanctioned escape edge(s), {len(stale)} stale "
+          f"{len(edges)} sanctioned escape edge(s), {len(stale)} stale "
           f"baseline entr{'y' if len(stale) == 1 else 'ies'}")
     return 1 if (new or stale) else 0
 

@@ -173,6 +173,10 @@ bool RemoteChannel::connected() const {
   return (put_link_ && put_link_->connected()) || (get_link_ && get_link_->connected());
 }
 
+bool RemoteChannel::local() const {
+  return (put_link_ && put_link_->local()) || (get_link_ && get_link_->local());
+}
+
 RemoteEndpoint::PutResult RemoteChannel::put(std::shared_ptr<Item> item,
                                              std::stop_token st) {
   if (!put_link_) {

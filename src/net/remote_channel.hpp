@@ -116,6 +116,10 @@ class RemoteChannel final : public RemoteEndpoint {
 
   bool connected() const;
 
+  /// True while a link of this proxy is connected over the same-host Unix
+  /// socket (see Transport::local).
+  bool local() const;
+
  private:
   void hold_summary(Nanos summary);
 

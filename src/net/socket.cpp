@@ -6,13 +6,16 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/uio.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 
 namespace stampede::net {
@@ -36,20 +39,74 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-void fill_err(std::string* err, const char* what) {
-  if (err != nullptr) *err = std::string(what) + ": " + std::strerror(errno);
+void fill_err(std::string* err, const std::string& what) {
+  if (err != nullptr) *err = what + ": " + std::strerror(errno);
 }
 
-/// Stream socket options applied to every connected/accepted stream.
-/// TCP_NODELAY: frames are already batched by the callers' send buffers,
-/// so Nagle only adds latency. The kernel's default (auto-tuned) socket
-/// buffer sizes are deliberately left alone — forcing window-sized
-/// SO_SNDBUF/SO_RCVBUF measured *slower* on loopback (bufferbloat: the
-/// producer dumps its whole put window into the kernel and then stalls
-/// in lockstep with the consumer's drain).
+/// Stream socket options applied to every connected/accepted TCP stream
+/// (a Unix stream has no Nagle to turn off). TCP_NODELAY: frames are
+/// already batched by the callers' send buffers, so Nagle only adds
+/// latency. The kernel's default (auto-tuned) socket buffer sizes are
+/// deliberately left alone — forcing window-sized SO_SNDBUF/SO_RCVBUF
+/// measured *slower* on loopback (bufferbloat: the producer dumps its
+/// whole put window into the kernel and then stalls in lockstep with the
+/// consumer's drain).
 void set_stream_options(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// The abstract Unix-socket name that a listener on `host`:`port` owns,
+/// "@stampede:<host>:<port>" (abstract: sun_path starts with a NUL, so
+/// no file is made and the name goes when its socket closes). Returns the
+/// address length to pass to bind/connect.
+socklen_t local_name(const std::string& host, std::uint16_t port, sockaddr_un& addr) {
+  addr = {};
+  addr.sun_family = AF_UNIX;
+  const std::string name = "stampede:" + host + ":" + std::to_string(port);
+  const std::size_t n = std::min(name.size(), sizeof(addr.sun_path) - 1);
+  std::memcpy(addr.sun_path + 1, name.data(), n);
+  return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + n);
+}
+
+/// Connects to the Unix name of a same-host listener on `host`:`port`.
+/// Invalid on failure; `*absent` says whether nothing listens there, the
+/// one failure after which a TCP connect is worth trying. Blocking only
+/// for the connect itself: a Unix connect completes at once unless the
+/// listener's backlog is full, and SO_SNDTIMEO bounds that wait, after
+/// which it fails with EAGAIN.
+Socket connect_local(const std::string& host, std::uint16_t port, Nanos timeout,
+                     bool* absent, std::string* err) {
+  *absent = false;
+  Socket sock(::socket(AF_UNIX, SOCK_STREAM, 0));
+  if (!sock.valid()) {
+    fill_err(err, "socket");
+    return {};
+  }
+  const std::int64_t us = std::max<std::int64_t>(timeout.count() / 1000, 1);
+  const timeval tv{.tv_sec = us / 1'000'000, .tv_usec = us % 1'000'000};
+  ::setsockopt(sock.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+
+  sockaddr_un addr{};
+  const socklen_t len = local_name(host, port, addr);
+  int rc = 0;
+  do {
+    rc = ::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr), len);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) {
+    *absent = errno == ECONNREFUSED || errno == ENOENT;
+    if (errno == EAGAIN) {
+      if (err != nullptr) *err = "connect: timed out";
+    } else {
+      fill_err(err, "connect");
+    }
+    return {};
+  }
+  if (!set_nonblocking(sock.fd())) {
+    fill_err(err, "fcntl");
+    return {};
+  }
+  return sock;
 }
 
 }  // namespace
@@ -73,6 +130,24 @@ void Socket::reset() {
 
 std::optional<TcpStream> TcpStream::connect(const std::string& host, std::uint16_t port,
                                             Nanos timeout, std::string* err) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    if (err != nullptr) *err = "inet_pton: invalid address '" + host + "'";
+    return std::nullopt;
+  }
+
+  // Same host first: a listener on host:port owns this name. Nothing
+  // bound there (ECONNREFUSED; ENOENT for completeness) means the peer is
+  // remote, or older, or in another network namespace: fall back to TCP.
+  {
+    bool absent = false;
+    Socket local = connect_local(host, port, timeout, &absent, err);
+    if (local.valid()) return TcpStream(std::move(local));
+    if (!absent) return std::nullopt;
+  }
+
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
   if (!sock.valid()) {
     fill_err(err, "socket");
@@ -83,14 +158,6 @@ std::optional<TcpStream> TcpStream::connect(const std::string& host, std::uint16
     return std::nullopt;
   }
   set_stream_options(sock.fd());
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    if (err != nullptr) *err = "inet_pton: invalid address '" + host + "'";
-    return std::nullopt;
-  }
 
   int rc = 0;
   do {
@@ -134,6 +201,14 @@ std::optional<TcpStream> TcpStream::connect(const std::string& host, std::uint16
     }
   }
   return TcpStream(std::move(sock));
+}
+
+bool TcpStream::local() const {
+  if (!sock_.valid()) return false;
+  int domain = 0;
+  socklen_t len = sizeof(domain);
+  return ::getsockopt(sock_.fd(), SOL_SOCKET, SO_DOMAIN, &domain, &len) == 0 &&
+         domain == AF_UNIX;
 }
 
 IoStatus TcpStream::send_all(std::span<const std::byte> data, Nanos timeout) {
@@ -373,10 +448,12 @@ bool TcpStream::peer_hup() const {
     n = ::poll(&pfd, 1, 0);
   } while (n < 0 && errno == EINTR);
   if (n <= 0) return false;
-  if ((pfd.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) return true;
-  if ((pfd.revents & POLLIN) != 0) {
+  if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) return true;
+  if ((pfd.revents & (POLLIN | POLLHUP)) != 0) {
     // Readable could be data or EOF: peek one byte to distinguish without
-    // consuming anything.
+    // consuming anything. A Unix stream reports POLLHUP as soon as its
+    // peer closes, while TCP reports only the FIN's POLLIN, so both peek:
+    // what the peer sent before it left is still read first.
     char probe = 0;
     const ssize_t r = ::recv(sock_.fd(), &probe, 1, MSG_PEEK);
     return r == 0;
@@ -442,30 +519,54 @@ std::optional<TcpListener> TcpListener::listen(const std::string& host,
     fill_err(err, "getsockname");
     return std::nullopt;
   }
-  return TcpListener(std::move(sock), ntohs(bound.sin_port));
+  const std::uint16_t bound_port = ntohs(bound.sin_port);
+
+  // The same-host address. A name someone else holds fails the listen as
+  // a taken port does, so no other process can answer this server's
+  // same-host peers.
+  Socket local(::socket(AF_UNIX, SOCK_STREAM, 0));
+  if (!local.valid()) {
+    fill_err(err, "socket");
+    return std::nullopt;
+  }
+  if (!set_nonblocking(local.fd())) {
+    fill_err(err, "fcntl");
+    return std::nullopt;
+  }
+  sockaddr_un name{};
+  const socklen_t name_len = local_name(host, bound_port, name);
+  if (::bind(local.fd(), reinterpret_cast<const sockaddr*>(&name), name_len) < 0) {
+    fill_err(err, "bind @stampede:" + host + ":" + std::to_string(bound_port));
+    return std::nullopt;
+  }
+  if (::listen(local.fd(), SOMAXCONN) < 0) {
+    fill_err(err, "listen");
+    return std::nullopt;
+  }
+  return TcpListener(std::move(sock), std::move(local), bound_port);
 }
 
 std::optional<TcpStream> TcpListener::accept(Nanos timeout) {
   if (!sock_.valid()) return std::nullopt;
   const Nanos deadline = steady_now() + timeout;
   for (;;) {
-    const int fd = ::accept(sock_.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      Socket conn(fd);
-      if (!set_nonblocking(conn.fd())) return std::nullopt;
-      set_stream_options(conn.fd());
-      return TcpStream(std::move(conn));
+    // Either queue may hold the next connection.
+    for (const Socket* s : {&local_, &sock_}) {
+      const int fd = ::accept(s->fd(), nullptr, nullptr);
+      if (fd >= 0) {
+        Socket conn(fd);
+        if (!set_nonblocking(conn.fd())) return std::nullopt;
+        if (s == &sock_) set_stream_options(conn.fd());
+        return TcpStream(std::move(conn));
+      }
+      if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) return std::nullopt;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const Nanos remaining = deadline - steady_now();
-      if (remaining.count() <= 0) return std::nullopt;
-      pollfd pfd{sock_.fd(), POLLIN, 0};
-      const int p = ::poll(&pfd, 1, poll_millis(remaining));
-      if (p < 0 && errno != EINTR) return std::nullopt;
-      continue;
-    }
-    return std::nullopt;
+    const Nanos remaining = deadline - steady_now();
+    if (remaining.count() <= 0) return std::nullopt;
+    std::array<pollfd, 2> fds = {pollfd{sock_.fd(), POLLIN, 0},
+                                 pollfd{local_.fd(), POLLIN, 0}};
+    const int p = ::poll(fds.data(), fds.size(), poll_millis(remaining));
+    if (p < 0 && errno != EINTR) return std::nullopt;
   }
 }
 

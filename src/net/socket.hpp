@@ -1,5 +1,6 @@
 /// \file socket.hpp
-/// \brief Thin RAII wrappers over POSIX TCP sockets.
+/// \brief Thin RAII wrappers over POSIX stream sockets: TCP, and a Unix
+///        socket for peers on the same host.
 ///
 /// This is the *only* translation unit in the tree allowed to touch raw
 /// `::socket` / `::connect` (enforced by scripts/lint.sh); everything else
@@ -8,7 +9,16 @@
 ///  * all sockets are nonblocking; every operation takes an explicit
 ///    timeout and is realized as a poll() loop, so a wedged peer can never
 ///    hang a runtime thread indefinitely;
-///  * connect is the classic nonblocking three-step (O_NONBLOCK +
+///  * same host, no TCP: a listener on host:port also owns the abstract
+///    Unix-socket name `@stampede:<host>:<port>`, and a connect to
+///    host:port tries that name first. Only when nothing listens there
+///    (ECONNREFUSED/ENOENT: a remote host, or a peer in another network
+///    namespace) does it fall back to TCP. Both are SOCK_STREAM, so
+///    everything above the descriptor (framing, buffers, poll, the arena
+///    handoff) is the same on either; a Unix link skips the loopback TCP
+///    stack on every frame. A listener whose name is taken fails as a
+///    taken port does;
+///  * a TCP connect is the classic nonblocking three-step (O_NONBLOCK +
 ///    EINPROGRESS, poll for POLLOUT, read SO_ERROR);
 ///  * sends use MSG_NOSIGNAL — a dead peer yields kClosed, never SIGPIPE;
 ///  * EINTR is retried everywhere.
@@ -72,23 +82,28 @@ class Socket {
   int fd_ = -1;
 };
 
-/// A connected, nonblocking TCP stream.
+/// A connected, nonblocking stream: TCP, or a Unix socket to a listener
+/// on the same host.
 class TcpStream {
  public:
   TcpStream() = default;
   explicit TcpStream(Socket sock) : sock_(std::move(sock)) {}
 
-  /// Nonblocking connect to host:port bounded by `timeout`. Returns an
+  /// Connects to host:port bounded by `timeout`: over the listener's
+  /// same-host Unix name when one is bound, else over TCP. Returns an
   /// empty optional on failure (refused, unreachable, timed out); `*err`
   /// gets a diagnostic when non-null.
   ARU_MAY_BLOCK ARU_ALLOCATES
-  ARU_ANALYZE_ESCAPE("deadline-bounded nonblocking connect: three-step O_NONBLOCK + poll(POLLOUT) + SO_ERROR under one deadline")
+  ARU_ANALYZE_ESCAPE("deadline-bounded connect: a Unix connect under SO_SNDTIMEO, then at most the nonblocking TCP three-step (O_NONBLOCK + poll(POLLOUT) + SO_ERROR) under one deadline")
   static std::optional<TcpStream> connect(
       const std::string& host, std::uint16_t port, Nanos timeout,
       std::string* err = nullptr);
 
   bool valid() const { return sock_.valid(); }
   void close() { sock_.reset(); }
+
+  /// True when this is a same-host Unix link rather than TCP.
+  bool local() const;
 
   /// Sends the whole buffer or fails. kTimeout applies to overall progress:
   /// the deadline is `timeout` from the call, not per chunk.
@@ -248,14 +263,18 @@ class RecvBuffer {
   std::size_t len_ = 0;  ///< first free byte
 };
 
-/// A listening TCP socket. Binds loopback-only (127.0.0.1) by default;
-/// pass an explicit local address — "0.0.0.0" for all interfaces — to
-/// accept off-host peers.
+/// A listening TCP socket plus its same-host Unix name. Binds
+/// loopback-only (127.0.0.1) by default; pass an explicit local address —
+/// "0.0.0.0" for all interfaces — to accept off-host peers. The Unix name
+/// carries the address as given, so a wildcard listener is reached over
+/// Unix only by peers that dial "0.0.0.0" too.
 class TcpListener {
  public:
-  /// Binds `host`:`port` and listens; port 0 picks an ephemeral port
-  /// (read it back via `port()`). `host` must be a dotted-quad IPv4
-  /// address of a local interface. Empty optional on failure.
+  /// Binds `host`:`port` and listens, then binds and listens on
+  /// `@stampede:<host>:<port>` with the bound port; port 0 picks an
+  /// ephemeral port (read it back via `port()`). `host` must be a
+  /// dotted-quad IPv4 address of a local interface. Empty optional on
+  /// failure, either socket's, with nothing left bound.
   static std::optional<TcpListener> listen(const std::string& host, std::uint16_t port,
                                            std::string* err = nullptr);
 
@@ -264,16 +283,21 @@ class TcpListener {
 
   bool valid() const { return sock_.valid(); }
   std::uint16_t port() const { return port_; }
-  void close() { sock_.reset(); }
+  void close() {
+    sock_.reset();
+    local_.reset();
+  }
 
-  /// Waits up to `timeout` for one inbound connection. Empty optional on
-  /// timeout, listener close, or error.
+  /// Waits up to `timeout` for one inbound connection on either socket.
+  /// Empty optional on timeout, listener close, or error.
   ARU_MAY_BLOCK std::optional<TcpStream> accept(Nanos timeout);
 
  private:
-  TcpListener(Socket sock, std::uint16_t port) : sock_(std::move(sock)), port_(port) {}
+  TcpListener(Socket sock, Socket local, std::uint16_t port)
+      : sock_(std::move(sock)), local_(std::move(local)), port_(port) {}
 
-  Socket sock_;
+  Socket sock_;   ///< TCP
+  Socket local_;  ///< the Unix name
   std::uint16_t port_ = 0;
 };
 

@@ -190,6 +190,7 @@ void Transport::disconnect_locked() {
   refused_ = {};
   peer_mapped_ours_ = false;
   connected_.store(false, std::memory_order_relaxed);
+  local_.store(false, std::memory_order_relaxed);
 }
 
 bool Transport::ensure_connected_locked() {
@@ -273,6 +274,7 @@ bool Transport::ensure_connected_locked() {
     return fail();
   }
   connected_.store(true, std::memory_order_relaxed);
+  local_.store(stream_.local(), std::memory_order_relaxed);
   return true;
 }
 

@@ -203,6 +203,10 @@ class Transport final : public ReleaseSink {
 
   bool connected() const { return connected_.load(std::memory_order_relaxed); }
 
+  /// True while connected over the same-host Unix socket rather than TCP
+  /// (see net/socket.hpp).
+  bool local() const { return local_.load(std::memory_order_relaxed); }
+
   /// Successful handshakes after the first (i.e. recoveries).
   std::int64_t reconnects() const { return reconnects_.load(std::memory_order_relaxed); }
 
@@ -408,6 +412,7 @@ class Transport final : public ReleaseSink {
   std::int64_t first_staged_ns_ GUARDED_BY(mu_) = 0;
 
   std::atomic<bool> connected_{false};
+  std::atomic<bool> local_{false};
   std::atomic<std::int64_t> reconnects_{0};
 
   /// Live telemetry series (telemetry/registry.hpp), registered once in

@@ -6,7 +6,8 @@
 /// plain ARU_ALLOCATES and the hot root's call to it must be flagged;
 /// with it, the same callee carries an ARU_ANALYZE_ESCAPE justification
 /// and the analyzer must honor the hatch (exit 0, edge reported as a
-/// sanctioned escape).
+/// sanctioned escape). The hot root calls it from two sites: one edge,
+/// which the verbose header and the summary must both count once.
 
 namespace fixture {
 
@@ -21,6 +22,7 @@ void record_event(int node, long t);
 
 ARU_HOT_PATH void on_item(int node, long t) {
   record_event(node, t);
+  record_event(node, t + 1);
 }
 
 }  // namespace fixture

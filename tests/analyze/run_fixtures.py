@@ -39,12 +39,14 @@ ANALYZER = os.path.join(ROOT, "scripts", "analyze", "aru_analyze.py")
 FIXDIR = os.path.join(ROOT, "tests", "analyze", "fixtures")
 
 
-def run_analyzer(fixture_dir, defines, baseline="none"):
+def run_analyzer(fixture_dir, defines, baseline="none", verbose=False):
     cmd = [sys.executable, ANALYZER,
            "--root", ROOT,
            "--sources", fixture_dir,
            "--baseline", baseline,
            "--rules", "hot,ranks,nothrow"]
+    if verbose:
+        cmd.append("-v")
     for d in defines:
         cmd += ["--define", d]
     p = subprocess.run(cmd, capture_output=True, text=True)
@@ -72,6 +74,25 @@ def check_stale_baseline():
                 f"got {rc}\n{out}")
     if "stale" not in out:
         return f"stale_baseline: run did not name the stale entry\n{out}"
+    return None
+
+
+def check_edge_counts():
+    """The -v header and the summary count sanctioned edges alike.
+
+    The fixed escape_hatch fixture reaches its one escape edge from two
+    call sites; both lines must say one edge.
+    """
+    import re
+    rc, out = run_analyzer(os.path.join(FIXDIR, "escape_hatch"),
+                           ["ARU_FIXTURE_FIXED"], verbose=True)
+    header = re.search(r"^-- (\d+) sanctioned escape edge", out, re.M)
+    summary = re.search(r"; .* (\d+) sanctioned escape edge", out)
+    if rc != 0 or not header or not summary:
+        return f"edge_counts: expected a clean -v run with both counts\n{out}"
+    if header.group(1) != summary.group(1) or summary.group(1) != "1":
+        return (f"edge_counts: header says {header.group(1)}, summary "
+                f"{summary.group(1)}, for one edge from two call sites\n{out}")
     return None
 
 
@@ -109,13 +130,19 @@ def main():
     print(f"  {'stale_baseline':<16} [stale-baseline] ... "
           f"{'FAIL' if stale_failure else 'ok'}")
 
+    count_failure = check_edge_counts()
+    if count_failure:
+        failures.append(count_failure)
+    print(f"  {'edge_counts':<16} [-v header = summary] ... "
+          f"{'FAIL' if count_failure else 'ok'}")
+
     if failures:
         print(f"\n{len(failures)} fixture check(s) failed:", file=sys.stderr)
         for f in failures:
             print("  " + f.replace("\n", "\n    "), file=sys.stderr)
         return 1
     print(f"all {len(FIXTURES)} fixtures proven both ways "
-          f"(+ stale-baseline enforcement)")
+          f"(+ stale-baseline enforcement, edge counts)")
     return 0
 
 

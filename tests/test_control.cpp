@@ -481,8 +481,10 @@ TEST(Supervisor, SelfHealingLoopReconvergesSummaryStp) {
   ASSERT_NE(src_port, 0);
   ASSERT_NE(buf_port, 0);
   ASSERT_NE(src_port, buf_port);
+  // Named per process: TempDir() is shared by every suite running at once,
+  // and a restarted worker re-reads this file.
   const std::string manifest_path = write_file(
-      "relay.manifest",
+      "relay." + std::to_string(::getpid()) + ".manifest",
       "pipeline=relay\nseed=11\nscale=0.5\n"
       "node.src=127.0.0.1:" + std::to_string(src_port) + "\n"
       "node.buf=127.0.0.1:" + std::to_string(buf_port) + "\n"
@@ -556,6 +558,7 @@ TEST(Supervisor, SelfHealingLoopReconvergesSummaryStp) {
     EXPECT_EQ(st.state, WorkerState::kStopped);
     EXPECT_EQ(st.last_exit, 0) << "node " << st.node << " did not exit cleanly";
   }
+  std::remove(manifest_path.c_str());
 }
 
 TEST(Supervisor, StartStopWithoutTrafficIsClean) {
