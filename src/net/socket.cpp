@@ -70,14 +70,14 @@ socklen_t local_name(const std::string& host, std::uint16_t port, sockaddr_un& a
 }
 
 /// Connects to the Unix name of a same-host listener on `host`:`port`.
-/// Invalid on failure; `*absent` says whether nothing listens there, the
-/// one failure after which a TCP connect is worth trying. Blocking only
-/// for the connect itself: a Unix connect completes at once unless the
-/// listener's backlog is full, and SO_SNDTIMEO bounds that wait, after
-/// which it fails with EAGAIN.
+/// Invalid on failure; `*try_tcp` says whether TCP is worth trying
+/// instead: nothing listens there, or whoever does runs as another user.
+/// Blocking only for the connect itself: a Unix connect completes at once
+/// unless the listener's backlog is full, and SO_SNDTIMEO bounds that
+/// wait, after which it fails with EAGAIN.
 Socket connect_local(const std::string& host, std::uint16_t port, Nanos timeout,
-                     bool* absent, std::string* err) {
-  *absent = false;
+                     bool* try_tcp, std::string* err) {
+  *try_tcp = false;
   Socket sock(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!sock.valid()) {
     fill_err(err, "socket");
@@ -94,12 +94,24 @@ Socket connect_local(const std::string& host, std::uint16_t port, Nanos timeout,
     rc = ::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr), len);
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
-    *absent = errno == ECONNREFUSED || errno == ENOENT;
+    *try_tcp = errno == ECONNREFUSED || errno == ENOENT;
     if (errno == EAGAIN) {
       if (err != nullptr) *err = "connect: timed out";
     } else {
       fill_err(err, "connect");
     }
+    return {};
+  }
+  // An abstract name has no file permissions: any local process can bind
+  // one that nobody holds (a remote host's, or 127.0.0.1's beside a
+  // wildcard listener). Take the link only from a listener of this user
+  // or root, checked before a byte is sent; anyone else is passed over
+  // as if nothing listened there.
+  ucred peer{};
+  socklen_t peer_len = sizeof(peer);
+  if (::getsockopt(sock.fd(), SOL_SOCKET, SO_PEERCRED, &peer, &peer_len) < 0 ||
+      (peer.uid != ::geteuid() && peer.uid != 0)) {
+    *try_tcp = true;
     return {};
   }
   if (!set_nonblocking(sock.fd())) {
@@ -140,12 +152,13 @@ std::optional<TcpStream> TcpStream::connect(const std::string& host, std::uint16
 
   // Same host first: a listener on host:port owns this name. Nothing
   // bound there (ECONNREFUSED; ENOENT for completeness) means the peer is
-  // remote, or older, or in another network namespace: fall back to TCP.
+  // remote, or older, or in another network namespace: fall back to TCP,
+  // as for a name held by another user.
   {
-    bool absent = false;
-    Socket local = connect_local(host, port, timeout, &absent, err);
+    bool try_tcp = false;
+    Socket local = connect_local(host, port, timeout, &try_tcp, err);
     if (local.valid()) return TcpStream(std::move(local));
-    if (!absent) return std::nullopt;
+    if (!try_tcp) return std::nullopt;
   }
 
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
@@ -522,8 +535,9 @@ std::optional<TcpListener> TcpListener::listen(const std::string& host,
   const std::uint16_t bound_port = ntohs(bound.sin_port);
 
   // The same-host address. A name someone else holds fails the listen as
-  // a taken port does, so no other process can answer this server's
-  // same-host peers.
+  // a taken port does, so no other process answers this server's
+  // same-host peers (and a peer's connect passes over a name held by
+  // another user).
   Socket local(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!local.valid()) {
     fill_err(err, "socket");

@@ -13,11 +13,13 @@
 ///    Unix-socket name `@stampede:<host>:<port>`, and a connect to
 ///    host:port tries that name first. Only when nothing listens there
 ///    (ECONNREFUSED/ENOENT: a remote host, or a peer in another network
-///    namespace) does it fall back to TCP. Both are SOCK_STREAM, so
-///    everything above the descriptor (framing, buffers, poll, the arena
-///    handoff) is the same on either; a Unix link skips the loopback TCP
-///    stack on every frame. A listener whose name is taken fails as a
-///    taken port does;
+///    namespace) does it fall back to TCP. An abstract name has no file
+///    permissions, so a connect takes it only from a listener of the same
+///    user (or root, by SO_PEERCRED) and otherwise falls back to TCP
+///    too. Both are SOCK_STREAM, so everything above the descriptor
+///    (framing, buffers, poll, the arena handoff) is the same on either;
+///    a Unix link skips the loopback TCP stack on every frame. A listener
+///    whose name is taken fails as a taken port does;
 ///  * a TCP connect is the classic nonblocking three-step (O_NONBLOCK +
 ///    EINPROGRESS, poll for POLLOUT, read SO_ERROR);
 ///  * sends use MSG_NOSIGNAL — a dead peer yields kClosed, never SIGPIPE;
@@ -90,9 +92,9 @@ class TcpStream {
   explicit TcpStream(Socket sock) : sock_(std::move(sock)) {}
 
   /// Connects to host:port bounded by `timeout`: over the listener's
-  /// same-host Unix name when one is bound, else over TCP. Returns an
-  /// empty optional on failure (refused, unreachable, timed out); `*err`
-  /// gets a diagnostic when non-null.
+  /// same-host Unix name when a listener of this user (or root) holds it,
+  /// else over TCP. Returns an empty optional on failure (refused,
+  /// unreachable, timed out); `*err` gets a diagnostic when non-null.
   ARU_MAY_BLOCK ARU_ALLOCATES
   ARU_ANALYZE_ESCAPE("deadline-bounded connect: a Unix connect under SO_SNDTIMEO, then at most the nonblocking TCP three-step (O_NONBLOCK + poll(POLLOUT) + SO_ERROR) under one deadline")
   static std::optional<TcpStream> connect(

@@ -5,7 +5,8 @@
 ///
 /// Covers both kinds of link end to end (a RemoteChannel against a real
 /// ChannelServer, and `/metrics` through http_get), the fallback to a TCP
-/// listener that owns no Unix name, a squatted name, and the socket
+/// listener that owns no Unix name, a squatted name on either side (a
+/// server's, and one held by another user), and the socket
 /// semantics both kinds must share.
 #include <array>
 #include <cerrno>
@@ -26,6 +27,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -200,6 +202,20 @@ void round_trip(Served& srv, std::uint16_t port, bool want_local) {
   client.stop();
 }
 
+/// The Unix name a listener on 127.0.0.1:`port` owns.
+struct UnixName {
+  sockaddr_un addr{};
+  socklen_t len = 0;
+
+  explicit UnixName(std::uint16_t port) {
+    const std::string name = "@stampede:127.0.0.1:" + std::to_string(port);
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path + 1, name.data() + 1, name.size() - 1);
+    len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + name.size());
+  }
+  int bind(int fd) const { return ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), len); }
+};
+
 /// Each side sends a few bytes and reads the other's.
 void exchange(TcpStream& a, TcpStream& b) {
   const std::array<std::byte, 3> ping{std::byte{1}, std::byte{2}, std::byte{3}};
@@ -220,15 +236,6 @@ TEST(SameHostLink, RemoteChannelConnectsOverTheUnixName) {
 }
 
 TEST(SameHostLink, ListenerWithoutAUnixNameIsReachedOverTcp) {
-  RawTcpListener raw;
-  std::string err;
-  auto stream = TcpStream::connect("127.0.0.1", raw.port(), seconds(2), &err);
-  ASSERT_TRUE(stream.has_value()) << err;
-  EXPECT_FALSE(stream->local());
-  TcpStream peer = raw.accept(seconds(2));
-  ASSERT_TRUE(peer.valid());
-  exchange(*stream, peer);
-
   // The same server behind a TCP-only port: a put and a get round-trip
   // over TCP, with the arena handoff as over the Unix name.
   Served srv;
@@ -284,17 +291,12 @@ TEST(SameHostLink, ListenFailsWhenTheUnixNameIsTaken) {
   // as on a taken port, and must leave its TCP port free again.
   Socket squatter(::socket(AF_UNIX, SOCK_STREAM, 0));
   ASSERT_TRUE(squatter.valid());
-  const std::string name = "@stampede:127.0.0.1:" + std::to_string(port);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path + 1, name.data() + 1, name.size() - 1);
-  const auto len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + name.size());
-  ASSERT_EQ(::bind(squatter.fd(), reinterpret_cast<const sockaddr*>(&addr), len), 0)
-      << std::strerror(errno);
+  ASSERT_EQ(UnixName(port).bind(squatter.fd()), 0) << std::strerror(errno);
 
   std::string err;
   EXPECT_FALSE(TcpListener::listen(port, &err).has_value());
-  EXPECT_NE(err.find(name), std::string::npos) << err;
+  EXPECT_NE(err.find("@stampede:127.0.0.1:" + std::to_string(port)), std::string::npos)
+      << err;
 
   squatter.reset();
   auto listener = TcpListener::listen(port, &err);
@@ -302,6 +304,52 @@ TEST(SameHostLink, ListenFailsWhenTheUnixNameIsTaken) {
   auto stream = TcpStream::connect("127.0.0.1", port, seconds(2));
   ASSERT_TRUE(stream.has_value());
   EXPECT_TRUE(stream->local());
+}
+
+TEST(SameHostLink, NameHeldByAnotherUserIsPassedOverForTcp) {
+  // An abstract name has no permissions: another user's process can
+  // listen on the name of a port it does not own (a remote host's, or
+  // 127.0.0.1's beside a wildcard listener). A connect must not take that
+  // link, and reaches the real listener over TCP instead.
+  if (::geteuid() != 0) GTEST_SKIP() << "holding a name as another user needs root";
+  RawTcpListener raw;
+  const UnixName name(raw.port());
+  std::array<int, 2> ready{-1, -1};
+  std::array<int, 2> done{-1, -1};
+  ASSERT_EQ(::pipe(ready.data()), 0);
+  ASSERT_EQ(::pipe(done.data()), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    // The squatter, as user and group "nobody"; it holds the name until
+    // the parent closes `done`. Only async-signal-safe calls from here.
+    ::close(ready[0]);
+    ::close(done[1]);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const bool ok = ::setgid(65534) == 0 && ::setuid(65534) == 0 && fd >= 0 &&
+                    name.bind(fd) == 0 && ::listen(fd, 16) == 0;
+    const char held = ok ? 1 : 0;
+    char byte = 0;
+    if (::write(ready[1], &held, 1) == 1) (void)!::read(done[0], &byte, 1);
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  ::close(done[0]);
+  char held = 0;
+  const bool squatted = ::read(ready[0], &held, 1) == 1 && held == 1;
+  ::close(ready[0]);
+
+  std::string err;
+  auto stream = TcpStream::connect("127.0.0.1", raw.port(), seconds(2), &err);
+  TcpStream peer = raw.accept(seconds(2));
+  ::close(done[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(squatted) << "the squatter could not hold the name";
+  ASSERT_TRUE(stream.has_value()) << err;
+  EXPECT_FALSE(stream->local()) << "a name held by another user is passed over";
+  ASSERT_TRUE(peer.valid()) << "the real listener is reached over TCP";
+  exchange(*stream, peer);
 }
 
 TEST(SameHostLink, MetricsAreScrapedThroughHttpGet) {
